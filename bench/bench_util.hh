@@ -269,7 +269,7 @@ maybeTraceRun(const Options &opt, const SystemConfig &cfg)
     if (!opt.traceFilter.empty())
         sink.setFilter(opt.traceFilter);
     const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, &sink);
+    runConfigFull(bench, cfg, opt.params, {.trace = &sink});
     if (!sink.writeChromeTraceFile(opt.traceFile)) {
         std::cerr << "failed to write trace: " << opt.traceFile
                   << "\n";
@@ -306,8 +306,8 @@ maybeTelemetryRun(const Options &opt, const SystemConfig &cfg)
         (!opt.spansFile.empty() && !opt.reportFile.empty()) ? &spans
                                                             : nullptr;
     const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, nullptr, &telemetry,
-                  nullptr, span_arm);
+    runConfigFull(bench, cfg, opt.params,
+                  {.telemetry = &telemetry, .spans = span_arm});
     if (!opt.sampleOut.empty()) {
         const bool csv =
             opt.sampleOut.size() >= 4 &&
@@ -358,7 +358,7 @@ maybeCaptureRun(const Options &opt, const SystemConfig &cfg)
         return;
     MemTraceWriter writer(opt.captureTrace);
     const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, nullptr, nullptr, &writer);
+    runConfigFull(bench, cfg, opt.params, {.memtrace = &writer});
     std::cerr << "memtrace: " << writer.accessesRecorded()
               << " accesses, " << writer.branchesRecorded()
               << " branches -> " << opt.captureTrace << " ["
@@ -391,8 +391,8 @@ maybeSpanRun(const Options &opt, const SystemConfig &cfg)
         trace = &sink;
     }
     const BenchmarkId bench = opt.benchmarks.front();
-    runConfigFull(bench, cfg, opt.params, trace, nullptr, nullptr,
-                  &spans);
+    runConfigFull(bench, cfg, opt.params,
+                  {.trace = trace, .spans = &spans});
     if (trace != nullptr) {
         if (!sink.writeChromeTraceFile(opt.traceFile)) {
             std::cerr << "failed to write trace: " << opt.traceFile

@@ -194,9 +194,9 @@ main(int argc, char **argv)
     if (!trace_file.empty() || !spans_file.empty()) {
         TraceSink sink;
         SpanTracker spans;
-        runMultiTenant(cfg,
-                       trace_file.empty() ? nullptr : &sink, nullptr,
-                       spans_file.empty() ? nullptr : &spans);
+        runMultiTenant(
+            cfg, {.trace = trace_file.empty() ? nullptr : &sink,
+                  .spans = spans_file.empty() ? nullptr : &spans});
         if (!trace_file.empty()) {
             if (!sink.writeChromeTraceFile(trace_file)) {
                 std::cerr << "failed to write trace: " << trace_file
@@ -237,7 +237,7 @@ main(int argc, char **argv)
         SpanTracker *span_arm =
             (!spans_file.empty() && !report_file.empty()) ? &spans
                                                           : nullptr;
-        runMultiTenant(cfg, nullptr, &telemetry, span_arm);
+        runMultiTenant(cfg, {.telemetry = &telemetry, .spans = span_arm});
         if (!sample_out.empty()) {
             const bool csv =
                 sample_out.size() >= 4 &&

@@ -195,8 +195,7 @@ main(int argc, char **argv)
         cfg.checkInvariants = check;
 
         MemTraceWriter writer(trace_path);
-        out = runConfigFull(bench, cfg, params, nullptr, nullptr,
-                            &writer);
+        out = runConfigFull(bench, cfg, params, {.memtrace = &writer});
         std::cout << "captured " << writer.accessesRecorded()
                   << " accesses, " << writer.branchesRecorded()
                   << " branches -> " << trace_path << " ["

@@ -226,9 +226,10 @@ main(int argc, char **argv)
             sink.setFilter(trace_filter);
         SpanTracker spans;
         const SystemConfig traced = presets::augmentedTlb();
-        runConfigFull(bench, traced, params,
-                      trace_file.empty() ? nullptr : &sink, nullptr,
-                      nullptr, spans_file.empty() ? nullptr : &spans);
+        runConfigFull(
+            bench, traced, params,
+            {.trace = trace_file.empty() ? nullptr : &sink,
+             .spans = spans_file.empty() ? nullptr : &spans});
         if (!trace_file.empty()) {
             if (!sink.writeChromeTraceFile(trace_file)) {
                 std::cerr << "failed to write trace: " << trace_file
@@ -280,8 +281,8 @@ main(int argc, char **argv)
             (!spans_file.empty() && !report_file.empty()) ? &spans
                                                           : nullptr;
         const SystemConfig sampled = presets::augmentedTlb();
-        runConfigFull(bench, sampled, params, nullptr, &telemetry,
-                      nullptr, span_arm);
+        runConfigFull(bench, sampled, params,
+                      {.telemetry = &telemetry, .spans = span_arm});
         if (!sample_out.empty()) {
             const bool csv =
                 sample_out.size() >= 4 &&
@@ -324,8 +325,7 @@ main(int argc, char **argv)
     if (!capture_file.empty()) {
         MemTraceWriter writer(capture_file);
         const SystemConfig captured = presets::augmentedTlb();
-        runConfigFull(bench, captured, params, nullptr, nullptr,
-                      &writer);
+        runConfigFull(bench, captured, params, {.memtrace = &writer});
         std::cout << "memtrace: " << writer.accessesRecorded()
                   << " accesses, " << writer.branchesRecorded()
                   << " branches -> " << capture_file << " [" << name

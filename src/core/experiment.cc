@@ -3,80 +3,14 @@
 #include <iomanip>
 #include <sstream>
 
-#include "mmu/l2_tlb.hh"
-#include "sched/ccws.hh"
+#include "core/shared_translation.hh"
 #include "sim/logging.hh"
-#include "tbc/tbc_core.hh"
-#include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/memtrace.hh"
-#include "trace/trace.hh"
 
 namespace gpummu {
 
 namespace {
-
-std::unique_ptr<WarpScheduler>
-makeScheduler(const SystemConfig &cfg)
-{
-    switch (cfg.sched) {
-      case SchedulerKind::LooseRoundRobin:
-        return std::make_unique<LooseRoundRobin>(
-            cfg.core.numWarpSlots);
-      case SchedulerKind::GreedyThenOldest:
-        return std::make_unique<GreedyThenOldest>();
-      case SchedulerKind::Ccws:
-      case SchedulerKind::TaCcws:
-        return std::make_unique<Ccws>(cfg.ccws);
-      case SchedulerKind::Tcws:
-        return std::make_unique<Tcws>(cfg.tcws);
-    }
-    GPUMMU_PANIC("unknown scheduler kind");
-}
-
-GpuTop::CoreFactory
-makeCoreFactory(const SystemConfig &cfg)
-{
-    if (cfg.coreKind == CoreKind::Tbc) {
-        return [cfg](int core_id, const LaunchParams &launch,
-                     AddressSpace &as, MemorySystem &mem,
-                     EventQueue &eq) -> std::unique_ptr<ShaderCore> {
-            auto core = std::make_unique<TbcCore>(
-                core_id, cfg.core, cfg.tbc, launch, as, mem, eq);
-            return core;
-        };
-    }
-    return [cfg](int core_id, const LaunchParams &launch,
-                 AddressSpace &as, MemorySystem &mem,
-                 EventQueue &eq) -> std::unique_ptr<ShaderCore> {
-        auto core = std::make_unique<SimtCore>(core_id, cfg.core,
-                                               launch, as, mem, eq);
-        core->setScheduler(makeScheduler(cfg));
-        return core;
-    };
-}
-
-} // namespace
-
-namespace {
-
-RunOutput
-finishRun(GpuTop &gpu, const std::string &bench_name,
-          const SystemConfig &cfg)
-{
-    RunOutput out;
-    out.stats = gpu.run(cfg.maxCycles);
-    std::ostringstream os;
-    os << "{\"bench\":\"" << jsonEscape(bench_name)
-       << "\",\"config\":\"" << jsonEscape(cfg.name)
-       << "\",\"summary\":";
-    dumpRunStatsJson(os, out.stats);
-    os << ",\"stats\":";
-    gpu.stats().dumpJson(os);
-    os << "}";
-    out.statsJson = os.str();
-    return out;
-}
 
 /** Arm trace capture on a built GpuTop; fatal when unsupported so a
  *  --capture-trace user never gets a silently empty file. */
@@ -103,160 +37,52 @@ armMemTrace(GpuTop &gpu, MemTraceWriter *memtrace,
 } // namespace
 
 RunOutput
-runWorkloadFull(Workload &workload, const SystemConfig &cfg_in,
-                TraceSink *trace, Telemetry *telemetry,
-                MemTraceWriter *memtrace, SpanTracker *spans)
+runWorkloadFull(Workload &workload, const SystemConfig &cfg,
+                const RunObservers &obs)
 {
-    if (telemetry != nullptr)
-        telemetry->setMeta(workload.name(), cfg_in.name);
-    // With both observers armed, each span's lifecycle additionally
-    // rides the sink as Chrome-trace flow events (arrows).
-    if (spans != nullptr && trace != nullptr)
-        spans->setTraceSink(trace);
-    // Fan the top-level checker switch out to every translation unit
-    // of the run before any core is built.
-    SystemConfig cfg = cfg_in;
-    if (cfg.checkInvariants) {
-        cfg.core.mmu.checkInvariants = true;
-        cfg.iommuCfg.checkInvariants = true;
-        cfg.l2tlb.checkInvariants = true;
-    }
-
-    if (!cfg.iommu) {
-        GpuTop::CoreFactory factory = makeCoreFactory(cfg);
-
-        // Shared L2 TLB: one GPU-wide instance, created with the
-        // first core (the same holder pattern as the IOMMU below)
-        // and attached to every core's MMU miss path.
-        std::shared_ptr<std::unique_ptr<L2Tlb>> l2_holder;
-        if (cfg.l2tlb.enabled) {
-            GPUMMU_ASSERT(cfg.core.mmu.enabled,
-                          "a shared L2 TLB needs per-core MMUs");
-            l2_holder = std::make_shared<std::unique_ptr<L2Tlb>>();
-            auto base = std::move(factory);
-            factory = [cfg, base, l2_holder](
-                          int core_id, const LaunchParams &launch,
-                          AddressSpace &as, MemorySystem &mem,
-                          EventQueue &eq)
-                -> std::unique_ptr<ShaderCore> {
-                if (!*l2_holder) {
-                    *l2_holder = std::make_unique<L2Tlb>(
-                        cfg.l2tlb, as.pageTable(), eq,
-                        as.usesLargePages() ? kPageShift2M
-                                            : kPageShift4K);
-                }
-                auto core = base(core_id, launch, as, mem, eq);
-                core->mmu().setL2Tlb(l2_holder->get());
-                return core;
-            };
-        }
-
-        GpuTop gpu(cfg.numCores, cfg.mem, workload, factory,
-                   cfg.largePages, cfg.physFrames);
-        if (l2_holder && *l2_holder)
-            (*l2_holder)->regStats(gpu.stats(), "l2tlb");
-        if (trace != nullptr) {
-            gpu.setTraceSink(trace);
-            trace->regStats(gpu.stats(), "trace");
-            // The shared L2 TLB is not a per-core component; arm it
-            // directly (tid -1 marks the GPU-wide instance).
-            if (l2_holder && *l2_holder)
-                (*l2_holder)->setTraceSink(trace, -1);
-        }
-        // After the trace stats so an armed sampler sees them too.
-        if (telemetry != nullptr)
-            gpu.setTelemetry(telemetry);
-        if (spans != nullptr) {
-            gpu.setSpanTracker(spans);
-            // The shared L2 TLB is not a per-core component; arm it
-            // directly (tid -1 marks the GPU-wide instance).
-            if (l2_holder && *l2_holder)
-                (*l2_holder)->setSpanTracker(spans, -1);
-        }
-        armMemTrace(gpu, memtrace, cfg);
-        RunOutput out = finishRun(gpu, workload.name(), cfg);
-        if (memtrace != nullptr &&
-            !memtrace->finish(out.stats.cycles)) {
-            GPUMMU_FATAL("memory-trace capture failed: ",
-                         memtrace->error());
-        }
-        // The shared L2 TLB is not reached by GpuTop's per-core
-        // sweep, so its MSHR drain invariants are verified here.
-        if (l2_holder && *l2_holder)
-            (*l2_holder)->checkEndOfKernel();
-        return out;
-    }
-    GPUMMU_ASSERT(!cfg.l2tlb.enabled,
-                  "the shared L2 TLB sits behind per-core MMUs; "
-                  "IOMMU mode has no miss path to attach it to");
-
-    // IOMMU mode: one shared translation unit for the whole GPU,
-    // created with the first core and kept alive for the run.
-    GPUMMU_ASSERT(!cfg.core.mmu.enabled,
-                  "IOMMU mode requires per-core MMUs disabled");
-    auto iommu_holder = std::make_shared<std::unique_ptr<Iommu>>();
-    auto factory = [cfg, iommu_holder](
-                       int core_id, const LaunchParams &launch,
-                       AddressSpace &as, MemorySystem &mem,
-                       EventQueue &eq) -> std::unique_ptr<ShaderCore> {
-        if (!*iommu_holder) {
-            *iommu_holder = std::make_unique<Iommu>(cfg.iommuCfg, as,
-                                                    mem, eq);
-        }
-        auto core = std::make_unique<SimtCore>(core_id, cfg.core,
-                                               launch, as, mem, eq);
-        core->setScheduler(makeScheduler(cfg));
-        core->setIommu(iommu_holder->get());
-        return core;
-    };
-    GpuTop gpu(cfg.numCores, cfg.mem, workload, factory,
+    SharedTranslation unit(cfg);
+    GpuTop gpu(cfg.numCores, cfg.mem, workload, unit.coreFactory(),
                cfg.largePages, cfg.physFrames);
-    if (*iommu_holder)
-        (*iommu_holder)->regStats(gpu.stats(), "iommu");
-    if (trace != nullptr) {
-        gpu.setTraceSink(trace);
-        trace->regStats(gpu.stats(), "trace");
-        // The shared IOMMU is not a per-core component; arm it
-        // directly (tid -1 marks the GPU-wide instance).
-        if (*iommu_holder)
-            (*iommu_holder)->setTraceSink(trace, -1);
+    unit.regStats(gpu.stats());
+
+    if (obs.trace != nullptr)
+        gpu.setTraceSink(obs.trace);
+    if (obs.spans != nullptr)
+        gpu.setSpanTracker(obs.spans);
+    unit.arm(obs, gpu.stats());
+    if (obs.telemetry != nullptr) {
+        obs.telemetry->setMeta(workload.name(), cfg.name);
+        gpu.setTelemetry(obs.telemetry);
     }
-    if (telemetry != nullptr) {
-        gpu.setTelemetry(telemetry);
-        // The shared IOMMU's walkers are not reached by GpuTop's
-        // per-core distribution; arm them directly (tid -1).
-        if (*iommu_holder)
-            (*iommu_holder)->setHeatProfiler(&telemetry->heat(), -1);
-    }
-    if (spans != nullptr) {
-        gpu.setSpanTracker(spans);
-        // The shared IOMMU is not a per-core component; arm it
-        // directly (tid -1 marks the GPU-wide instance).
-        if (*iommu_holder)
-            (*iommu_holder)->setSpanTracker(spans, -1);
-    }
-    armMemTrace(gpu, memtrace, cfg);
-    RunOutput out = finishRun(gpu, workload.name(), cfg);
-    if (memtrace != nullptr && !memtrace->finish(out.stats.cycles)) {
+    armMemTrace(gpu, obs.memtrace, cfg);
+
+    RunOutput out;
+    out.stats = gpu.run(cfg.maxCycles);
+    if (obs.memtrace != nullptr &&
+        !obs.memtrace->finish(out.stats.cycles)) {
         GPUMMU_FATAL("memory-trace capture failed: ",
-                     memtrace->error());
+                     obs.memtrace->error());
     }
-    // The shared IOMMU is not reached by GpuTop's per-core sweep, so
-    // its drain invariants are verified here.
-    if (*iommu_holder)
-        (*iommu_holder)->checkEndOfKernel();
+    unit.checkEndOfKernel();
+
+    std::ostringstream os;
+    os << "{\"bench\":\"" << jsonEscape(workload.name())
+       << "\",\"config\":\"" << jsonEscape(cfg.name)
+       << "\",\"summary\":";
+    dumpRunStatsJson(os, out.stats);
+    os << ",\"stats\":";
+    gpu.stats().dumpJson(os);
+    os << "}";
+    out.statsJson = os.str();
     return out;
 }
 
 RunOutput
 runConfigFull(BenchmarkId bench, const SystemConfig &cfg,
-              const WorkloadParams &params, TraceSink *trace,
-              Telemetry *telemetry, MemTraceWriter *memtrace,
-              SpanTracker *spans)
+              const WorkloadParams &params, const RunObservers &obs)
 {
     auto workload = makeWorkload(bench, params);
-    return runWorkloadFull(*workload, cfg, trace, telemetry,
-                           memtrace, spans);
+    return runWorkloadFull(*workload, cfg, obs);
 }
 
 RunStats

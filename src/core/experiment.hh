@@ -23,16 +23,12 @@
 #include <vector>
 
 #include "core/presets.hh"
+#include "core/run_observers.hh"
 #include "core/system_config.hh"
 #include "gpu/gpu_top.hh"
 #include "workloads/workload.hh"
 
 namespace gpummu {
-
-class MemTraceWriter;
-class SpanTracker;
-class Telemetry;
-class TraceSink;
 
 /**
  * Everything one simulation produces: the aggregate RunStats plus a
@@ -50,45 +46,23 @@ struct RunOutput
 RunStats runConfig(BenchmarkId bench, const SystemConfig &cfg,
                    const WorkloadParams &params);
 
-/**
- * As runConfig, but also capture the JSON stat dump. @p trace and
- * @p telemetry, when non-null, are armed on the run's GpuTop before
- * the cycle loop (observation-only; both must outlive the call and
- * belong to exactly this run — sweeps passing either must not share
- * it). An armed trace sink additionally registers its health stats
- * ("trace.*") in the run's registry; an armed telemetry never touches
- * the registry, so its stat dump stays bit-identical to an unarmed
- * run's.
- */
+/** As runConfig, but also capture the JSON stat dump, with @p obs
+ *  armed as runWorkloadFull arms them. */
 RunOutput runConfigFull(BenchmarkId bench, const SystemConfig &cfg,
                         const WorkloadParams &params,
-                        TraceSink *trace = nullptr,
-                        Telemetry *telemetry = nullptr,
-                        MemTraceWriter *memtrace = nullptr,
-                        SpanTracker *spans = nullptr);
+                        const RunObservers &obs = {});
 
 /**
- * As runConfigFull, but over an already-constructed Workload — the
- * entry point for workloads that are not in the BenchmarkId registry
- * (TraceReplayWorkload). @p memtrace, when non-null, arms memory-
- * trace capture on the run (observation-only: it registers nothing in
- * the stat registry, so an armed run's stat dump is bit-identical to
- * an unarmed one's) and finishes the trace after the run; capture on
- * a TBC topology or a failing trace write is fatal.
- *
- * @p spans, when non-null, arms translation-lifecycle span tracking
- * (observation-only: it registers nothing in the stat registry, so an
- * armed run is bit-identical to an unarmed one) on every core's MMU
- * stack plus the shared L2 TLB or IOMMU of the configuration. When
- * both @p trace and @p spans are armed, the tracker additionally
- * emits Chrome-trace flow events through the sink, drawing each
- * translation's lifecycle as arrows in chrome://tracing.
+ * As runConfigFull, over an already-constructed Workload (the entry
+ * point for TraceReplayWorkload). Every design takes one path:
+ * SharedTranslation builds the cores and the GPU-wide L2 TLB or IOMMU,
+ * GpuTop::run drives the cycle loop, then the unit's drain invariants
+ * are checked. @p obs is armed on the GPU and the unit before the
+ * loop; @c memtrace is finished after it, and capture on a TBC
+ * topology or a failing trace write is fatal.
  */
 RunOutput runWorkloadFull(Workload &workload, const SystemConfig &cfg,
-                          TraceSink *trace = nullptr,
-                          Telemetry *telemetry = nullptr,
-                          MemTraceWriter *memtrace = nullptr,
-                          SpanTracker *spans = nullptr);
+                          const RunObservers &obs = {});
 
 /**
  * Convenience harness for the benches: caches the no-TLB baseline

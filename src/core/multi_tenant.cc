@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "core/presets.hh"
-#include "sched/ccws.hh"
+#include "core/shared_translation.hh"
 #include "sim/logging.hh"
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
@@ -13,24 +13,6 @@
 namespace gpummu {
 
 namespace {
-
-std::unique_ptr<WarpScheduler>
-makeScheduler(const SystemConfig &cfg)
-{
-    switch (cfg.sched) {
-      case SchedulerKind::LooseRoundRobin:
-        return std::make_unique<LooseRoundRobin>(
-            cfg.core.numWarpSlots);
-      case SchedulerKind::GreedyThenOldest:
-        return std::make_unique<GreedyThenOldest>();
-      case SchedulerKind::Ccws:
-      case SchedulerKind::TaCcws:
-        return std::make_unique<Ccws>(cfg.ccws);
-      case SchedulerKind::Tcws:
-        return std::make_unique<Tcws>(cfg.tcws);
-    }
-    GPUMMU_PANIC("unknown scheduler kind");
-}
 
 /** Book-keeping for one co-scheduled process. */
 struct Tenant
@@ -45,104 +27,41 @@ struct Tenant
 
 /**
  * Run one slice: @p t's next blocksPerSlice thread blocks on a fresh
- * set of cores, to drain. Returns the cycle the slice ends. Cores are
- * transient and never stat-registered — per-tenant numbers accumulate
- * into t.res here, and the persistent structures (mem, IOMMU, OS)
- * carry the cross-slice state.
+ * set of cores, through the shared cycle loop on the persistent
+ * clock. Returns the cycle the slice ends. Cores are transient and
+ * never stat-registered — per-tenant numbers accumulate into t.res
+ * here, and the persistent structures (mem, IOMMU, OS) carry the
+ * cross-slice state.
  */
 Cycle
-runSlice(Tenant &t, const SystemConfig &sys, Iommu &iommu,
-         MemorySystem &mem, EventQueue &eq, TraceSink *trace,
-         Telemetry *telemetry, SpanTracker *spans, Cycle clock,
-         unsigned blocks_per_slice)
+runSlice(Tenant &t, const SystemConfig &sys, SharedTranslation &unit,
+         MemorySystem &mem, EventQueue &eq, const RunObservers &obs,
+         Cycle clock, unsigned blocks_per_slice)
 {
-    std::vector<std::unique_ptr<SimtCore>> cores;
+    const GpuTop::CoreFactory factory = unit.coreFactory();
+    std::vector<std::unique_ptr<ShaderCore>> cores;
     cores.reserve(sys.numCores);
     for (unsigned i = 0; i < sys.numCores; ++i) {
-        auto core = std::make_unique<SimtCore>(
-            static_cast<int>(i), sys.core, t.launch, t.proc->as, mem,
-            eq);
-        core->setScheduler(makeScheduler(sys));
-        core->setIommu(&iommu);
+        auto core = factory(static_cast<int>(i), t.launch, t.proc->as,
+                            mem, eq);
         core->memStage().setAsid(t.proc->asid);
-        if (trace != nullptr)
-            core->setTraceSink(trace);
-        if (telemetry != nullptr)
-            core->setHeatProfiler(&telemetry->heat());
-        if (spans != nullptr)
-            core->setSpanTracker(spans);
+        if (obs.trace != nullptr)
+            core->setTraceSink(obs.trace);
+        if (obs.telemetry != nullptr)
+            core->setHeatProfiler(&obs.telemetry->heat());
+        if (obs.spans != nullptr)
+            core->setSpanTracker(obs.spans);
         cores.push_back(std::move(core));
     }
 
     const unsigned end_block =
         std::min(t.launch.totalBlocks, t.nextBlock + blocks_per_slice);
-    auto dispatch = [&]() {
-        bool placed_any = false;
-        bool placed = true;
-        while (placed && t.nextBlock < end_block) {
-            placed = false;
-            for (auto &core : cores) {
-                if (t.nextBlock >= end_block)
-                    break;
-                if (core->canAcceptBlock()) {
-                    core->launchBlock(t.nextBlock++);
-                    placed = true;
-                    placed_any = true;
-                }
-            }
-        }
-        return placed_any;
-    };
-    dispatch();
+    std::uint64_t fast_forwarded = 0;
+    const Cycle cycle =
+        runCycleLoop(cores, eq, obs.telemetry, t.nextBlock, end_block,
+                     clock, sys.maxCycles, fast_forwarded);
 
-    // Same cycle loop as GpuTop::run, on the persistent clock.
-    Cycle cycle = clock;
-    while (true) {
-        eq.runUntil(cycle);
-        bool all_idle = true;
-        bool all_quiescent = true;
-        Cycle wake = kCycleNever;
-        for (auto &core : cores) {
-            core->tick(cycle);
-            all_idle = all_idle && core->idle();
-            all_quiescent =
-                all_quiescent && core->lastTickQuiescent();
-            wake = std::min(wake, core->wakeHint());
-        }
-        const bool placed = dispatch();
-        if (all_idle && t.nextBlock >= end_block && eq.empty())
-            break;
-        if (telemetry != nullptr) {
-            if (cycle + 1 >= telemetry->nextBoundary()) {
-                for (auto &core : cores)
-                    core->flushDeferredCharges();
-            }
-            telemetry->tick(cycle);
-        }
-        if (all_quiescent && !placed) {
-            Cycle target = std::min(eq.nextEventCycle(), wake);
-            if (telemetry != nullptr) {
-                const Cycle nb = telemetry->nextBoundary();
-                target = nb == 0 ? cycle : std::min(target, nb - 1);
-            }
-            if (target != kCycleNever && target > cycle + 1) {
-                const Cycle n = target - (cycle + 1);
-                for (auto &core : cores)
-                    core->chargeSkipped(cycle, n);
-                cycle += n;
-            }
-        }
-        ++cycle;
-        if (cycle > sys.maxCycles) {
-            GPUMMU_FATAL("multi-tenant run exceeded ", sys.maxCycles,
-                         " cycles; deadlock or undersized budget");
-        }
-    }
-
-    for (auto &core : cores) {
-        core->flushDeferredCharges();
-        core->mmu().endKernel();
-        core->finalizeRun();
+    for (const auto &core : cores) {
         t.res.instructions += core->instructionsIssued();
         t.res.memInstructions += core->memStage().memInstructions();
         t.res.l1Accesses += core->l1().accesses();
@@ -150,19 +69,19 @@ runSlice(Tenant &t, const SystemConfig &sys, Iommu &iommu,
         t.res.idleCycles += core->idleCycles();
     }
     t.res.activeCycles += cycle - clock;
+    t.nextBlock = end_block;
     t.res.blocks = t.nextBlock;
 
     // The slice drained, so nothing of this tenant is in flight; the
     // shared IOMMU must hold no blocking state either.
-    iommu.checkEndOfKernel();
+    unit.checkEndOfKernel();
     return cycle;
 }
 
 } // namespace
 
 MultiTenantResult
-runMultiTenant(const MultiTenantConfig &cfg_in, TraceSink *trace,
-               Telemetry *telemetry, SpanTracker *spans)
+runMultiTenant(const MultiTenantConfig &cfg_in, const RunObservers &obs)
 {
     GPUMMU_ASSERT(!cfg_in.tenants.empty(),
                   "multi-tenant run with no tenants");
@@ -171,18 +90,19 @@ runMultiTenant(const MultiTenantConfig &cfg_in, TraceSink *trace,
                   "multi-tenant runs require the IOMMU organisation "
                   "(presets::iommu()): per-core MMUs hold one "
                   "process's translations");
-    GPUMMU_ASSERT(!cfg_in.system.l2tlb.enabled,
-                  "IOMMU mode has no per-core miss path for an L2 TLB");
     GPUMMU_ASSERT(!(cfg_in.lazyBacking && cfg_in.system.largePages),
                   "demand paging is 4KB-granular; 2MB mappings emerge "
                   "via coalescing, not largePages");
     GPUMMU_ASSERT(cfg_in.blocksPerSlice > 0);
-
-    SystemConfig sys = cfg_in.system;
-    if (sys.checkInvariants) {
-        sys.core.mmu.checkInvariants = true;
-        sys.iommuCfg.checkInvariants = true;
+    if (obs.memtrace != nullptr) {
+        GPUMMU_FATAL("memory-trace capture is not supported on "
+                     "multi-tenant runs (config '",
+                     cfg_in.system.name,
+                     "'): a trace replays one process's kernel");
     }
+
+    const SystemConfig &sys = cfg_in.system;
+    SharedTranslation unit(sys);
 
     PhysicalMemory phys(sys.physFrames);
     ProcessManager pm(phys, cfg_in.os);
@@ -212,33 +132,30 @@ runMultiTenant(const MultiTenantConfig &cfg_in, TraceSink *trace,
     // One shared IOMMU for the whole machine, anchored on the first
     // tenant's space; attachProcesses lets it resolve any registered
     // ASID (and teaches the armed checker every reference walker).
-    Iommu iommu(sys.iommuCfg, tenants.front().proc->as, mem, eq);
+    unit.build(tenants.front().proc->as, mem, eq);
+    Iommu &iommu = *unit.iommu();
     iommu.attachProcesses(&pm);
     pm.addTlbTarget(&iommu.tlb(), kPageShift4K);
     pm.addWalkerTarget(&iommu.walkers());
 
     mem.regStats(stats, "mem");
-    iommu.regStats(stats, "iommu");
+    unit.regStats(stats);
     pm.regStats(stats, "os");
     Counter slices;
     stats.addCounter("mt.slices", &slices);
 
-    if (trace != nullptr) {
-        trace->bindClock(&eq);
-        mem.setTraceSink(trace);
-        iommu.setTraceSink(trace, -1);
-        trace->regStats(stats, "trace");
+    // The machine's persistent clock and memory system here; each
+    // slice arms its own transient cores.
+    if (obs.trace != nullptr) {
+        obs.trace->bindClock(&eq);
+        mem.setTraceSink(obs.trace);
     }
-    if (telemetry != nullptr) {
-        telemetry->setMeta("multi-tenant", sys.name);
-        telemetry->begin(stats);
-        iommu.setHeatProfiler(&telemetry->heat(), -1);
-    }
-    if (spans != nullptr) {
-        spans->bindClock(&eq);
-        iommu.setSpanTracker(spans, -1);
-        if (trace != nullptr)
-            spans->setTraceSink(trace);
+    if (obs.spans != nullptr)
+        obs.spans->bindClock(&eq);
+    unit.arm(obs, stats);
+    if (obs.telemetry != nullptr) {
+        obs.telemetry->setMeta("multi-tenant", sys.name);
+        obs.telemetry->begin(stats);
     }
 
     // Round-robin block-granular time slicing until every tenant has
@@ -267,16 +184,16 @@ runMultiTenant(const MultiTenantConfig &cfg_in, TraceSink *trace,
         }
         last = pick;
         slices.inc();
-        clock = runSlice(t, sys, iommu, mem, eq, trace, telemetry,
-                         spans, clock, cfg_in.blocksPerSlice);
+        clock = runSlice(t, sys, unit, mem, eq, obs, clock,
+                         cfg_in.blocksPerSlice);
         if (t.nextBlock >= t.launch.totalBlocks) {
             t.finished = true;
             clock = pm.destroy(t.proc->asid, clock);
         }
     }
 
-    if (telemetry != nullptr)
-        telemetry->finish(clock, stats);
+    if (obs.telemetry != nullptr)
+        obs.telemetry->finish(clock, stats);
 
     MultiTenantResult out;
     for (const Tenant &t : tenants)

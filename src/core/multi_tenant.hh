@@ -25,15 +25,12 @@
 #include <string>
 #include <vector>
 
+#include "core/run_observers.hh"
 #include "core/system_config.hh"
 #include "vm/process.hh"
 #include "workloads/workload.hh"
 
 namespace gpummu {
-
-class SpanTracker;
-class Telemetry;
-class TraceSink;
 
 /** One co-scheduled process. */
 struct TenantSpec
@@ -96,16 +93,20 @@ struct MultiTenantResult
 };
 
 /**
- * Run every tenant to completion under time slicing. @p trace,
- * @p telemetry and @p spans are observation-only and may be null; all
- * attach to the persistent structures and to each slice's transient
- * cores. Span keys carry each tenant's ASID, so the exports break the
- * lifecycle decomposition down per process.
+ * Run every tenant to completion under time slicing. Each slice
+ * builds its cores with the same SharedTranslation wiring as
+ * runWorkloadFull and drives them through the same cycle loop as
+ * GpuTop::run (runCycleLoop), on the machine's persistent clock.
+ *
+ * @p obs is observation-only. @c trace, @c telemetry and @c spans
+ * attach to the persistent structures (clock, memory system, IOMMU at
+ * tid -1) and to each slice's transient cores. Span keys carry each
+ * tenant's ASID, so the exports break the lifecycle decomposition
+ * down per process. A non-null @c memtrace is fatal: a memory trace
+ * replays one process's kernel.
  */
 MultiTenantResult runMultiTenant(const MultiTenantConfig &cfg,
-                                 TraceSink *trace = nullptr,
-                                 Telemetry *telemetry = nullptr,
-                                 SpanTracker *spans = nullptr);
+                                 const RunObservers &obs = {});
 
 /** The canonical two-tenant configuration (defaultTenantPair() on an
  *  IOMMU machine) at workload scale @p scale. */

@@ -127,20 +127,24 @@ GpuTop::setMemTrace(MemTraceWriter *writer)
     return true;
 }
 
+namespace {
+
+/** Place blocks [next_block, end_block) breadth-first: one block per
+ *  core per round, so occupancy spreads across the machine the way
+ *  GPGPU-Sim dispatches. True if any core accepted one. */
 bool
-GpuTop::dispatchBlocks()
+dispatchBlocks(const std::vector<std::unique_ptr<ShaderCore>> &cores,
+               unsigned &next_block, unsigned end_block)
 {
-    // Breadth-first: one block per core per round, so occupancy
-    // spreads across the machine the way GPGPU-Sim dispatches.
     bool placed_any = false;
     bool placed = true;
-    while (placed && nextBlock_ < launch_.totalBlocks) {
+    while (placed && next_block < end_block) {
         placed = false;
-        for (auto &core : cores_) {
-            if (nextBlock_ >= launch_.totalBlocks)
+        for (const auto &core : cores) {
+            if (next_block >= end_block)
                 break;
             if (core->canAcceptBlock()) {
-                core->launchBlock(nextBlock_++);
+                core->launchBlock(next_block++);
                 placed = true;
                 placed_any = true;
             }
@@ -149,39 +153,42 @@ GpuTop::dispatchBlocks()
     return placed_any;
 }
 
-RunStats
-GpuTop::run(Cycle max_cycles)
-{
-    dispatchBlocks();
+} // namespace
 
-    Cycle cycle = 0;
-    std::uint64_t fast_forwarded = 0;
+Cycle
+runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
+             EventQueue &eq, Telemetry *telemetry, unsigned first_block,
+             unsigned end_block, Cycle start, Cycle max_cycles,
+             std::uint64_t &fast_forwarded)
+{
+    unsigned next_block = first_block;
+    dispatchBlocks(cores, next_block, end_block);
+
+    Cycle cycle = start;
     while (true) {
-        eq_.runUntil(cycle);
+        eq.runUntil(cycle);
         bool all_idle = true;
         bool all_quiescent = true;
         Cycle wake = kCycleNever;
-        for (auto &core : cores_) {
+        for (const auto &core : cores) {
             core->tick(cycle);
             all_idle = all_idle && core->idle();
             all_quiescent =
                 all_quiescent && core->lastTickQuiescent();
             wake = std::min(wake, core->wakeHint());
         }
-        const bool placed = dispatchBlocks();
-        if (all_idle && nextBlock_ >= launch_.totalBlocks &&
-            eq_.empty()) {
+        const bool placed = dispatchBlocks(cores, next_block, end_block);
+        if (all_idle && next_block >= end_block && eq.empty())
             break;
-        }
-        if (telemetry_ != nullptr) {
+        if (telemetry != nullptr) {
             // An interval boundary samples live counters: apply any
             // deferred quiescent-streak charges first so the sampled
             // values match the per-cycle loop exactly.
-            if (cycle + 1 >= telemetry_->nextBoundary()) {
-                for (auto &core : cores_)
+            if (cycle + 1 >= telemetry->nextBoundary()) {
+                for (const auto &core : cores)
                     core->flushDeferredCharges();
             }
-            telemetry_->tick(cycle);
+            telemetry->tick(cycle);
         }
 
         // Fast-forward through quiescent windows: every core's tick
@@ -192,14 +199,14 @@ GpuTop::run(Cycle max_cycles)
         // at its next interval boundary so sampled counters see every
         // charge in order. Bit-exact with the per-cycle loop.
         if (all_quiescent && !placed) {
-            Cycle target = std::min(eq_.nextEventCycle(), wake);
-            if (telemetry_ != nullptr) {
-                const Cycle nb = telemetry_->nextBoundary();
+            Cycle target = std::min(eq.nextEventCycle(), wake);
+            if (telemetry != nullptr) {
+                const Cycle nb = telemetry->nextBoundary();
                 target = nb == 0 ? cycle : std::min(target, nb - 1);
             }
             if (target != kCycleNever && target > cycle + 1) {
                 const Cycle n = target - (cycle + 1);
-                for (auto &core : cores_)
+                for (const auto &core : cores)
                     core->chargeSkipped(cycle, n);
                 cycle += n;
                 fast_forwarded += n;
@@ -214,7 +221,7 @@ GpuTop::run(Cycle max_cycles)
 
     // Settle any deferred quiescent-streak charges before anything
     // below reads counters or folds ledgers.
-    for (auto &core : cores_)
+    for (const auto &core : cores)
         core->flushDeferredCharges();
 
     // Armed runs verify the drain invariants here: all blocking MMU
@@ -223,16 +230,26 @@ GpuTop::run(Cycle max_cycles)
     // must still match its reference walk. endKernel() also clears
     // transient walker state (stale port reservations) so a
     // follow-on kernel would start from a clean pipeline.
-    for (auto &core : cores_)
+    for (const auto &core : cores)
         core->mmu().endKernel();
 
     // Fold the per-warp stall ledgers into their stalls.* histograms
     // before anyone dumps the registry.
-    for (auto &core : cores_)
+    for (const auto &core : cores)
         core->finalizeRun();
+    return cycle;
+}
+
+RunStats
+GpuTop::run(Cycle max_cycles)
+{
+    std::uint64_t fast_forwarded = 0;
+    const Cycle cycle =
+        runCycleLoop(cores_, eq_, telemetry_, 0, launch_.totalBlocks, 0,
+                     max_cycles, fast_forwarded);
 
     // Telemetry closes its tail interval and snapshots the stall
-    // totals only after the ledgers above are folded.
+    // totals only after the loop's drain folded the ledgers.
     if (telemetry_ != nullptr)
         telemetry_->finish(cycle, stats_);
 

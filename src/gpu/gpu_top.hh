@@ -123,6 +123,21 @@ struct RunStats
  */
 void dumpRunStatsJson(std::ostream &os, const RunStats &s);
 
+/**
+ * The cycle loop of GpuTop::run and every multi-tenant slice. From
+ * cycle @p start, dispatches blocks [@p first_block, @p end_block)
+ * breadth-first as slots free up, ticks every core after the events
+ * due, fast-forwards windows in which every core is quiescent (adding
+ * them to @p fast_forwarded) and drives @p telemetry's boundaries.
+ * When all is idle, drains the cores (deferred charges, then
+ * mmu().endKernel(), then finalizeRun()) and returns the end cycle.
+ * Fatal once the clock passes @p max_cycles.
+ */
+Cycle runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
+                   EventQueue &eq, Telemetry *telemetry,
+                   unsigned first_block, unsigned end_block, Cycle start,
+                   Cycle max_cycles, std::uint64_t &fast_forwarded);
+
 class GpuTop
 {
   public:
@@ -167,8 +182,8 @@ class GpuTop
      * Arm translation-lifecycle span tracking (observation-only):
      * binds the tracker to this run's clock and distributes it to
      * every core's MMU stack and memory stage. Shared structures
-     * outside the cores (L2 TLB, IOMMU) are armed by the experiment
-     * harness that owns them. Call before run(); pass nullptr to
+     * outside the cores (L2 TLB, IOMMU) are armed by
+     * SharedTranslation::arm(). Call before run(); pass nullptr to
      * detach.
      */
     void setSpanTracker(SpanTracker *spans);
@@ -183,7 +198,7 @@ class GpuTop
     bool setMemTrace(MemTraceWriter *writer);
 
     /**
-     * Run the kernel grid to completion.
+     * Run the kernel grid to completion through runCycleLoop().
      * @param max_cycles deadlock guard; fatal when exceeded.
      */
     RunStats run(Cycle max_cycles = 400'000'000);
@@ -197,9 +212,6 @@ class GpuTop
     EventQueue &eventQueue() { return eq_; }
 
   private:
-    /** Place pending blocks; true if any core accepted one. */
-    bool dispatchBlocks();
-
     PhysicalMemory phys_;
     AddressSpace as_;
     EventQueue eq_;
@@ -209,7 +221,6 @@ class GpuTop
     std::vector<std::unique_ptr<ShaderCore>> cores_;
     StatRegistry stats_;
     Telemetry *telemetry_ = nullptr;
-    unsigned nextBlock_ = 0;
 };
 
 } // namespace gpummu

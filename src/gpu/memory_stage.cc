@@ -336,10 +336,10 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
 
     // After-L1-miss translation at the controller: the miss response
     // cannot return before the IOMMU produced a physical address
-    // (plus the L2 leg it gates).
-    const MemorySystemConfig mem_defaults;
-    const Cycle refetch =
-        mem_defaults.icntLatency + mem_defaults.l2HitLatency;
+    // (plus the L2 leg it gates). Both legs run on this run's memory
+    // system.
+    const MemorySystemConfig &mem_cfg = l1_.memory().config();
+    const Cycle refetch = mem_cfg.icntLatency + mem_cfg.l2HitLatency;
     pending->remaining = missing_pages.size();
     for (Vpn vpn : missing_pages) {
         // The span opens as the request departs the core; the gap to
@@ -348,7 +348,7 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
             spans_->openAt(asidKey(asid_, vpn),
                            SpanStage::IommuDepart, now, spanTid_);
         iommu_->translate(
-            asidKey(asid_, vpn), now + mem_defaults.icntLatency,
+            asidKey(asid_, vpn), now + mem_cfg.icntLatency,
             [pending, refetch](std::uint64_t, Cycle done) {
                 pending->ready =
                     std::max(pending->ready, done + refetch);

@@ -70,6 +70,9 @@ class L1Cache
 
     void flush();
 
+    /** The shared memory system behind this cache. */
+    const MemorySystem &memory() const { return mem_; }
+
     void regStats(StatRegistry &reg, const std::string &prefix);
 
     std::uint64_t accesses() const { return accesses_.value(); }

@@ -81,6 +81,8 @@ class MemorySystem
     /** Attach an event trace sink (observation-only; may be null). */
     void setTraceSink(TraceSink *sink) { trace_ = sink; }
 
+    const MemorySystemConfig &config() const { return cfg_; }
+
     // Aggregate statistics, exposed for experiment reports.
     std::uint64_t l2Accesses() const { return l2Accesses_.value(); }
     std::uint64_t l2Hits() const { return l2Hits_.value(); }

@@ -11,8 +11,6 @@ Iommu::Iommu(const IommuConfig &cfg, AddressSpace &as,
     : cfg_(cfg), as_(as), eq_(eq), tlb_(cfg.tlb),
       walkers_(cfg.ptw, as.pageTable(), mem, eq)
 {
-    GPUMMU_ASSERT(!as.usesLargePages() || true,
-                  "IOMMU model translates at 4KB granularity");
     if (cfg_.checkInvariants) {
         checker_ = std::make_unique<InvariantChecker>(
             as_.pageTable(), as_.asid());

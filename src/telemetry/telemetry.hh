@@ -183,8 +183,8 @@ class StatSampler
 
 /**
  * Everything one run's telemetry produces. Arm with
- * GpuTop::setTelemetry() (or the telemetry parameter of
- * runConfigFull) before the cycle loop.
+ * GpuTop::setTelemetry() (or RunObservers::telemetry of a run entry
+ * point) before the cycle loop.
  */
 class Telemetry
 {

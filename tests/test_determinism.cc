@@ -175,7 +175,8 @@ TEST(Determinism, ArmedTracingIsBitIdentical)
             runConfigFull(BenchmarkId::Bfs, cfg, tinyParams());
         TraceSink sink;
         const RunOutput traced =
-            runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), &sink);
+            runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(),
+                          {.trace = &sink});
         EXPECT_TRUE(plain.stats == traced.stats) << cfg.name;
         // The armed run's dump additionally carries the sink's own
         // health stats ("trace.dropped", "trace.events.*");
@@ -249,16 +250,16 @@ TEST(Determinism, ArmedObserversComposeWithArenasAndBatchedDispatch)
     TelemetryConfig tcfg;
     tcfg.sampleInterval = 2000;
     Telemetry telemetry(tcfg);
-    const RunOutput armed = runConfigFull(
-        BenchmarkId::Memcached, cfg, tinyParams(), nullptr,
-        &telemetry);
+    const RunOutput armed = runConfigFull(BenchmarkId::Memcached, cfg,
+                                          tinyParams(),
+                                          {.telemetry = &telemetry});
     EXPECT_TRUE(plain.stats == armed.stats)
         << "telemetry perturbed an arena-pooled batched run";
     EXPECT_EQ(plain.statsJson, armed.statsJson);
 
     TraceSink sink;
-    const RunOutput traced = runConfigFull(
-        BenchmarkId::Memcached, cfg, tinyParams(), &sink);
+    const RunOutput traced = runConfigFull(BenchmarkId::Memcached, cfg,
+                                           tinyParams(), {.trace = &sink});
     EXPECT_TRUE(plain.stats == traced.stats)
         << "tracing perturbed an arena-pooled batched run";
     EXPECT_EQ(plain.statsJson, withoutTraceStats(traced.statsJson));
@@ -321,7 +322,7 @@ TEST(Determinism, MultiTenantArmedObserversAreBitIdentical)
     const MultiTenantResult plain = runMultiTenant(cfg);
 
     TraceSink sink;
-    const MultiTenantResult traced = runMultiTenant(cfg, &sink);
+    const MultiTenantResult traced = runMultiTenant(cfg, {.trace = &sink});
     EXPECT_EQ(plain.totalCycles, traced.totalCycles);
     EXPECT_EQ(plain.statsJson, withoutTraceStats(traced.statsJson));
     EXPECT_GT(sink.size(), 0u);
@@ -330,7 +331,7 @@ TEST(Determinism, MultiTenantArmedObserversAreBitIdentical)
     tcfg.sampleInterval = 2000;
     Telemetry telemetry(tcfg);
     const MultiTenantResult sampled =
-        runMultiTenant(cfg, nullptr, &telemetry);
+        runMultiTenant(cfg, {.telemetry = &telemetry});
     EXPECT_EQ(plain.totalCycles, sampled.totalCycles);
     EXPECT_EQ(plain.statsJson, sampled.statsJson);
     EXPECT_GT(telemetry.sampler().intervals().size(), 0u);

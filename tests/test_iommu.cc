@@ -129,3 +129,17 @@ TEST(IommuSystem, Deterministic)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
 }
+
+TEST(IommuSystem, TbcCoresOnTheIommuAreRejected)
+{
+    // TbcCore has no IOMMU path: a TBC + IOMMU config must fail loudly,
+    // naming the config, instead of silently running SIMT cores.
+    auto cfg = presets::tbc(presets::iommu());
+    cfg.numCores = 1;
+    WorkloadParams p;
+    p.scale = 0.02;
+    ASSERT_EQ(cfg.name, "iommu+tbc");
+    EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
+                ::testing::ExitedWithCode(1),
+                "config 'iommu\\+tbc': TBC cores have no IOMMU path");
+}

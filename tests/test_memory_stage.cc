@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/memory_stage.hh"
+#include "mmu/iommu.hh"
 #include "sched/warp_scheduler.hh"
 
 using namespace gpummu;
@@ -214,4 +215,49 @@ TEST_F(StageFixture, PageDivergenceHistogram)
     stage.issue(0, false, lanes, 0, [&](Cycle c) { done = c; });
     EXPECT_EQ(stage.pageDivergence().max(), 5u);
     EXPECT_DOUBLE_EQ(stage.pageDivergence().mean(), 5.0);
+}
+
+TEST(MemoryStageIommu, LegTakesTheRunsInterconnectAndL2Latency)
+{
+    // The IOMMU leg crosses the run's interconnect to the controller,
+    // and the translated miss then refetches through the run's L2, so
+    // both legs follow the memory system the core is built on.
+    MemorySystemConfig mc;
+    mc.icntLatency = 100;
+    mc.l2HitLatency = 200;
+    IommuConfig ic;
+    ic.lookupLatency = 50;
+    PhysicalMemory phys(1 << 20, false);
+    AddressSpace as(phys);
+    const VmRegion region = as.mmap("d", 16 * kPageSize4K);
+    MemorySystem mem(mc);
+    EventQueue eq;
+    Iommu iommu(ic, as, mem, eq);
+
+    MmuConfig off;
+    off.enabled = false;
+    Mmu mmu_a(off, as, mem, eq);
+    Mmu mmu_b(off, as, mem, eq);
+    L1Cache l1_a(L1CacheConfig{}, mem);
+    L1Cache l1_b(L1CacheConfig{}, mem);
+    MemoryStage a(mmu_a, l1_a, eq);
+    MemoryStage b(mmu_b, l1_b, eq);
+    a.setIommu(&iommu);
+    b.setIommu(&iommu);
+
+    // Core A's load warms the IOMMU TLB and the line in the L2.
+    Cycle warm = 0;
+    a.issue(0, false, {region.base}, 0, [&](Cycle c) { warm = c; });
+    eq.runUntil(1'000'000);
+    ASSERT_GT(warm, 0u);
+
+    // Core B misses its own L1 on the same line: the data hits the L2
+    // while the translation hits the IOMMU TLB, and the translation
+    // leg (depart, lookup, return, refetch) is the longer one.
+    const Cycle t = eq.now();
+    Cycle done = 0;
+    b.issue(0, false, {region.base}, t, [&](Cycle c) { done = c; });
+    eq.runUntil(t + 1'000'000);
+    EXPECT_EQ(done, t + mc.icntLatency + ic.lookupLatency +
+                        mc.icntLatency + mc.l2HitLatency);
 }

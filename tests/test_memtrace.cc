@@ -68,8 +68,8 @@ expectReplayIdentical(BenchmarkId bench, const SystemConfig &cfg,
 {
     TempFile trace(tag + ".memtrace");
     MemTraceWriter writer(trace.path());
-    const RunOutput source = runConfigFull(
-        bench, cfg, tinyParams(), nullptr, nullptr, &writer);
+    const RunOutput source = runConfigFull(bench, cfg, tinyParams(),
+                                           {.memtrace = &writer});
     ASSERT_TRUE(writer.ok()) << writer.error();
     ASSERT_GT(writer.accessesRecorded(), 0u);
 
@@ -157,9 +157,8 @@ TEST(MemTrace, CaptureIsObservationOnly)
 
     TempFile trace("observation_only.memtrace");
     MemTraceWriter writer(trace.path());
-    const RunOutput armed = runConfigFull(
-        BenchmarkId::Bfs, cfg, tinyParams(), nullptr, nullptr,
-        &writer);
+    const RunOutput armed = runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(),
+                                          {.memtrace = &writer});
     ASSERT_TRUE(writer.ok()) << writer.error();
 
     // The writer registers no stats, so the armed dump is
@@ -176,8 +175,8 @@ TEST(MemTrace, ReplayedTraceCanDriveOtherConfigs)
     TempFile trace("portable.memtrace");
     MemTraceWriter writer(trace.path());
     const SystemConfig cfg = shrink(presets::augmentedTlb());
-    runConfigFull(BenchmarkId::Memcached, cfg, tinyParams(), nullptr,
-                  nullptr, &writer);
+    runConfigFull(BenchmarkId::Memcached, cfg, tinyParams(),
+                  {.memtrace = &writer});
     ASSERT_TRUE(writer.ok()) << writer.error();
 
     auto replay = TraceReplayWorkload::fromFile(trace.path());
@@ -194,8 +193,8 @@ TEST(MemTrace, WriterLoaderRoundTrip)
     MemTraceWriter writer(trace.path());
     writer.setConfigName("augmented-tlb");
     const SystemConfig cfg = shrink(presets::augmentedTlb());
-    runConfigFull(BenchmarkId::Pathfinder, cfg, tinyParams(), nullptr,
-                  nullptr, &writer);
+    runConfigFull(BenchmarkId::Pathfinder, cfg, tinyParams(),
+                  {.memtrace = &writer});
     ASSERT_TRUE(writer.ok()) << writer.error();
 
     MemTraceData data;

@@ -13,6 +13,8 @@
  * space, so every pre-existing golden stat dump stays byte-identical.
  */
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "check/invariant_checker.hh"
@@ -23,6 +25,7 @@
 #include "mmu/tlb.hh"
 #include "sim/event_queue.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/memtrace.hh"
 #include "vm/address_space.hh"
 #include "vm/process.hh"
 
@@ -629,4 +632,34 @@ TEST(MultiTenantRun, OverlappingTenantsTimeShareCleanlyUnderTheChecker)
     EXPECT_GT(res.shootdowns, 0u) << "process exit stormed the TLBs";
     EXPECT_GT(res.iommuLookups, 0u);
     EXPECT_GT(res.totalCycles, 0u);
+}
+
+TEST(MultiTenantRun, BudgetGuardFiresThroughTheSharedCycleLoop)
+{
+    // Slices run on the same cycle loop as GpuTop::run, so a budget
+    // too small for the tenants trips the same guard (fatal, exit 1).
+    MultiTenantConfig cfg = defaultMultiTenant(/*scale=*/0.02);
+    cfg.system.numCores = 2;
+    cfg.system.maxCycles = 50;
+    cfg.blocksPerSlice = 2;
+    EXPECT_EXIT(runMultiTenant(cfg), ::testing::ExitedWithCode(1),
+                "simulation exceeded 50 cycles");
+}
+
+TEST(MultiTenantRun, MemTraceCaptureIsRejected)
+{
+    // A memory trace replays one process's kernel; a multi-tenant run
+    // must refuse to capture one rather than write a file that cannot
+    // replay.
+    MultiTenantConfig cfg = defaultMultiTenant(/*scale=*/0.02);
+    cfg.system.numCores = 1;
+    const std::string path =
+        ::testing::TempDir() + "multi_tenant_reject.gmt";
+    EXPECT_EXIT(
+        {
+            MemTraceWriter writer(path);
+            runMultiTenant(cfg, {.memtrace = &writer});
+        },
+        ::testing::ExitedWithCode(1), "not supported on multi-tenant runs");
+    std::remove(path.c_str());
 }

@@ -78,8 +78,7 @@ TEST(Spans, ArmedRunIsBitIdenticalOnEveryWorkload)
         const RunOutput plain = runConfigFull(id, cfg, tinyParams());
         SpanTracker spans;
         const RunOutput armed =
-            runConfigFull(id, cfg, tinyParams(), nullptr, nullptr,
-                          nullptr, &spans);
+            runConfigFull(id, cfg, tinyParams(), {.spans = &spans});
         EXPECT_TRUE(plain.stats == armed.stats) << benchmarkName(id);
         EXPECT_EQ(plain.statsJson, armed.statsJson)
             << benchmarkName(id);
@@ -101,8 +100,8 @@ TEST(Spans, ArmedIommuTbcAndMultiTenantAreBitIdentical)
         runConfigFull(BenchmarkId::Bfs, io, tinyParams());
     SpanTracker io_spans;
     const RunOutput io_armed =
-        runConfigFull(BenchmarkId::Bfs, io, tinyParams(), nullptr,
-                      nullptr, nullptr, &io_spans);
+        runConfigFull(BenchmarkId::Bfs, io, tinyParams(),
+                      {.spans = &io_spans});
     EXPECT_TRUE(io_plain.stats == io_armed.stats);
     EXPECT_EQ(io_plain.statsJson, io_armed.statsJson);
     EXPECT_FALSE(io_spans.empty());
@@ -113,8 +112,8 @@ TEST(Spans, ArmedIommuTbcAndMultiTenantAreBitIdentical)
         runConfigFull(BenchmarkId::Bfs, tbc, tinyParams());
     SpanTracker tbc_spans;
     const RunOutput tbc_armed =
-        runConfigFull(BenchmarkId::Bfs, tbc, tinyParams(), nullptr,
-                      nullptr, nullptr, &tbc_spans);
+        runConfigFull(BenchmarkId::Bfs, tbc, tinyParams(),
+                      {.spans = &tbc_spans});
     EXPECT_TRUE(tbc_plain.stats == tbc_armed.stats);
     EXPECT_EQ(tbc_plain.statsJson, tbc_armed.statsJson);
     EXPECT_FALSE(tbc_spans.empty());
@@ -124,7 +123,7 @@ TEST(Spans, ArmedIommuTbcAndMultiTenantAreBitIdentical)
     const MultiTenantResult mt_plain = runMultiTenant(mt);
     SpanTracker mt_spans;
     const MultiTenantResult mt_armed =
-        runMultiTenant(mt, nullptr, nullptr, &mt_spans);
+        runMultiTenant(mt, {.spans = &mt_spans});
     EXPECT_EQ(mt_plain.statsJson, mt_armed.statsJson);
     EXPECT_EQ(mt_plain.totalCycles, mt_armed.totalCycles);
     EXPECT_FALSE(mt_spans.empty());
@@ -143,8 +142,7 @@ TEST(Spans, ConservationAgainstSimulationCounters)
     for (BenchmarkId id : allBenchmarks()) {
         SpanTracker spans;
         const RunOutput out =
-            runConfigFull(id, cfg, tinyParams(), nullptr, nullptr,
-                          nullptr, &spans);
+            runConfigFull(id, cfg, tinyParams(), {.spans = &spans});
         EXPECT_EQ(spans.spansOpened(),
                   sumCountersEndingWith(out.statsJson,
                                         ".mmu.tlb.accesses"))
@@ -171,8 +169,8 @@ TEST(Spans, SharedL2AndIommuMergesConserve)
     const auto l2 = presets::withSharedL2Tlb(paperDefault());
     SpanTracker l2_spans;
     const RunOutput l2_out =
-        runConfigFull(BenchmarkId::Bfs, l2, tinyParams(), nullptr,
-                      nullptr, nullptr, &l2_spans);
+        runConfigFull(BenchmarkId::Bfs, l2, tinyParams(),
+                      {.spans = &l2_spans});
     EXPECT_EQ(l2_spans.stageCount(SpanStage::L2Merge),
               sumCountersEndingWith(l2_out.statsJson,
                                     "l2tlb.mshr_merges"));
@@ -184,8 +182,8 @@ TEST(Spans, SharedL2AndIommuMergesConserve)
     io.numCores = 4;
     SpanTracker io_spans;
     const RunOutput io_out =
-        runConfigFull(BenchmarkId::Bfs, io, tinyParams(), nullptr,
-                      nullptr, nullptr, &io_spans);
+        runConfigFull(BenchmarkId::Bfs, io, tinyParams(),
+                      {.spans = &io_spans});
     EXPECT_EQ(io_spans.stageCount(SpanStage::IommuMerge),
               sumCountersEndingWith(io_out.statsJson,
                                     "iommu.merged_walks"));
@@ -201,8 +199,8 @@ TEST(Spans, QueueingPlusServiceIsExactlyEndToEnd)
     // double-counted or lost cycles, per retained span and in the
     // aggregate histograms.
     SpanTracker spans;
-    runConfigFull(BenchmarkId::Hashprobe, paperDefault(),
-                  tinyParams(), nullptr, nullptr, nullptr, &spans);
+    runConfigFull(BenchmarkId::Hashprobe, paperDefault(), tinyParams(),
+                  {.spans = &spans});
     ASSERT_FALSE(spans.topSpans().empty());
     for (const SpanTracker::ClosedSpan &sp : spans.topSpans()) {
         EXPECT_EQ(sp.queueing + sp.service, sp.latency());
@@ -235,8 +233,7 @@ TEST(Spans, ExportsAreByteStableAcrossSweepJobCounts)
         };
         SweepRunner(exp, jobs).run(grid);
         SpanTracker spans;
-        runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), nullptr,
-                      nullptr, nullptr, &spans);
+        runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), {.spans = &spans});
         std::ostringstream csv, json, summary;
         spans.writeCsv(csv);
         spans.writeJson(json);
@@ -270,7 +267,7 @@ TEST(Spans, TopKSelectionIsDeterministicAndOrdered)
     auto run = [](std::size_t k) {
         auto spans = std::make_unique<SpanTracker>(k);
         runConfigFull(BenchmarkId::Bfs, paperDefault(), tinyParams(),
-                      nullptr, nullptr, nullptr, spans.get());
+                      {.spans = spans.get()});
         return spans;
     };
     const auto a = run(8);

@@ -80,7 +80,7 @@ TEST(Telemetry, ArmedRunIsBitIdenticalOnEveryWorkload)
         const RunOutput plain = runConfigFull(id, cfg, tinyParams());
         Telemetry telemetry(tinyTelemetryConfig());
         const RunOutput armed =
-            runConfigFull(id, cfg, tinyParams(), nullptr, &telemetry);
+            runConfigFull(id, cfg, tinyParams(), {.telemetry = &telemetry});
         EXPECT_TRUE(plain.stats == armed.stats) << benchmarkName(id);
         EXPECT_EQ(plain.statsJson, armed.statsJson)
             << benchmarkName(id);
@@ -96,9 +96,9 @@ TEST(Telemetry, ArmedRunIsBitIdenticalOnEveryWorkload)
 TEST(Telemetry, IntervalCoverageIsGaplessAndCumulative)
 {
     Telemetry telemetry(tinyTelemetryConfig());
-    const RunOutput out = runConfigFull(
-        BenchmarkId::Bfs, paperDefault(), tinyParams(), nullptr,
-        &telemetry);
+    const RunOutput out = runConfigFull(BenchmarkId::Bfs, paperDefault(),
+                                        tinyParams(),
+                                        {.telemetry = &telemetry});
 
     const auto &ivs = telemetry.sampler().intervals();
     ASSERT_FALSE(ivs.empty());
@@ -135,7 +135,7 @@ TEST(Telemetry, HeatAttributionConservesAgainstWalkerCounters)
     for (BenchmarkId id : allBenchmarks()) {
         Telemetry telemetry(tinyTelemetryConfig());
         const RunOutput out =
-            runConfigFull(id, cfg, tinyParams(), nullptr, &telemetry);
+            runConfigFull(id, cfg, tinyParams(), {.telemetry = &telemetry});
         const HeatProfiler &heat = telemetry.heat();
 
         std::uint64_t page_walks = 0;
@@ -176,9 +176,8 @@ TEST(Telemetry, HeatCoversIommuAndTbcPaths)
     auto io = presets::iommu();
     io.numCores = 4;
     Telemetry io_t(tinyTelemetryConfig());
-    const RunOutput io_out = runConfigFull(BenchmarkId::Bfs, io,
-                                           tinyParams(), nullptr,
-                                           &io_t);
+    const RunOutput io_out = runConfigFull(BenchmarkId::Bfs, io, tinyParams(),
+                                           {.telemetry = &io_t});
     // RunStats only aggregates the (disabled) per-core walkers in
     // IOMMU mode; conserve against the IOMMU's own counter instead.
     EXPECT_EQ(io_t.heat().totalRefs(),
@@ -191,8 +190,8 @@ TEST(Telemetry, HeatCoversIommuAndTbcPaths)
     auto tbc = presets::tbc(paperDefault());
     Telemetry tbc_t(tinyTelemetryConfig());
     const RunOutput tbc_out = runConfigFull(BenchmarkId::Bfs, tbc,
-                                            tinyParams(), nullptr,
-                                            &tbc_t);
+                                            tinyParams(),
+                                            {.telemetry = &tbc_t});
     EXPECT_EQ(tbc_t.heat().totalRefs(), tbc_out.stats.walkRefsIssued);
     EXPECT_EQ(tbc_t.heat().totalDivergenceSamples(),
               tbc_out.stats.memInstructions);
@@ -215,8 +214,8 @@ TEST(Telemetry, ExportsAreByteStableAcrossSweepJobCounts)
             grid.push_back(SweepPoint{id, cfg});
         SweepRunner(exp, jobs).run(grid);
         Telemetry telemetry(tinyTelemetryConfig());
-        runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), nullptr,
-                      &telemetry);
+        runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(),
+                      {.telemetry = &telemetry});
         std::ostringstream csv, json;
         telemetry.writeCsv(csv);
         telemetry.writeJson(json);
@@ -236,8 +235,7 @@ TEST(Telemetry, ExportsAreByteStableAcrossSweepJobCounts)
     const auto rows = static_cast<std::size_t>(
         std::count(csv1.begin(), csv1.end(), '\n'));
     Telemetry probe(tinyTelemetryConfig());
-    runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), nullptr,
-                  &probe);
+    runConfigFull(BenchmarkId::Bfs, cfg, tinyParams(), {.telemetry = &probe});
     EXPECT_EQ(rows, probe.sampler().intervals().size() + 1);
 }
 
@@ -250,9 +248,8 @@ TEST(Telemetry, ArmedCheckerAndSamplerComposeCleanly)
     const RunOutput plain =
         runConfigFull(BenchmarkId::Bfs, paperDefault(), tinyParams());
     Telemetry telemetry(tinyTelemetryConfig());
-    const RunOutput both = runConfigFull(BenchmarkId::Bfs, armed,
-                                         tinyParams(), nullptr,
-                                         &telemetry);
+    const RunOutput both = runConfigFull(BenchmarkId::Bfs, armed, tinyParams(),
+                                         {.telemetry = &telemetry});
     EXPECT_TRUE(plain.stats == both.stats);
     EXPECT_EQ(plain.statsJson, both.statsJson);
     EXPECT_FALSE(telemetry.heat().pages().empty());
@@ -264,9 +261,9 @@ TEST(Telemetry, StallSnapshotMatchesTheStatDump)
     // cores; the per-reason warp totals must equal what the dump
     // itself reports.
     Telemetry telemetry(tinyTelemetryConfig());
-    const RunOutput out = runConfigFull(
-        BenchmarkId::Bfs, paperDefault(), tinyParams(), nullptr,
-        &telemetry);
+    const RunOutput out = runConfigFull(BenchmarkId::Bfs, paperDefault(),
+                                        tinyParams(),
+                                        {.telemetry = &telemetry});
     ASSERT_FALSE(telemetry.stalls().empty());
     for (const auto &[reason, total] : telemetry.stalls()) {
         EXPECT_EQ(total.warps,
@@ -281,7 +278,7 @@ TEST(Telemetry, ReportRendersAndFlagsEmptyHeat)
 {
     Telemetry telemetry(tinyTelemetryConfig());
     runConfigFull(BenchmarkId::Bfs, paperDefault(), tinyParams(),
-                  nullptr, &telemetry);
+                  {.telemetry = &telemetry});
     std::ostringstream os;
     EXPECT_TRUE(writeHtmlReport(os, telemetry));
     const std::string html = os.str();
@@ -309,7 +306,7 @@ TEST(Telemetry, TopTablesAreDeterministicallyOrdered)
 {
     Telemetry telemetry(tinyTelemetryConfig());
     runConfigFull(BenchmarkId::Bfs, paperDefault(), tinyParams(),
-                  nullptr, &telemetry);
+                  {.telemetry = &telemetry});
     const auto pages = telemetry.heat().topPages(16);
     ASSERT_FALSE(pages.empty());
     for (std::size_t i = 1; i < pages.size(); ++i) {

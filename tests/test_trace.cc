@@ -268,9 +268,8 @@ TEST(TraceSink, PrefixFilterMasksCategories)
 TEST(TracedRun, BfsProducesParseableChromeTraceWithKeyEvents)
 {
     TraceSink sink;
-    const RunOutput out = runConfigFull(BenchmarkId::Bfs,
-                                        smallConfig(), tinyParams(),
-                                        &sink);
+    const RunOutput out = runConfigFull(BenchmarkId::Bfs, smallConfig(),
+                                        tinyParams(), {.trace = &sink});
     ASSERT_GT(out.stats.cycles, 0u);
     ASSERT_GT(sink.size(), 0u);
 
@@ -289,7 +288,7 @@ TEST(TracedRun, FilterRestrictsARunToOneComponent)
     TraceSink sink;
     sink.setFilter("ptw");
     runConfigFull(BenchmarkId::Bfs, smallConfig(), tinyParams(),
-                  &sink);
+                  {.trace = &sink});
     ASSERT_GT(sink.size(), 0u);
     const std::string json = exportTrace(sink);
     EXPECT_TRUE(JsonChecker(json).valid());
