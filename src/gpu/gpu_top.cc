@@ -127,87 +127,116 @@ GpuTop::setMemTrace(MemTraceWriter *writer)
     return true;
 }
 
-namespace {
-
-/** Place blocks [next_block, end_block) breadth-first: one block per
- *  core per round, so occupancy spreads across the machine the way
- *  GPGPU-Sim dispatches. True if any core accepted one. */
-bool
-dispatchBlocks(const std::vector<std::unique_ptr<ShaderCore>> &cores,
-               unsigned &next_block, unsigned end_block)
-{
-    bool placed_any = false;
-    bool placed = true;
-    while (placed && next_block < end_block) {
-        placed = false;
-        for (const auto &core : cores) {
-            if (next_block >= end_block)
-                break;
-            if (core->canAcceptBlock()) {
-                core->launchBlock(next_block++);
-                placed = true;
-                placed_any = true;
-            }
-        }
-    }
-    return placed_any;
-}
-
-} // namespace
-
 Cycle
 runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
              EventQueue &eq, Telemetry *telemetry, unsigned first_block,
              unsigned end_block, Cycle start, Cycle max_cycles,
              std::uint64_t &fast_forwarded)
 {
-    unsigned next_block = first_block;
-    dispatchBlocks(cores, next_block, end_block);
+    // Per-core sleep: after a quiescent tick a core is not ticked
+    // again until its wakeHint() arrives, any event fires or a block
+    // is launched onto it. Its skipped cycles repeat the quiescent
+    // tick's charges, settled lazily through chargeSkipped() from
+    // `last`, the last cycle accounted for it.
+    struct Sleep
+    {
+        bool asleep = false;
+        Cycle wake = 0;
+        Cycle last = 0;
+    };
+    std::vector<Sleep> sleep(cores.size());
+    auto settle = [&](std::size_t i, Cycle upto) {
+        Sleep &s = sleep[i];
+        if (s.asleep && upto > s.last) {
+            cores[i]->chargeSkipped(s.last, upto - s.last);
+            s.last = upto;
+        }
+    };
 
     Cycle cycle = start;
+    unsigned next_block = first_block;
+    // Place blocks breadth-first: one block per core per round, so
+    // occupancy spreads across the machine the way GPGPU-Sim
+    // dispatches. True if any core accepted one.
+    auto dispatch = [&]() {
+        const unsigned first = next_block;
+        for (bool placed = true; placed && next_block < end_block;) {
+            placed = false;
+            for (std::size_t i = 0;
+                 i < cores.size() && next_block < end_block; ++i) {
+                if (cores[i]->canAcceptBlock()) {
+                    settle(i, cycle);
+                    sleep[i].asleep = false;
+                    cores[i]->launchBlock(next_block++);
+                    placed = true;
+                }
+            }
+        }
+        return next_block != first;
+    };
+    dispatch();
+
+    std::uint64_t events_seen = eq.eventsFired();
     while (true) {
         eq.runUntil(cycle);
-        bool all_idle = true;
-        bool all_quiescent = true;
+        const bool fired = eq.eventsFired() != events_seen;
+        events_seen = eq.eventsFired();
+        bool all_asleep = true;
         Cycle wake = kCycleNever;
-        for (const auto &core : cores) {
-            core->tick(cycle);
-            all_idle = all_idle && core->idle();
-            all_quiescent =
-                all_quiescent && core->lastTickQuiescent();
-            wake = std::min(wake, core->wakeHint());
+        for (std::size_t i = 0; i < cores.size(); ++i) {
+            Sleep &s = sleep[i];
+            if (!s.asleep || fired || cycle >= s.wake) {
+                settle(i, cycle - 1);
+                cores[i]->tick(cycle);
+                s.last = cycle;
+                s.asleep = cores[i]->lastTickQuiescent();
+                if (s.asleep)
+                    s.wake = cores[i]->wakeHint();
+            }
+            if (s.asleep)
+                wake = std::min(wake, s.wake);
+            else
+                all_asleep = false;
         }
-        const bool placed = dispatchBlocks(cores, next_block, end_block);
-        if (all_idle && next_block >= end_block && eq.empty())
+        // Blocks placed this cycle have yet to run, even on a machine
+        // that was idle with an empty queue.
+        const bool placed = dispatch();
+        if (!placed && next_block >= end_block && eq.empty() &&
+            std::all_of(cores.begin(), cores.end(),
+                        [](const auto &c) { return c->idle(); })) {
             break;
+        }
         if (telemetry != nullptr) {
-            // An interval boundary samples live counters: apply any
-            // deferred quiescent-streak charges first so the sampled
-            // values match the per-cycle loop exactly.
+            // An interval boundary samples live counters: settle the
+            // sleepers and every open stall interval first so the
+            // sampled values match the per-cycle loop exactly.
             if (cycle + 1 >= telemetry->nextBoundary()) {
-                for (const auto &core : cores)
-                    core->flushDeferredCharges();
+                for (std::size_t i = 0; i < cores.size(); ++i) {
+                    settle(i, cycle);
+                    cores[i]->flushDeferredCharges();
+                }
             }
             telemetry->tick(cycle);
         }
 
-        // Fast-forward through quiescent windows: every core's tick
-        // was a pure re-chargeable stall scan, so nothing can happen
-        // before the next event fires or the earliest readyAt
-        // elapses. Jump there, batch-charging the identical per-cycle
-        // attribution for the skipped span. Telemetry caps the jump
-        // at its next interval boundary so sampled counters see every
-        // charge in order. Bit-exact with the per-cycle loop.
-        if (all_quiescent && !placed) {
+        // Every core asleep: nothing can happen before the next event
+        // fires or the earliest wake arrives, so the clock jumps
+        // there. Telemetry caps the jump at its next interval
+        // boundary so sampled counters see every charge in order.
+        if (all_asleep && !placed) {
             Cycle target = std::min(eq.nextEventCycle(), wake);
+            if (target == kCycleNever) {
+                GPUMMU_FATAL("deadlock at cycle ", cycle,
+                             ": every core sleeps with nothing pending"
+                             " (next undispatched block ", next_block,
+                             " of ", end_block, ")");
+            }
             if (telemetry != nullptr) {
                 const Cycle nb = telemetry->nextBoundary();
                 target = nb == 0 ? cycle : std::min(target, nb - 1);
             }
-            if (target != kCycleNever && target > cycle + 1) {
+            if (target > cycle + 1) {
                 const Cycle n = target - (cycle + 1);
-                for (const auto &core : cores)
-                    core->chargeSkipped(cycle, n);
                 cycle += n;
                 fast_forwarded += n;
             }
@@ -219,10 +248,12 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
         }
     }
 
-    // Settle any deferred quiescent-streak charges before anything
-    // below reads counters or folds ledgers.
-    for (const auto &core : cores)
-        core->flushDeferredCharges();
+    // Settle the sleepers and every open stall interval before
+    // anything below reads counters or folds ledgers.
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+        settle(i, cycle);
+        cores[i]->flushDeferredCharges();
+    }
 
     // Armed runs verify the drain invariants here: all blocking MMU
     // state (outstanding walks, drain waiters, queued batches) must

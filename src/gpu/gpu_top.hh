@@ -49,8 +49,8 @@ struct RunStats
      *  not in dumpRunStatsJson: it is a simulator-internals metric,
      *  not a modelled-machine stat, and goldens predate it. */
     std::uint64_t eventsFired = 0;
-    /** Cycles the run loop fast-forwarded through quiescent windows
-     *  (batch-charged instead of ticked). Deterministic, simulator-
+    /** Cycles the run loop jumped because every core slept
+     *  (charged lazily instead of ticked). Deterministic, simulator-
      *  internals only; not in dumpRunStatsJson for the same reason
      *  as eventsFired. */
     std::uint64_t cyclesFastForwarded = 0;
@@ -126,12 +126,14 @@ void dumpRunStatsJson(std::ostream &os, const RunStats &s);
 /**
  * The cycle loop of GpuTop::run and every multi-tenant slice. From
  * cycle @p start, dispatches blocks [@p first_block, @p end_block)
- * breadth-first as slots free up, ticks every core after the events
- * due, fast-forwards windows in which every core is quiescent (adding
- * them to @p fast_forwarded) and drives @p telemetry's boundaries.
- * When all is idle, drains the cores (deferred charges, then
- * mmu().endKernel(), then finalizeRun()) and returns the end cycle.
- * Fatal once the clock passes @p max_cycles.
+ * breadth-first as slots free up and, after the events due, ticks
+ * every awake core. A quiescent core sleeps until its wakeHint(),
+ * any event or a block launch; when every core sleeps the clock
+ * jumps (adding to @p fast_forwarded). Drives @p telemetry's
+ * boundaries. When all is idle, drains the cores (deferred charges,
+ * then mmu().endKernel(), then finalizeRun()) and returns the end
+ * cycle. Fatal once the clock passes @p max_cycles, or at once when
+ * every core sleeps with nothing pending.
  */
 Cycle runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
                    EventQueue &eq, Telemetry *telemetry,

@@ -33,13 +33,12 @@ class ShaderCore
     virtual void tick(Cycle now) = 0;
 
     /**
-     * Fast-forward support. A tick is *quiescent* when it issued
-     * nothing, retired nothing and only charged stall attribution —
-     * so re-running it for the next k cycles is equivalent to
-     * chargeSkipped(now, k), provided no event fires, no warp's
-     * readyAt elapses (see wakeHint()) and no block is dispatched in
-     * between. Cores that cannot prove this (TBC) keep the defaults
-     * and simply never fast-forward.
+     * Sleep support. A tick is *quiescent* when it issued nothing,
+     * retired nothing and only charged stall attribution, so every
+     * following cycle would charge the same until an event fires,
+     * wakeHint() arrives or a block is launched here. runCycleLoop()
+     * stops ticking such a core until one of those happens. Cores
+     * that cannot prove this (TBC) keep the defaults and never sleep.
      */
     virtual bool lastTickQuiescent() const { return false; }
 
@@ -48,8 +47,9 @@ class ShaderCore
      *  change this core's state. Valid after a quiescent tick. */
     virtual Cycle wakeHint() const { return kCycleNever; }
 
-    /** Apply the per-cycle charges of @p n skipped quiescent cycles
-     *  following a quiescent tick at @p now. */
+    /** Apply the charges of the @p n cycles a sleeping core skipped
+     *  after @p now, the last cycle already ticked or charged; one
+     *  sleep may be settled in several calls. */
     virtual void
     chargeSkipped(Cycle now, Cycle n)
     {
@@ -58,10 +58,11 @@ class ShaderCore
     }
 
     /**
-     * Cores may defer the (identical) per-cycle stall charges of a
-     * quiescent streak and apply them in one batch. The top level
-     * flushes before anything samples live counters mid-run (a
-     * telemetry interval boundary) and once after the cycle loop.
+     * Cores may charge a stalled warp's cycles as one interval when
+     * its wait ends. Settle every open interval through the current
+     * cycle. The top level calls this, after chargeSkipped(), before
+     * anything samples live counters mid-run (a telemetry interval
+     * boundary) and once after the cycle loop.
      */
     virtual void flushDeferredCharges() {}
 

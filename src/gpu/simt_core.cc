@@ -1,6 +1,7 @@
 #include "gpu/simt_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "trace/memtrace.hh"
 #include "trace/trace.hh"
@@ -17,6 +18,13 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
     GPUMMU_ASSERT(launch.program != nullptr);
     GPUMMU_ASSERT(launch.threadsPerBlock % kWarpWidth == 0,
                   "threadsPerBlock must be a warp multiple");
+    if (cfg.numWarpSlots < warpsPerBlock() || cfg.numWarpSlots > 64) {
+        GPUMMU_FATAL("SimtCore: numWarpSlots (", cfg.numWarpSlots,
+                     ") must hold the ", warpsPerBlock(),
+                     " warps of one block (threadsPerBlock ",
+                     launch.threadsPerBlock,
+                     ") and fit the 64-bit warp-set masks");
+    }
     warps_.resize(cfg.numWarpSlots);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
@@ -71,15 +79,8 @@ SimtCore::warpsPerBlock() const
 bool
 SimtCore::canAcceptBlock() const
 {
-    unsigned free_slots = 0;
-    for (const auto &w : warps_) {
-        if (!w.valid)
-            ++free_slots;
-    }
-    if (free_slots < warpsPerBlock())
-        return false;
-    return std::any_of(blocks_.begin(), blocks_.end(),
-                       [](const ResidentBlock &b) { return !b.valid; });
+    return cfg_.numWarpSlots - liveWarps_ >= warpsPerBlock() &&
+           residentBlocks_ < blocks_.size();
 }
 
 void
@@ -93,6 +94,7 @@ SimtCore::launchBlock(unsigned global_block_id)
     const int slot = static_cast<int>(blk_it - blocks_.begin());
     ResidentBlock &blk = *blk_it;
     blk.valid = true;
+    ++residentBlocks_;
     blk.globalId = global_block_id;
     blk.threadsLive = launch_.threadsPerBlock;
     blk.threads.clear();
@@ -126,12 +128,12 @@ SimtCore::launchBlock(unsigned global_block_id)
         w.stack.reset(0, full);
         w.state = WarpState::Ready;
         w.readyAt = 0;
+        due_ |= std::uint64_t(1) << wid;
         blk.warpIds.push_back(static_cast<int>(wid));
         ++assigned;
         ++liveWarps_;
     }
     GPUMMU_ASSERT(assigned == warpsPerBlock());
-    ++stateVersion_;
 }
 
 const Instruction *
@@ -205,6 +207,7 @@ SimtCore::executeExit(int wid, Warp &w)
     if (blk.threadsLive == 0) {
         blocksCompleted_.inc();
         blk.valid = false;
+        --residentBlocks_;
     }
 }
 
@@ -214,6 +217,7 @@ SimtCore::retireWarp(int wid, Warp &w)
     GPUMMU_ASSERT(w.valid);
     w.valid = false;
     w.state = WarpState::Invalid;
+    due_ &= ~(std::uint64_t(1) << wid);
     GPUMMU_ASSERT(liveWarps_ > 0);
     --liveWarps_;
     if (sched_)
@@ -229,6 +233,7 @@ SimtCore::issueWarp(int wid, Cycle now)
     noteBlockEntry(w);
     // ALU latency and branch pipelining are execution, not stalls.
     w.stallReason = StallReason::None;
+    w.chargeFrom = now + 1;
 
     auto &top = w.stack.top();
     switch (in->op) {
@@ -237,15 +242,19 @@ SimtCore::issueWarp(int wid, Cycle now)
         aluInstrs_.inc();
         ++top.instIdx;
         w.readyAt = now + cfg_.aluLatency;
+        makeTimed(wid, w);
         return false;
 
       case Opcode::Branch:
         instrs_.inc();
         executeBranch(w, *in);
         w.readyAt = now + 1;
+        makeTimed(wid, w);
         return false;
 
       case Opcode::Exit:
+        // Lanes left behind keep the warp due; a finished warp
+        // retires out of due_.
         instrs_.inc();
         executeExit(wid, w);
         return false;
@@ -278,13 +287,14 @@ SimtCore::issueWarp(int wid, Cycle now)
         }
         const bool is_store = in->op == Opcode::Store;
         w.state = WarpState::WaitingMem;
+        due_ &= ~(std::uint64_t(1) << wid);
         auto result = memStage_.issue(
             wid, is_store, w.pendingAddrs, now,
             [this, wid](Cycle ready) {
                 Warp &ww = warps_[static_cast<std::size_t>(wid)];
                 ww.state = WarpState::Ready;
                 ww.readyAt = ready;
-                ++stateVersion_;
+                makeTimed(wid, ww);
             });
         if (result == MemIssueResult::BlockedTlbBusy) {
             // Swapped out: retry this instruction after the MMU
@@ -296,7 +306,7 @@ SimtCore::issueWarp(int wid, Cycle now)
                 if (ww.state == WarpState::WaitingTlbDrain) {
                     ww.state = WarpState::Ready;
                     ww.readyAt = eq_.now() + 1;
-                    ++stateVersion_;
+                    makeTimed(wid, ww);
                 }
             });
             return true;
@@ -315,10 +325,46 @@ SimtCore::issueWarp(int wid, Cycle now)
 }
 
 void
+SimtCore::makeTimed(int wid, const Warp &w)
+{
+    const std::uint64_t bit = std::uint64_t(1) << wid;
+    due_ &= ~bit;
+    timed_ |= bit;
+    nextWake_ = std::min(nextWake_, w.readyAt);
+}
+
+void
+SimtCore::chargeWait(int wid, Warp &w, Cycle end)
+{
+    if (end > w.chargeFrom) {
+        stalls_.attribute(wid, w.stallReason, end - w.chargeFrom);
+        w.chargeFrom = end;
+    }
+}
+
+void
+SimtCore::promoteTimed(Cycle now)
+{
+    nextWake_ = kCycleNever;
+    for (std::uint64_t m = timed_; m != 0; m &= m - 1) {
+        const int wid = std::countr_zero(m);
+        Warp &w = warps_[static_cast<std::size_t>(wid)];
+        if (w.readyAt > now) {
+            nextWake_ = std::min(nextWake_, w.readyAt);
+            continue;
+        }
+        // Every cycle from the issue to now stalled on the same cause.
+        chargeWait(wid, w, now);
+        const std::uint64_t bit = std::uint64_t(1) << wid;
+        timed_ &= ~bit;
+        due_ |= bit;
+    }
+}
+
+void
 SimtCore::tick(Cycle now)
 {
     quiescent_ = false;
-    wakeHint_ = kCycleNever;
     if (liveWarps_ == 0) {
         // Nothing resident: ticking is a no-op (the scheduler is not
         // consulted on this path either), so repeats are free.
@@ -326,59 +372,26 @@ SimtCore::tick(Cycle now)
         return;
     }
 
-    const bool mem_available = mmu_.memAvailable();
-    const bool miss_out = mmu_.missOutstanding();
-    if (memoValid_ && stateVersion_ == memoVersion_ &&
-        mem_available == memoMemAvail_ && miss_out == memoMissOut_ &&
-        now < wakeAt_) {
-        // Nothing the last quiescent scan depended on has changed:
-        // this cycle charges exactly the same cells. Defer it.
-        ++pendingRepeat_;
-        quiescent_ = true;
-        wakeHint_ = wakeAt_;
-        return;
-    }
-    flushDeferredCharges();
-    memoValid_ = false;
-    chargeProgram_.clear();
-    wakeAt_ = kCycleNever;
-
     sched_->tick(now);
+    if (now >= nextWake_)
+        promoteTimed(now);
     bool retired = false;
 
-    // Collect issueable warps. Memory warps are filtered by the
-    // blocking policy and the scheduler's throttle. Every resident
-    // warp that cannot issue this cycle has the cycle charged to at
-    // most one stall cause (ALU latency and the scheduler's own
+    // Collect issueable warps among the due ones, in slot order.
+    // Memory warps are filtered by the blocking policy and the
+    // scheduler's throttle. Waiting and timed warps are charged as
+    // intervals (chargeWait); the blocking TLB's gate is the one
+    // stall charged per cycle. ALU latency and the scheduler's own
     // throttle stay unattributed, which keeps per-warp totals below
-    // the run's cycle count).
+    // the run's cycle count.
+    const bool mem_available = mmu_.memAvailable();
     std::vector<int> &issuable = issuableScratch_;
     issuable.clear();
+    tlbGated_ = 0;
     bool any_ready_mem_blocked = false;
-    for (std::size_t wid = 0; wid < warps_.size(); ++wid) {
-        Warp &w = warps_[wid];
-        if (!w.valid)
-            continue;
-        const int iw = static_cast<int>(wid);
-        if (w.state == WarpState::WaitingMem) {
-            stalls_.attribute(iw, w.stallReason);
-            chargeProgram_.push_back({iw, w.stallReason});
-            continue;
-        }
-        if (w.state == WarpState::WaitingTlbDrain) {
-            stalls_.attribute(iw, StallReason::WalkerStructural);
-            chargeProgram_.push_back(
-                {iw, StallReason::WalkerStructural});
-            continue;
-        }
-        if (w.state != WarpState::Ready)
-            continue;
-        if (w.readyAt > now) {
-            stalls_.attribute(iw, w.stallReason);
-            chargeProgram_.push_back({iw, w.stallReason});
-            wakeHint_ = std::min(wakeHint_, w.readyAt);
-            continue;
-        }
+    for (std::uint64_t m = due_; m != 0; m &= m - 1) {
+        const int iw = std::countr_zero(m);
+        Warp &w = warps_[static_cast<std::size_t>(iw)];
         const Instruction *in = nextInstr(w);
         if (in == nullptr) {
             retireWarp(iw, w);
@@ -392,7 +405,7 @@ SimtCore::tick(Cycle now)
                 // The blocking TLB's gate: walks are outstanding.
                 any_ready_mem_blocked = true;
                 stalls_.attribute(iw, StallReason::TlbMiss);
-                chargeProgram_.push_back({iw, StallReason::TlbMiss});
+                tlbGated_ |= std::uint64_t(1) << iw;
                 continue;
             }
             if (!sched_->mayIssueMem(iw)) {
@@ -432,28 +445,21 @@ SimtCore::tick(Cycle now)
 
     if (issued == 0 && liveWarps_ > 0) {
         idleCycles_.inc();
-        if (mmu_.missOutstanding())
+        chargeTlbIdle_ = mmu_.missOutstanding();
+        if (chargeTlbIdle_)
             tlbIdleCycles_.inc();
+        chargeMemBlocked_ = any_ready_mem_blocked;
         if (any_ready_mem_blocked)
             memBlockedCycles_.inc();
     }
 
     // A quiescent tick only charged attribution: nothing issued or
     // retired and the scan produced no issuable warp, so pick() was
-    // never consulted. With a pure scheduler, re-running it is
-    // side-effect-free until an event fires, a readyAt elapses or a
-    // warp-state mutation bumps stateVersion_ — so memoize it.
+    // never consulted. With a pure scheduler, every following tick
+    // charges the same cells until an event fires, nextWake_ arrives
+    // or a block is launched - so the core may sleep.
     quiescent_ = issued == 0 && !retired && scan_empty &&
                  sched_->tickIsPure();
-    if (quiescent_) {
-        memoValid_ = true;
-        memoVersion_ = stateVersion_;
-        memoMemAvail_ = mem_available;
-        memoMissOut_ = miss_out;
-        wakeAt_ = wakeHint_;
-        chargeTlbIdle_ = miss_out;
-        chargeMemBlocked_ = any_ready_mem_blocked;
-    }
 }
 
 void
@@ -462,28 +468,27 @@ SimtCore::chargeSkipped(Cycle now, Cycle n)
     (void)now;
     if (liveWarps_ == 0)
         return;
-    // GpuTop only calls this right after a quiescent tick, whose
-    // memoized charge program is exactly what every skipped cycle
-    // would have charged. Defer: flushDeferredCharges() multiplies.
-    GPUMMU_ASSERT(memoValid_);
-    pendingRepeat_ += n;
-}
-
-void
-SimtCore::flushDeferredCharges()
-{
-    if (pendingRepeat_ == 0)
-        return;
-    const Cycle n = pendingRepeat_;
-    pendingRepeat_ = 0;
-    for (const ChargeEntry &e : chargeProgram_)
-        stalls_.attribute(e.warp, e.reason, n);
-    // A quiescent tick with resident warps always counts idle.
+    // Only called while asleep after a quiescent tick, whose
+    // per-cycle charges every skipped cycle repeats.
+    for (std::uint64_t m = tlbGated_; m != 0; m &= m - 1)
+        stalls_.attribute(std::countr_zero(m), StallReason::TlbMiss, n);
     idleCycles_.inc(n);
     if (chargeTlbIdle_)
         tlbIdleCycles_.inc(n);
     if (chargeMemBlocked_)
         memBlockedCycles_.inc(n);
+}
+
+void
+SimtCore::flushDeferredCharges()
+{
+    // Settle every open wait through the current cycle, which the
+    // caller has accounted in full.
+    for (std::size_t wid = 0; wid < warps_.size(); ++wid) {
+        Warp &w = warps_[wid];
+        if (w.valid && !(due_ >> wid & 1))
+            chargeWait(static_cast<int>(wid), w, eq_.now() + 1);
+    }
 }
 
 void

@@ -88,7 +88,7 @@ class SimtCore : public ShaderCore
     void tick(Cycle now) override;
 
     bool lastTickQuiescent() const override { return quiescent_; }
-    Cycle wakeHint() const override { return wakeHint_; }
+    Cycle wakeHint() const override { return nextWake_; }
     void chargeSkipped(Cycle now, Cycle n) override;
     void flushDeferredCharges() override;
 
@@ -156,6 +156,8 @@ class SimtCore : public ShaderCore
         bool hasPendingAddrs = false;
         /** Cause the warp's current wait is attributed to. */
         StallReason stallReason = StallReason::None;
+        /** First cycle of the wait not yet charged to stallReason. */
+        Cycle chargeFrom = 0;
     };
 
     struct ResidentBlock
@@ -180,6 +182,13 @@ class SimtCore : public ShaderCore
 
     /** Bump block-entry visit counters when entering a block. */
     void noteBlockEntry(Warp &w);
+
+    /** Warp @p wid turned Ready at w.readyAt: park it in timed_. */
+    void makeTimed(int wid, const Warp &w);
+    /** Move timed warps whose readyAt has passed into due_. */
+    void promoteTimed(Cycle now);
+    /** Charge warp @p wid's open wait up to (excluding) @p end. */
+    void chargeWait(int wid, Warp &w, Cycle end);
 
     ThreadCtx &
     threadAt(const Warp &w, unsigned lane)
@@ -210,37 +219,27 @@ class SimtCore : public ShaderCore
      *  path does not allocate (tick dominates the profile). */
     std::vector<int> issuableScratch_;
 
-    /** Set by tick(): was the last tick quiescent (nothing issued,
-     *  retired or mutated), and when does the earliest Ready warp
-     *  wake by timeout? Consumed by GpuTop's fast-forward. */
-    bool quiescent_ = false;
-    Cycle wakeHint_ = kCycleNever;
-
     /**
-     * Memoized quiescent tick. A quiescent full scan records its
-     * exact per-cycle charges (chargeProgram_ + the idle-counter
-     * flags) and the inputs they depended on. While the inputs hold —
-     * no warp-state mutation (stateVersion_), same MMU gate and
-     * outstanding-miss answers, and no readyAt elapsed (wakeAt_) —
-     * each subsequent tick is O(1): bump pendingRepeat_ and return.
-     * flushDeferredCharges() applies program x pendingRepeat_ before
-     * anything can observe the counters or the state changes.
+     * Warp readiness as masks over warp slots (so at most 64). A
+     * Ready warp is *due* once its readyAt has passed and *timed*
+     * before that; nextWake_ is the earliest readyAt in timed_. A
+     * completion callback moves a waiting warp into timed_. tick()
+     * visits only due warps and scans timed_ once nextWake_ arrives.
+     * A wait is charged as one interval, [Warp::chargeFrom, due), to
+     * its stallReason. The only per-cycle charges are the idle
+     * counters and the due memory warps held at the blocking TLB's
+     * gate (tlbGated_); chargeSkipped() repeats the last tick's.
      */
-    struct ChargeEntry
-    {
-        int warp;
-        StallReason reason;
-    };
-    std::vector<ChargeEntry> chargeProgram_;
+    std::uint64_t due_ = 0;
+    std::uint64_t timed_ = 0;
+    Cycle nextWake_ = kCycleNever;
+    std::uint64_t tlbGated_ = 0;
     bool chargeTlbIdle_ = false;
     bool chargeMemBlocked_ = false;
-    bool memoValid_ = false;
-    std::uint64_t stateVersion_ = 0;
-    std::uint64_t memoVersion_ = 0;
-    bool memoMemAvail_ = false;
-    bool memoMissOut_ = false;
-    Cycle wakeAt_ = kCycleNever;
-    Cycle pendingRepeat_ = 0;
+    /** Last tick issued, retired and mutated nothing, with a pure
+     *  scheduler: runCycleLoop may put the core to sleep. */
+    bool quiescent_ = false;
+    unsigned residentBlocks_ = 0;
 
     Counter instrs_;
     Counter aluInstrs_;

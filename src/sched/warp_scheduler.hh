@@ -100,10 +100,10 @@ class WarpScheduler
     /**
      * Does this scheduler observe cycles? Pure schedulers promise
      * that tick() is a no-op and mayIssueMem() is a pure query, so
-     * the core may fast-forward through cycles in which nothing can
-     * issue without calling them. CCWS-family schedulers (score
-     * decay, periodic throttle recomputation, per-cycle throttle
-     * stats) must return false, which disables fast-forwarding.
+     * the core may sleep through cycles in which nothing can issue
+     * without calling them. CCWS-family schedulers (score decay,
+     * periodic throttle recomputation, per-cycle throttle stats)
+     * must return false, which keeps the core awake every cycle.
      */
     virtual bool tickIsPure() const { return true; }
 

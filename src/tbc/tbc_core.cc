@@ -16,6 +16,12 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
     GPUMMU_ASSERT(launch.program != nullptr);
     GPUMMU_ASSERT(launch.threadsPerBlock % kWarpWidth == 0);
     GPUMMU_ASSERT(launch.threadsPerBlock <= kMaxBlockThreads);
+    if (cfg.numWarpSlots < warpsPerBlock()) {
+        GPUMMU_FATAL("TbcCore: numWarpSlots (", cfg.numWarpSlots,
+                     ") is below the ", warpsPerBlock(),
+                     " warps of one block (threadsPerBlock ",
+                     launch.threadsPerBlock, "); no block fits");
+    }
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
     // Scheduler ids encode (block slot, warp index); size the round

@@ -91,9 +91,10 @@ class WarpStallAccounting
     }
 
     /**
-     * Charge @p cycles cycles at once, used when the core
-     * fast-forwards through a quiescent window in which the warp
-     * would have received the same attribution every cycle.
+     * Charge @p cycles cycles at once: a wait charged as one
+     * interval when it ends, or the cycles a sleeping core skipped,
+     * in which the warp would have received the same attribution
+     * every cycle.
      */
     void
     attribute(int warp, StallReason reason, std::uint64_t cycles)

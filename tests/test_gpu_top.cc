@@ -64,6 +64,40 @@ class RecordingCore : public SimtCore
     std::vector<unsigned> launched;
 };
 
+/** A core that never takes a block: to the cycle loop, what a core
+ *  too small for one block looks like. */
+class RefusingCore : public SimtCore
+{
+  public:
+    using SimtCore::SimtCore;
+    bool canAcceptBlock() const override { return false; }
+};
+
+/** A core that never reports idle, so the run cannot end once its
+ *  work is done and nothing is left to wake it. */
+class NeverIdleCore : public SimtCore
+{
+  public:
+    using SimtCore::SimtCore;
+    bool idle() const override { return false; }
+};
+
+/** Run @p wl on @p cores cores of type @p CoreT without an MMU. */
+template <typename CoreT>
+RunStats
+runCompute(ComputeWorkload &wl, unsigned cores, CoreConfig cfg,
+           Cycle max_cycles)
+{
+    cfg.mmu.enabled = false;
+    GpuTop gpu(cores, MemorySystemConfig{}, wl,
+               [&cfg](int id, const LaunchParams &l, AddressSpace &as,
+                      MemorySystem &m,
+                      EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   return std::make_unique<CoreT>(id, cfg, l, as, m, e);
+               });
+    return gpu.run(max_cycles);
+}
+
 } // namespace
 
 TEST(GpuTop, DispatchSpreadsBlocksBreadthFirst)
@@ -177,4 +211,40 @@ TEST(GpuTop, DeadlockGuardFires)
     };
     EXPECT_EXIT(run_tiny_budget(), ::testing::ExitedWithCode(1),
                 "exceeded");
+}
+
+TEST(GpuTop, UndispatchableBlockIsFatalAtOnce)
+{
+    // Every core asleep with no wake cycle, no event pending and a
+    // block left: nothing can ever change, so the loop names the
+    // block instead of ticking to the budget.
+    ComputeWorkload wl(3);
+    EXPECT_EXIT(runCompute<RefusingCore>(wl, 2, CoreConfig{},
+                                         10'000'000),
+                ::testing::ExitedWithCode(1),
+                "deadlock at cycle 0: every core sleeps with nothing "
+                "pending \\(next undispatched block 0 of 3\\)");
+}
+
+TEST(GpuTop, WorkThatCanNeverEndIsFatalAtOnce)
+{
+    ComputeWorkload wl(2);
+    EXPECT_EXIT(runCompute<NeverIdleCore>(wl, 1, CoreConfig{},
+                                          10'000'000),
+                ::testing::ExitedWithCode(1),
+                "deadlock at cycle [0-9]+: every core sleeps with "
+                "nothing pending \\(next undispatched block 2 of 2\\)");
+}
+
+TEST(GpuTop, BlocksPlacedOnAnIdleMachineStillRun)
+{
+    // One core that fits exactly one block, compute only, so no event
+    // is ever pending: each next block is placed in the cycle its
+    // predecessor's last warp retires, while every core is idle.
+    ComputeWorkload wl(3);
+    CoreConfig one_block;
+    one_block.numWarpSlots = 2;
+    const RunStats stats =
+        runCompute<SimtCore>(wl, 1, one_block, 1'000'000);
+    EXPECT_EQ(stats.instructions, 3u * 2u * 10u);
 }

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
+#include "core/experiment.hh"
+#include "core/presets.hh"
 #include "gpu/gpu_top.hh"
 #include "gpu/simt_core.hh"
 #include "workloads/workload.hh"
@@ -89,7 +92,93 @@ runTiny(const CoreConfig &core_cfg, unsigned blocks = 4,
     return gpu.run(50'000'000);
 }
 
+/** Counts its ticks; otherwise a plain SimtCore that may sleep. */
+class CountingCore : public SimtCore
+{
+  public:
+    using SimtCore::SimtCore;
+
+    void
+    tick(Cycle now) override
+    {
+        ++ticks;
+        SimtCore::tick(now);
+    }
+
+    std::uint64_t ticks = 0;
+};
+
+/** Never reports a quiescent tick, so the cycle loop ticks it every
+ *  cycle: the per-cycle reference for a sleeping core's charges. */
+class AwakeCore : public SimtCore
+{
+  public:
+    using SimtCore::SimtCore;
+    bool lastTickQuiescent() const override { return false; }
+};
+
+struct TinyDump
+{
+    RunStats stats;
+    std::string json;
+    std::uint64_t ticks = 0;
+};
+
+/** Run the tiny kernel on two cores of type @p CoreT and dump the
+ *  whole stat registry (stall histograms included). */
+template <typename CoreT>
+TinyDump
+runTinyDump(const CoreConfig &core_cfg)
+{
+    TinyWorkload wl(/*blocks=*/8, /*iters=*/10, /*active_p=*/0.5);
+    std::vector<CoreT *> cores;
+    GpuTop gpu(2, MemorySystemConfig{}, wl,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   auto core = std::make_unique<CoreT>(id, core_cfg, l,
+                                                       as, m, e);
+                   cores.push_back(core.get());
+                   return core;
+               });
+    TinyDump out;
+    out.stats = gpu.run(50'000'000);
+    std::ostringstream os;
+    gpu.stats().dumpJson(os);
+    out.json = os.str();
+    if constexpr (std::is_same_v<CoreT, CountingCore>) {
+        for (const CountingCore *c : cores)
+            out.ticks += c->ticks;
+    }
+    return out;
+}
+
 } // namespace
+
+TEST(SimtCore, SleepingChargesEqualTickingEveryCycle)
+{
+    // A sleeping core is not ticked; its skipped cycles and its
+    // warps' waits are charged lazily. Ticking every cycle instead
+    // must give the same stats to the last stall cycle, on each MMU
+    // policy: the blocking TLB's gate (charged per cycle while
+    // asleep), the hit-under-miss bounce (walker drain waits) and no
+    // TLB at all.
+    CoreConfig blocking;
+    blocking.mmu.hitUnderMiss = false;
+    CoreConfig hit_under_miss;
+    hit_under_miss.mmu.hitUnderMiss = true;
+    CoreConfig no_tlb;
+    no_tlb.mmu.enabled = false;
+    for (const CoreConfig &cfg : {blocking, hit_under_miss, no_tlb}) {
+        const TinyDump sleeping = runTinyDump<CountingCore>(cfg);
+        const TinyDump awake = runTinyDump<AwakeCore>(cfg);
+        EXPECT_TRUE(sleeping.stats == awake.stats);
+        EXPECT_EQ(sleeping.json, awake.json);
+        EXPECT_EQ(awake.stats.cyclesFastForwarded, 0u);
+        // ...and the sleeping run really skipped ticks.
+        EXPECT_LT(sleeping.ticks, 2 * sleeping.stats.cycles);
+    }
+}
 
 TEST(SimtCore, RunsToCompletion)
 {
@@ -163,4 +252,47 @@ TEST(SimtCore, BlocksDrainAcrossWaves)
     // 48 warp slots -> 24 resident blocks per core; run 60 on 1 core).
     auto stats = runTiny(CoreConfig{}, /*blocks=*/60, 3, 0.4, 1);
     EXPECT_GT(stats.instructions, 0u);
+}
+
+TEST(SimtCore, CoreTooSmallForOneBlockIsRejected)
+{
+    // 64-thread blocks need two warp slots. With one, no block could
+    // ever be dispatched and the run would tick idle cores to its
+    // cycle budget; the constructor refuses the config instead.
+    CoreConfig tiny;
+    tiny.numWarpSlots = 1;
+    EXPECT_EXIT(runTiny(tiny), ::testing::ExitedWithCode(1),
+                "numWarpSlots \\(1\\) must hold the 2 warps of one block");
+
+    // The same through a preset: bfs's 256-thread blocks need 8.
+    SystemConfig cfg = presets::augmentedTlb();
+    cfg.numCores = 4;
+    cfg.core.numWarpSlots = 4;
+    WorkloadParams p;
+    p.scale = 0.05;
+    EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
+                ::testing::ExitedWithCode(1),
+                "numWarpSlots \\(4\\) must hold the 8 warps of one block");
+}
+
+TEST(SimtCore, WarpSlotsBeyondTheMaskWidthAreRejected)
+{
+    CoreConfig wide;
+    wide.numWarpSlots = 65;
+    EXPECT_EXIT(runTiny(wide), ::testing::ExitedWithCode(1),
+                "numWarpSlots \\(65\\) must hold .* and fit the 64-bit "
+                "warp-set masks");
+}
+
+TEST(SimtCore, SixtyFourWarpSlotsUseTheWholeMask)
+{
+    // Slot 63 is the mask's top bit. Branch outcomes depend only on
+    // per-thread RNG streams, so the instruction count is the same
+    // at any occupancy.
+    CoreConfig wide;
+    wide.numWarpSlots = 64;
+    const auto a = runTiny(wide, /*blocks=*/40, 3, 0.4, 1);
+    const auto b = runTiny(CoreConfig{}, /*blocks=*/40, 3, 0.4, 1);
+    EXPECT_GT(a.instructions, 0u);
+    EXPECT_EQ(a.instructions, b.instructions);
 }

@@ -176,3 +176,14 @@ TEST(TbcCore, WithTlbSlowerThanWithout)
     auto tlb = runDivergent(TbcConfig{}, 0.5, naive);
     EXPECT_GT(tlb.stats.cycles, base.stats.cycles);
 }
+
+TEST(TbcCore, CoreTooSmallForOneBlockIsRejected)
+{
+    // 128-thread blocks need four warp slots; with three no block
+    // could ever be dispatched.
+    CoreConfig tiny;
+    tiny.numWarpSlots = 3;
+    EXPECT_EXIT(runDivergent(TbcConfig{}, 0.5, tiny),
+                ::testing::ExitedWithCode(1),
+                "TbcCore: numWarpSlots \\(3\\) is below the 4 warps");
+}

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/multi_tenant.hh"
 #include "core/presets.hh"
 #include "core/sweep.hh"
 #include "telemetry/report.hh"
@@ -91,6 +92,43 @@ TEST(Telemetry, ArmedRunIsBitIdenticalOnEveryWorkload)
         EXPECT_FALSE(telemetry.heat().pages().empty())
             << benchmarkName(id);
     }
+}
+
+TEST(Telemetry, IntervalChargingMatchesPerCycleCharging)
+{
+    // A one-cycle sample interval settles every sleeping core and
+    // every open stall interval after each cycle and caps every jump,
+    // so the armed run charges cycle by cycle. The plain run's lazy
+    // sleep and interval charging must reproduce it exactly: on the
+    // blocking TLB gate (per-cycle TlbMiss charges), an impure
+    // scheduler (never sleeps), the IOMMU and TBC cores.
+    TelemetryConfig every_cycle;
+    every_cycle.sampleInterval = 1;
+    const std::pair<const char *, SystemConfig> configs[] = {
+        {"naive", presets::naiveTlb()},
+        {"ccws", presets::ccws(presets::augmentedTlb())},
+        {"iommu", presets::iommu()},
+        {"tbc", presets::tbc(presets::augmentedTlb())},
+    };
+    for (auto [name, cfg] : configs) {
+        cfg.numCores = 4;
+        const RunOutput plain =
+            runConfigFull(BenchmarkId::Bfs, cfg, tinyParams());
+        Telemetry telemetry(every_cycle);
+        const RunOutput armed = runConfigFull(
+            BenchmarkId::Bfs, cfg, tinyParams(), {.telemetry = &telemetry});
+        EXPECT_TRUE(plain.stats == armed.stats) << name;
+        EXPECT_EQ(plain.statsJson, armed.statsJson) << name;
+        EXPECT_EQ(armed.stats.cyclesFastForwarded, 0u) << name;
+    }
+
+    MultiTenantConfig mt = defaultMultiTenant(/*scale=*/0.02);
+    mt.system.numCores = 2;
+    const MultiTenantResult plain = runMultiTenant(mt);
+    Telemetry telemetry(every_cycle);
+    const MultiTenantResult armed =
+        runMultiTenant(mt, {.telemetry = &telemetry});
+    EXPECT_EQ(plain.statsJson, armed.statsJson);
 }
 
 TEST(Telemetry, IntervalCoverageIsGaplessAndCumulative)
