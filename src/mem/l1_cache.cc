@@ -1,47 +1,78 @@
 #include "mem/l1_cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "trace/trace.hh"
 
 namespace gpummu {
 
-L1Cache::L1Cache(const L1CacheConfig &cfg, MemorySystem &mem)
-    : cfg_(cfg), mem_(mem), array_(cfg.bytes / kLineSize, cfg.ways)
+namespace {
+
+/** Lines in @p cfg, after rejecting a geometry or MSHR count the
+ *  cache cannot model (numMshrs = 0 would retry forever). */
+std::size_t
+checkedLines(const L1CacheConfig &cfg)
 {
-    mshrs_.reserve(cfg.numMshrs);
+    const std::size_t lines = cfg.bytes / kLineSize;
+    // SetAssocArray makes ways above the line count fully associative.
+    if (lines == 0 ||
+        (cfg.ways != 0 && cfg.ways <= lines && lines % cfg.ways != 0))
+        GPUMMU_FATAL("L1 of ", cfg.bytes, " bytes (", lines,
+                     " lines) does not divide into ", cfg.ways, " ways");
+    if (cfg.numMshrs == 0)
+        GPUMMU_FATAL("L1 numMshrs must be at least 1");
+    return lines;
 }
 
-std::vector<L1Cache::Mshr>::iterator
-L1Cache::findMshr(PhysAddr line)
+} // namespace
+
+L1Cache::L1Cache(const L1CacheConfig &cfg, MemorySystem &mem)
+    : cfg_(cfg), mem_(mem), array_(checkedLines(cfg), cfg.ways),
+      mshrLine_(2 * cfg.numMshrs), mshrReady_(2 * cfg.numMshrs),
+      mshrFilter_(std::size_t{8} << std::bit_width(cfg.numMshrs - 1))
 {
-    auto it = std::lower_bound(mshrs_.begin(), mshrs_.end(), line,
-                               [](const Mshr &m, PhysAddr l) {
-                                   return m.line < l;
-                               });
-    if (it != mshrs_.end() && it->line == line)
-        return it;
-    return mshrs_.end();
+}
+
+std::size_t
+L1Cache::findMshr(PhysAddr line) const
+{
+    if (mshrFilter_[filterIndex(line)] == 0)
+        return mshrTail_;
+    std::size_t i = mshrHead_;
+    while (i != mshrTail_ && mshrLine_[i] != line)
+        ++i;
+    return i;
+}
+
+void
+L1Cache::insertMshr(PhysAddr line, Cycle ready_at)
+{
+    PhysAddr *lines = mshrLine_.data();
+    Cycle *ready = mshrReady_.data();
+    if (mshrTail_ == mshrLine_.size()) {
+        // Slide the live window back to the start of the arrays.
+        std::copy(lines + mshrHead_, lines + mshrTail_, lines);
+        std::copy(ready + mshrHead_, ready + mshrTail_, ready);
+        mshrTail_ -= mshrHead_;
+        mshrHead_ = 0;
+    }
+    const std::size_t pos =
+        std::upper_bound(ready + mshrHead_, ready + mshrTail_, ready_at) -
+        ready;
+    std::move_backward(lines + pos, lines + mshrTail_, lines + mshrTail_ + 1);
+    std::move_backward(ready + pos, ready + mshrTail_, ready + mshrTail_ + 1);
+    lines[pos] = line;
+    ready[pos] = ready_at;
+    ++mshrTail_;
+    ++mshrFilter_[filterIndex(line)];
 }
 
 void
 L1Cache::reapMshrs(Cycle now)
 {
-    // remove_if is stable, so the vector stays sorted by line.
-    mshrs_.erase(std::remove_if(mshrs_.begin(), mshrs_.end(),
-                                [now](const Mshr &m) {
-                                    return m.readyAt <= now;
-                                }),
-                 mshrs_.end());
-}
-
-Cycle
-L1Cache::earliestMshrFree() const
-{
-    Cycle earliest = kCycleNever;
-    for (const Mshr &m : mshrs_)
-        earliest = std::min(earliest, m.readyAt);
-    return earliest;
+    while (mshrHead_ != mshrTail_ && mshrReady_[mshrHead_] <= now)
+        --mshrFilter_[filterIndex(mshrLine_[mshrHead_++])];
 }
 
 AccessOutcome
@@ -70,12 +101,12 @@ L1Cache::access(PhysAddr line_addr, bool is_write, Cycle now, int warp_id)
         accesses_.inc();
         // Tags are allocated at miss time; if the fill is still in
         // flight this is an MSHR merge, not a data hit.
-        if (auto it = findMshr(line_addr);
-            it != mshrs_.end() && it->readyAt > now) {
+        if (auto i = findMshr(line_addr);
+            i != mshrTail_ && mshrReady_[i] > now) {
             mshrMerges_.inc();
             out.hit = false;
             out.mshrMerged = true;
-            out.readyAt = it->readyAt;
+            out.readyAt = mshrReady_[i];
             return out;
         }
         hits_.inc();
@@ -89,21 +120,28 @@ L1Cache::access(PhysAddr line_addr, bool is_write, Cycle now, int warp_id)
     }
 
     // The tag was evicted while its fill is outstanding: merge.
-    if (auto it = findMshr(line_addr); it != mshrs_.end()) {
-        if (it->readyAt > now) {
+    if (auto i = findMshr(line_addr); i != mshrTail_) {
+        if (mshrReady_[i] > now) {
             accesses_.inc();
             mshrMerges_.inc();
             out.hit = false;
             out.mshrMerged = true;
-            out.readyAt = it->readyAt;
+            out.readyAt = mshrReady_[i];
             return out;
         }
-        mshrs_.erase(it);
+        // Stale: shift the front up over it. Only expired entries
+        // (readyAt no later than this one's) sit before it.
+        --mshrFilter_[filterIndex(line_addr)];
+        std::move_backward(&mshrLine_[mshrHead_], &mshrLine_[i],
+                           &mshrLine_[i] + 1);
+        std::move_backward(&mshrReady_[mshrHead_], &mshrReady_[i],
+                           &mshrReady_[i] + 1);
+        ++mshrHead_;
     }
 
-    if (mshrs_.size() >= cfg_.numMshrs) {
+    if (mshrTail_ - mshrHead_ >= cfg_.numMshrs) {
         reapMshrs(now);
-        if (mshrs_.size() >= cfg_.numMshrs) {
+        if (mshrTail_ - mshrHead_ >= cfg_.numMshrs) {
             // Structural stall: the caller must retry once an
             // outstanding fill returns. Not counted as an access.
             mshrStalls_.inc();
@@ -120,12 +158,7 @@ L1Cache::access(PhysAddr line_addr, bool is_write, Cycle now, int warp_id)
                           static_cast<std::uint64_t>(warp_id));
     auto shared = mem_.access(line_addr, false, now + cfg_.hitLatency,
                               AccessSource::Data);
-    mshrs_.insert(std::lower_bound(mshrs_.begin(), mshrs_.end(),
-                                   line_addr,
-                                   [](const Mshr &m, PhysAddr l) {
-                                       return m.line < l;
-                                   }),
-                  Mshr{line_addr, shared.readyAt});
+    insertMshr(line_addr, shared.readyAt);
     missLatency_.sample(shared.readyAt - now);
 
     // Allocate the tag now (fetch-on-miss with immediate allocation);
@@ -147,7 +180,8 @@ void
 L1Cache::flush()
 {
     array_.flush();
-    mshrs_.clear();
+    std::fill(mshrFilter_.begin(), mshrFilter_.end(), 0);
+    mshrHead_ = mshrTail_ = 0;
 }
 
 void

@@ -17,6 +17,8 @@
 #ifndef MEM_L1_CACHE_HH
 #define MEM_L1_CACHE_HH
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -89,7 +91,21 @@ class L1Cache
 
     /** Earliest cycle at which an outstanding fill completes (the
      *  cycle a full MSHR file frees up); kCycleNever when empty. */
-    Cycle earliestMshrFree() const;
+    Cycle earliestMshrFree() const
+    {
+        return mshrHead_ == mshrTail_ ? kCycleNever : mshrReady_[mshrHead_];
+    }
+
+    /**
+     * mshrFilter_ bucket of @p line in an L1 with @p num_mshrs MSHRs:
+     * Fibonacci hashing into 8 buckets per MSHR, rounded up to a power
+     * of two. Public so tests can aim lines at one bucket.
+     */
+    static std::size_t mshrFilterBucket(PhysAddr line, unsigned num_mshrs)
+    {
+        return (line * 0x9E3779B97F4A7C15ULL) >>
+               (61 - std::bit_width(num_mshrs - 1));
+    }
 
   private:
     struct LineInfo
@@ -97,28 +113,34 @@ class L1Cache
         int allocWarp = -1;
     };
 
-    /** One outstanding line fill. */
-    struct Mshr
+    /** Index of the MSHR tracking @p line, or mshrTail_. */
+    std::size_t findMshr(PhysAddr line) const;
+    /** Track a new fill of @p line, keeping the readyAt order. */
+    void insertMshr(PhysAddr line, Cycle ready_at);
+    std::size_t filterIndex(PhysAddr line) const
     {
-        PhysAddr line;
-        Cycle readyAt;
-    };
-
-    /** Iterator to the MSHR tracking @p line, or end(). */
-    std::vector<Mshr>::iterator findMshr(PhysAddr line);
+        return mshrFilterBucket(line, cfg_.numMshrs);
+    }
 
     L1CacheConfig cfg_;
     MemorySystem &mem_;
     SetAssocArray<LineInfo> array_;
     /**
-     * Outstanding line fills, sorted by line address. A flat sorted
-     * vector (capacity reserved to numMshrs up front) beats the old
-     * unordered_map here: the file holds at most ~96 entries, every
-     * miss did a node allocation, and the per-access find dominated.
-     * Binary search + memmove on so few POD entries is cheaper and
-     * allocation-free.
+     * Outstanding fills: line/readyAt arrays whose live window
+     * [mshrHead_, mshrTail_) is sorted by readyAt. The file is full in
+     * steady state and each reap frees about one entry, so reap drops
+     * the expired prefix and the earliest free cycle is the front. The
+     * arrays hold 2 * numMshrs, so the window is compacted at most once
+     * per numMshrs inserts. mshrFilter_ counts live lines per hash
+     * bucket exactly; a zero bucket proves a line has no MSHR. Most
+     * reads have none, so most skip the scan. A bucket never counts
+     * more than numMshrs lines, so it shares numMshrs's type.
      */
-    std::vector<Mshr> mshrs_;
+    std::vector<PhysAddr> mshrLine_;
+    std::vector<Cycle> mshrReady_;
+    std::size_t mshrHead_ = 0;
+    std::size_t mshrTail_ = 0;
+    std::vector<unsigned> mshrFilter_;
     EvictionListener onEvict_;
     TraceSink *trace_ = nullptr;
     int traceTid_ = 0;
