@@ -40,8 +40,7 @@ struct CoalescedAccess
  * groups donate their line buffers to @p spare_lines, from where new
  * groups reclaim them, so a warm steady state performs no heap
  * traffic at all. The memory stage calls this once per memory
- * instruction with member scratch; results are identical to
- * coalesce().
+ * instruction with member scratch; coalesce() wraps it.
  */
 inline void
 coalesceInto(CoalescedAccess &out,
@@ -92,25 +91,8 @@ coalesce(const std::vector<VirtAddr> &lane_addrs, unsigned line_shift,
          unsigned page_shift)
 {
     CoalescedAccess out;
-    for (VirtAddr va : lane_addrs) {
-        const Vpn vpn = va >> page_shift;
-        const std::uint64_t vline = va >> line_shift;
-        auto pg = std::find_if(out.pages.begin(), out.pages.end(),
-                               [vpn](const auto &p) {
-                                   return p.vpn == vpn;
-                               });
-        if (pg == out.pages.end()) {
-            out.pages.push_back({vpn, {vline}});
-            ++out.totalLines;
-            continue;
-        }
-        auto &lines = pg->vlines;
-        if (std::find(lines.begin(), lines.end(), vline) ==
-            lines.end()) {
-            lines.push_back(vline);
-            ++out.totalLines;
-        }
-    }
+    std::vector<std::vector<std::uint64_t>> spare_lines;
+    coalesceInto(out, spare_lines, lane_addrs, line_shift, page_shift);
     return out;
 }
 

@@ -80,7 +80,7 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
         // Beside the merge counter: merged-span count == mshr_merges.
         if (spans_)
             spans_->stageAt(tag, SpanStage::L2Merge, issue);
-        mshr->second.push_back(std::move(done));
+        mshr->second.waiters.push_back(std::move(done));
         return AccessResult{Outcome::Merged, ready};
     }
 
@@ -106,7 +106,7 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
     }
     if (spans_)
         spans_->stageAt(tag, SpanStage::L2NeedWalk, issue);
-    mshrs_[tag].push_back(std::move(done));
+    mshrs_[tag].waiters.push_back(std::move(done));
     return AccessResult{Outcome::NeedWalk, ready};
 }
 
@@ -162,13 +162,12 @@ L2Tlb::fill(Vpn tag, const Translation &t, Cycle ready)
     // the tag: the walk read the page table while the mapping was
     // live, so its waiters are still woken (their access predates the
     // unmap), but the now-stale translation must not be installed.
-    const bool poisoned = poisoned_.erase(tag) != 0;
-    if (!poisoned)
-        install(tag, t);
     auto it = mshrs_.find(tag);
     GPUMMU_ASSERT(it != mshrs_.end(),
                   "L2 TLB fill for VPN ", tag, " without an MSHR");
-    auto waiters = std::move(it->second);
+    if (!it->second.poisoned)
+        install(tag, t);
+    auto waiters = std::move(it->second.waiters);
     mshrs_.erase(it);
     wakeupsPerFill_.sample(waiters.size());
     if (trace_)
@@ -229,12 +228,18 @@ L2Tlb::invalidateMatching(const std::function<bool(std::uint64_t)> &pred)
         if (onEvict_)
             onEvict_(v.tag);
     }
-    for (const auto &[tag, waiters] : mshrs_) {
-        (void)waiters;
+    for (auto &[tag, mshr] : mshrs_) {
         if (pred(tag))
-            poisoned_.insert(tag);
+            mshr.poisoned = true;
     }
     return victims.size();
+}
+
+std::size_t
+L2Tlb::poisonedMshrs() const
+{
+    return std::count_if(mshrs_.begin(), mshrs_.end(),
+                         [](const auto &e) { return e.second.poisoned; });
 }
 
 void
@@ -249,9 +254,6 @@ L2Tlb::checkEndOfKernel() const
 {
     if (!checker_)
         return;
-    GPUMMU_ASSERT(poisoned_.empty(), poisoned_.size(),
-                  " poisoned MSHR tags never filled (first ",
-                  poisoned_.empty() ? 0 : *poisoned_.begin(), ")");
     GPUMMU_ASSERT(mshrs_.empty(), mshrs_.size(),
                   " translation MSHRs still live at kernel end "
                   "(first VPN ",

@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -146,7 +145,7 @@ class L2Tlb
         const std::function<bool(std::uint64_t)> &pred);
 
     /** Tags poisoned by a shootdown whose fill has not landed yet. */
-    std::size_t poisonedMshrs() const { return poisoned_.size(); }
+    std::size_t poisonedMshrs() const;
 
     /**
      * Register another process's page table with the armed checker
@@ -237,13 +236,18 @@ class L2Tlb
     SetAssocArray<Translation> array_;
     std::vector<Cycle> portFreeAt_;
 
-    /** In-flight translation MSHRs: tag -> wakeup list. The first
-     *  waiter's Mmu owns the walk. */
-    std::map<Vpn, std::vector<WakeFn>> mshrs_;
+    /** One in-flight translation MSHR. The first waiter's Mmu owns
+     *  the walk. */
+    struct Mshr
+    {
+        std::vector<WakeFn> waiters;
+        /** Hit by a shootdown mid-walk: fill() wakes but does not
+         *  install. */
+        bool poisoned = false;
+    };
 
-    /** MSHR tags hit by a shootdown mid-walk: fill() wakes but does
-     *  not install. std::set for deterministic iteration. */
-    std::set<Vpn> poisoned_;
+    /** In-flight MSHRs by tag (ordered for deterministic sweeps). */
+    std::map<Vpn, Mshr> mshrs_;
 
     EvictionListener onEvict_;
     TraceSink *trace_ = nullptr;

@@ -1,5 +1,7 @@
 #include "mmu/mmu.hh"
 
+#include <algorithm>
+
 #include "mmu/l2_tlb.hh"
 #include "sim/logging.hh"
 #include "telemetry/span.hh"
@@ -13,6 +15,7 @@ Mmu::Mmu(const MmuConfig &cfg, AddressSpace &as, MemorySystem &mem,
       asid_(as.asid()), tlb_(cfg.tlb),
       walkers_(cfg.ptw, as.pageTable(), mem, eq)
 {
+    batch_.pending.reserve(cfg_.mshrs);
     if (cfg_.checkInvariants) {
         checker_ = std::make_unique<InvariantChecker>(
             as_.pageTable(), asid_);
@@ -83,7 +86,7 @@ Mmu::memAvailable() const
         return true;
     if (cfg_.hitUnderMiss)
         return true;
-    return outstanding_.empty();
+    return !missOutstanding();
 }
 
 bool
@@ -95,7 +98,7 @@ Mmu::canStartMisses(std::size_t count) const
     // has fully drained (the paper leaves more aggressive support to
     // future work). A single warp's simultaneous misses count as one
     // "original miss" and always start together.
-    if (!outstanding_.empty())
+    if (missOutstanding())
         return false;
     return count <= cfg_.mshrs;
 }
@@ -103,7 +106,7 @@ Mmu::canStartMisses(std::size_t count) const
 void
 Mmu::onDrain(std::function<void()> fn)
 {
-    GPUMMU_ASSERT(!outstanding_.empty(),
+    GPUMMU_ASSERT(missOutstanding(),
                   "onDrain with no outstanding walks would never fire");
     drainWaiters_.push_back(std::move(fn));
 }
@@ -113,7 +116,7 @@ Mmu::setL2Tlb(L2Tlb *l2)
 {
     GPUMMU_ASSERT(cfg_.enabled,
                   "an L2 TLB behind a disabled MMU is unreachable");
-    GPUMMU_ASSERT(outstanding_.empty(),
+    GPUMMU_ASSERT(!missOutstanding(),
                   "setL2Tlb with walks already outstanding");
     GPUMMU_ASSERT(l2 == nullptr || l2->pageShift() == pageShift_,
                   "shared L2 TLB granularity mismatch");
@@ -138,34 +141,45 @@ Mmu::probeTlb(Vpn vpn) const
     return tlb_.probe(asidKey(asid_, vpn));
 }
 
+std::vector<Mmu::MissBatch::Tag>::iterator
+Mmu::pendingTag(Vpn tag)
+{
+    auto &pending = batch_.pending;
+    auto it = std::find_if(pending.begin(), pending.end(),
+                           [tag](const auto &p) { return p.vpn == tag; });
+    GPUMMU_ASSERT(it != pending.end(), "walk completion for unknown VPN");
+    return it;
+}
+
 void
 Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
-                int warp_id, Cycle finish)
+                Cycle finish)
 {
     tlb_.fill(asidKey(asid_, tag), Translation{frame_base, is_large},
-              warp_id);
+              batch_.warp);
 
-    auto it = outstanding_.find(tag);
-    GPUMMU_ASSERT(it != outstanding_.end(),
-                  "walk completion for unknown VPN");
-    auto waiters = std::move(it->second);
-    outstanding_.erase(it);
+    auto it = pendingTag(tag);
+    *it = batch_.pending.back();
+    batch_.pending.pop_back();
 
-    auto start_it = missStart_.find(tag);
-    GPUMMU_ASSERT(start_it != missStart_.end());
-    missLatency_.sample(finish - start_it->second);
-    missStart_.erase(start_it);
+    missLatency_.sample(finish - batch_.start);
 
-    // Every span that missed on this page - the walk owner plus each
-    // merged requester - fills and retires at the same ready cycle.
+    // Every span that missed on this page fills and retires at the
+    // same ready cycle.
     if (spans_)
         spans_->closeAllAt(asidKey(asid_, tag), SpanStage::Fill,
                            finish);
 
-    for (auto &fn : waiters)
-        fn(tag, frame_base, finish);
+    if (!batch_.pending.empty()) {
+        batch_.done(tag, frame_base, finish);
+        return;
+    }
+    // The batch has retired, so its last completion may start the
+    // next one: run it from a local.
+    auto done = std::move(batch_.done);
+    done(tag, frame_base, finish);
 
-    if (outstanding_.empty() && !drainWaiters_.empty()) {
+    if (!missOutstanding() && !drainWaiters_.empty()) {
         auto drained = std::move(drainWaiters_);
         drainWaiters_.clear();
         for (auto &fn : drained)
@@ -174,106 +188,72 @@ Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
 }
 
 void
-Mmu::issueWalks(const std::vector<Vpn> &tags, int warp_id, Cycle at,
-                ArenaRc<BypassTags> bypass_tags)
-{
-    // The walkers operate on 4KB-granularity VPNs; in large-page mode
-    // the TLB tag is the 2MB VPN, so expand before walking.
-    std::vector<Vpn> walk_vpns;
-    walk_vpns.reserve(tags.size());
-    const unsigned expand = pageShift_ - kPageShift4K;
-    for (Vpn tag : tags)
-        walk_vpns.push_back(tag << expand);
-
-    walkers_.requestBatchFor(
-        as_.pageTable(), asid_, walk_vpns, at,
-        [this, warp_id,
-         bypass_tags = std::move(bypass_tags)](Vpn vpn4k,
-                                               Cycle finish) {
-            const Vpn tag = vpn4k >> (pageShift_ - kPageShift4K);
-            auto [frame_base, is_large] = resolveWalk(vpn4k);
-            if (l2_ == nullptr) {
-                finishWalk(tag, frame_base, is_large, warp_id, finish);
-            } else if (bypass_tags && bypass_tags->contains(tag)) {
-                // Walked uncovered (MSHR file was full): install the
-                // result for later requesters, complete ourselves.
-                l2_->fillBypass(asidKey(asid_, tag),
-                                Translation{frame_base, is_large},
-                                finish);
-                finishWalk(tag, frame_base, is_large, warp_id, finish);
-            } else {
-                // The fill wakes every core merged behind the MSHR,
-                // including this one (its wakeup runs finishWalk).
-                l2_->fill(asidKey(asid_, tag),
-                          Translation{frame_base, is_large}, finish);
-            }
-        });
-}
-
-void
 Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
                   WalkDoneFn done)
 {
     GPUMMU_ASSERT(cfg_.enabled);
-    std::vector<Vpn> to_walk;
-    to_walk.reserve(vpns.size());
-    for (Vpn vpn : vpns) {
-        auto it = outstanding_.find(vpn);
-        if (it != outstanding_.end()) {
-            // Another thread/warp already walks this page; piggyback.
-            mergedWalks_.inc();
-            // Beside the merge counter: MmuMerge-stage span count ==
-            // merged_walks (conservation check).
-            if (spans_)
-                spans_->stageAt(asidKey(asid_, vpn),
-                                SpanStage::MmuMerge, now);
-            it->second.push_back(done);
-            continue;
-        }
-        outstanding_[vpn].push_back(done);
-        missStart_[vpn] = now;
-        to_walk.push_back(vpn);
-    }
-    if (to_walk.empty())
-        return;
+    // No miss under a miss (canStartMisses), so no VPN can merge into
+    // an earlier walk: the MMU holds one batch at a time.
+    GPUMMU_ASSERT(!missOutstanding(),
+                  "requestWalks while a miss batch is in flight");
+    GPUMMU_ASSERT(vpns.size() <= cfg_.mshrs, "miss batch exceeds MSHRs");
+    batch_.start = now;
+    batch_.warp = warp_id;
+    batch_.done = std::move(done);
+    for (Vpn vpn : vpns)
+        batch_.pending.push_back({vpn, false});
 
-    if (l2_ == nullptr) {
-        issueWalks(to_walk, warp_id, now, {});
-        return;
-    }
+    // The walkers operate on 4KB-granularity VPNs; in large-page mode
+    // the TLB tag is the 2MB VPN, so expand before walking.
+    const unsigned expand = pageShift_ - kPageShift4K;
+    std::vector<Vpn> walk_vpns;
+    walk_vpns.reserve(vpns.size());
+    Cycle walk_at = now;
 
     // Shared L2 TLB on the miss path: hits and merges into other
     // cores' in-flight walks complete without touching this core's
     // walkers; the rest walk in one batch once the slowest lookup
     // has resolved (the L2 arbitrates its ports across cores).
-    std::vector<Vpn> need_walk;
-    ArenaRc<BypassTags> bypass_tags;
-    Cycle walk_at = now;
-    for (Vpn tag : to_walk) {
-        auto res = l2_->access(
-            asidKey(asid_, tag), now,
-            [this, warp_id](Vpn t, std::uint64_t frame, bool large,
-                            Cycle ready) {
-                finishWalk(keyLocal(t), frame, large, warp_id, ready);
-            });
-        switch (res.outcome) {
-          case L2Tlb::Outcome::Hit:
-          case L2Tlb::Outcome::Merged:
-            l2Satisfied_.inc();
-            break;
-          case L2Tlb::Outcome::Bypass:
-            if (!bypass_tags)
-                bypass_tags = bypassArena_.createRc();
-            bypass_tags->insert(tag);
-            [[fallthrough]];
-          case L2Tlb::Outcome::NeedWalk:
-            need_walk.push_back(tag);
+    for (auto &p : batch_.pending) {
+        if (l2_ != nullptr) {
+            auto res = l2_->access(
+                asidKey(asid_, p.vpn), now,
+                [this](Vpn t, std::uint64_t frame, bool large,
+                       Cycle ready) {
+                    finishWalk(keyLocal(t), frame, large, ready);
+                });
+            if (res.outcome == L2Tlb::Outcome::Hit ||
+                res.outcome == L2Tlb::Outcome::Merged) {
+                l2Satisfied_.inc();
+                continue;
+            }
+            p.bypass = res.outcome == L2Tlb::Outcome::Bypass;
             walk_at = std::max(walk_at, res.ready);
-            break;
         }
+        walk_vpns.push_back(p.vpn << expand);
     }
-    if (!need_walk.empty())
-        issueWalks(need_walk, warp_id, walk_at, std::move(bypass_tags));
+    if (walk_vpns.empty())
+        return;
+
+    walkers_.requestBatchFor(
+        as_.pageTable(), asid_, walk_vpns, walk_at,
+        [this, expand](Vpn vpn4k, Cycle finish) {
+            const Vpn tag = vpn4k >> expand;
+            auto [frame_base, is_large] = resolveWalk(vpn4k);
+            const Translation t{frame_base, is_large};
+            if (l2_ == nullptr) {
+                finishWalk(tag, frame_base, is_large, finish);
+            } else if (pendingTag(tag)->bypass) {
+                // Walked uncovered (MSHR file was full): install the
+                // result for later requesters, complete ourselves.
+                l2_->fillBypass(asidKey(asid_, tag), t, finish);
+                finishWalk(tag, frame_base, is_large, finish);
+            } else {
+                // The fill wakes every core merged behind the MSHR,
+                // including this one (its wakeup runs finishWalk).
+                l2_->fill(asidKey(asid_, tag), t, finish);
+            }
+        });
 }
 
 void
@@ -290,10 +270,8 @@ Mmu::checkEndOfKernel() const
 {
     if (!checker_)
         return;
-    GPUMMU_ASSERT(outstanding_.empty(), outstanding_.size(),
+    GPUMMU_ASSERT(!missOutstanding(), batch_.pending.size(),
                   " VPNs still outstanding in the MMU at kernel end");
-    GPUMMU_ASSERT(missStart_.empty(),
-                  "miss-start timestamps leaked past kernel end");
     GPUMMU_ASSERT(drainWaiters_.empty(), drainWaiters_.size(),
                   " warps still blocked on a TLB drain at kernel end");
     walkers_.checkDrained();

@@ -8,9 +8,8 @@
  *
  *  - lookupBatch(): translate a warp's coalesced set of VPNs through
  *    the multi-ported TLB, reporting the port-serialization cost;
- *  - requestWalks(): start walks for the missing VPNs (merging
- *    duplicates into outstanding walks) with per-VPN completion
- *    callbacks;
+ *  - requestWalks(): start the one in-flight batch of walks for a
+ *    warp's missing VPNs, with a completion callback per VPN;
  *  - memAvailable(): the blocking / hit-under-miss policy gate the
  *    warp scheduler consults before issuing a memory instruction.
  *
@@ -21,12 +20,9 @@
 #ifndef MMU_MMU_HH
 #define MMU_MMU_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +31,6 @@
 #include "mmu/cacti_model.hh"
 #include "mmu/ptw.hh"
 #include "mmu/tlb.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -159,10 +154,10 @@ class Mmu
     bool canStartMisses(std::size_t count) const;
 
     /**
-     * Begin walks for missing VPNs on behalf of @p warp_id. Duplicate
-     * VPNs already being walked are merged into the outstanding
-     * entry. @p done fires at each VPN's completion, after the TLB
-     * fill.
+     * Begin walks for the distinct missing VPNs of @p warp_id's
+     * instruction. Only one batch is ever in flight (canStartMisses()
+     * must hold). @p done fires at each VPN's completion, after the
+     * TLB fill.
      */
     void requestWalks(const std::vector<Vpn> &vpns, int warp_id,
                       Cycle now, WalkDoneFn done);
@@ -173,8 +168,7 @@ class Mmu
      */
     void onDrain(std::function<void()> fn);
 
-    bool missOutstanding() const { return !outstanding_.empty(); }
-    std::size_t outstandingCount() const { return outstanding_.size(); }
+    bool missOutstanding() const { return !batch_.pending.empty(); }
 
     /**
      * Residency probe by local VPN. The L1 TLB stores ASID-composed
@@ -248,7 +242,7 @@ class Mmu
     /**
      * Attach a translation-lifecycle span tracker (observation-only,
      * like the trace sink) to the TLB, the walker pool and this MMU's
-     * own merge/fill points; @p tid labels this core's spans. The
+     * own fill point; @p tid labels this core's spans. The
      * walker pool converts its 4K walk VPNs back to this MMU's
      * translation granularity so every layer stamps the same span key.
      */
@@ -265,6 +259,7 @@ class Mmu
 
     /** Full TLB-miss service time distribution (Fig. 4). */
     const Histogram &missLatency() const { return missLatency_; }
+    /** Always 0 (no miss under a miss); kept for stat dumps. */
     std::uint64_t mergedWalks() const { return mergedWalks_.value(); }
     /** Misses of this core satisfied by the shared L2 TLB (array
      *  hits + merges into other cores' in-flight walks). */
@@ -273,40 +268,36 @@ class Mmu
   private:
     /**
      * Shared completion tail of every translation path (own walk, L2
-     * hit, L2 MSHR wakeup): fill the L1 TLB, retire the outstanding
-     * entry, sample the miss latency and fire the waiters.
+     * hit, L2 MSHR wakeup): fill the L1 TLB, retire the tag from the
+     * batch, sample the miss latency and fire the waiters.
      */
     void finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
-                    int warp_id, Cycle finish);
+                    Cycle finish);
 
     /** Functional walk of @p vpn4k -> (frame base in page units,
      *  large flag), asserting granularity agreement. */
     std::pair<std::uint64_t, bool> resolveWalk(Vpn vpn4k);
 
-    /**
-     * Tags of one miss batch that must bypass the shared L2 TLB's
-     * MSHR file (it was full). Tiny set, one per miss batch whose
-     * walks go to the walkers; arena-pooled so the shared-L2 miss
-     * path performs no shared_ptr control-block allocation.
-     */
-    struct BypassTags
+    /** The in-flight miss batch: one warp's coalesced misses, started
+     *  together and retired tag by tag. */
+    struct MissBatch
     {
-        std::vector<Vpn> tags;
-
-        void insert(Vpn v) { tags.push_back(v); }
-
-        bool
-        contains(Vpn v) const
+        struct Tag
         {
-            return std::find(tags.begin(), tags.end(), v) !=
-                   tags.end();
-        }
+            Vpn vpn;
+            /** Walked around a full shared-L2 MSHR file. */
+            bool bypass;
+        };
+
+        Cycle start = 0;
+        int warp = 0;
+        WalkDoneFn done;
+        /** Tags still walking; empty when no batch is in flight. */
+        std::vector<Tag> pending;
     };
 
-    /** Issue walker-pool walks for @p tags (page-granularity), with
-     *  completions routed through the L2 TLB when attached. */
-    void issueWalks(const std::vector<Vpn> &tags, int warp_id,
-                    Cycle at, ArenaRc<BypassTags> bypass_tags);
+    /** The pending entry for @p tag (asserts it exists). */
+    std::vector<MissBatch::Tag>::iterator pendingTag(Vpn tag);
 
     MmuConfig cfg_;
     AddressSpace &as_;
@@ -315,17 +306,12 @@ class Mmu
      *  (identity for the legacy single-process ASID 0). */
     Asid asid_;
     std::unique_ptr<InvariantChecker> checker_;
-    /** Declared before walkers_: walk callbacks hold ArenaRc handles
-     *  into it, so it must be destroyed after them. */
-    Arena<BypassTags> bypassArena_;
     Tlb tlb_;
     PageWalkers walkers_;
     L2Tlb *l2_ = nullptr;
     SpanTracker *spans_ = nullptr;
 
-    /** VPN -> waiters, for merging concurrent walks to one page. */
-    std::map<Vpn, std::vector<WalkDoneFn>> outstanding_;
-    std::map<Vpn, Cycle> missStart_;
+    MissBatch batch_;
     std::vector<std::function<void()>> drainWaiters_;
 
     Counter mergedWalks_;

@@ -20,8 +20,6 @@ spanStageName(SpanStage stage)
         return "l1_hit";
       case SpanStage::L1Miss:
         return "l1_miss";
-      case SpanStage::MmuMerge:
-        return "mmu_merge";
       case SpanStage::L2Lookup:
         return "l2_lookup";
       case SpanStage::L2Hit:

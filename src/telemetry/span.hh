@@ -58,7 +58,6 @@ enum class SpanStage : std::uint8_t
     L1Lookup,    ///< span opens: per-core L1 TLB probe
     L1Hit,       ///< L1 hit; the span closes immediately
     L1Miss,      ///< L1 miss; the walk machinery takes over
-    MmuMerge,    ///< merged into an outstanding per-core walk
     L2Lookup,    ///< shared L2 TLB probe issued (after port wait)
     L2Hit,       ///< L2 hit; wake at its hit latency
     L2Merge,     ///< merged into an L2 translation MSHR
@@ -74,7 +73,7 @@ enum class SpanStage : std::uint8_t
     IommuFault,  ///< page fault raised before the IOMMU walk
     Fill,        ///< translation filled; waiters wake; span closes
 };
-inline constexpr std::size_t kNumSpanStages = 18;
+inline constexpr std::size_t kNumSpanStages = 17;
 
 /** Stable lower-case stage name ("l1_lookup", "walk_grant", ...). */
 const char *spanStageName(SpanStage stage);

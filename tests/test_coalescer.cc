@@ -88,3 +88,25 @@ TEST(Coalescer, LineNeverSpansPages)
         }
     }
 }
+
+TEST(Coalescer, ReusedScratchMatchesFreshResult)
+{
+    // The memory stage reuses one CoalescedAccess and its retired line
+    // buffers across instructions; a wide access followed by a narrow
+    // one must not leak pages or lines from the first.
+    std::vector<VirtAddr> wide, narrow = {0x9000, 0x9040, 0x9000};
+    for (int i = 0; i < 32; ++i)
+        wide.push_back(static_cast<VirtAddr>(i) * 3 * kLineSize);
+    CoalescedAccess acc;
+    std::vector<std::vector<std::uint64_t>> spare;
+    for (const auto *addrs : {&wide, &narrow, &wide}) {
+        coalesceInto(acc, spare, *addrs, kLineShift, kPageShift4K);
+        const auto fresh = coalesce(*addrs, kLineShift, kPageShift4K);
+        EXPECT_EQ(acc.totalLines, fresh.totalLines);
+        ASSERT_EQ(acc.pages.size(), fresh.pages.size());
+        for (std::size_t i = 0; i < acc.pages.size(); ++i) {
+            EXPECT_EQ(acc.pages[i].vpn, fresh.pages[i].vpn);
+            EXPECT_EQ(acc.pages[i].vlines, fresh.pages[i].vlines);
+        }
+    }
+}

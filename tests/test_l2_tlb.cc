@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -303,6 +304,88 @@ TEST_F(L2TlbFixture, CrossMmuMissesMergeIntoOneWalk)
     l2.checkEndOfKernel();
     mmu_a.checkEndOfKernel();
     mmu_b.checkEndOfKernel();
+}
+
+TEST_F(L2TlbFixture, OneBatchTakesEveryL2Outcome)
+{
+    // One miss batch on core A whose four tags take the four L2
+    // outcomes: a hit, a merge into core B's MSHR, a walk behind the
+    // file's last free MSHR, and a bypass once the file is full. Two
+    // MSHRs is the smallest file that holds B's and A's own at once.
+    MemorySystem mem((MemorySystemConfig()));
+    L2TlbConfig l2cfg;
+    l2cfg.enabled = true;
+    l2cfg.mshrs = 2;
+    l2cfg.checkInvariants = true;
+    L2Tlb l2(l2cfg, as.pageTable(), eq, kPageShift4K);
+
+    MmuConfig mcfg;
+    mcfg.hitUnderMiss = true;
+    mcfg.checkInvariants = true;
+    Mmu mmu_a(mcfg, as, mem, eq);
+    Mmu mmu_b(mcfg, as, mem, eq);
+    Mmu mmu_c(mcfg, as, mem, eq);
+    for (Mmu *m : {&mmu_a, &mmu_b, &mmu_c})
+        m->setL2Tlb(&l2);
+
+    const Vpn hit = vpn(1), merge = vpn(2), walk = vpn(3),
+              bypass = vpn(4);
+    l2.fillBypass(hit, xlat(1), 0);
+
+    int done_b = 0;
+    mmu_b.requestWalks({merge}, 0, 0,
+                       [&](Vpn, std::uint64_t, Cycle) { ++done_b; });
+    ASSERT_EQ(l2.mshrsInUse(), 1u);
+
+    // Core C misses on the bypassed page as soon as A's own walk frees
+    // an MSHR. A's single walker serves the bypass walk after that
+    // one, so the bypass walk is still in flight.
+    int done_c = 0;
+    std::map<Vpn, int> done_a;
+    mmu_a.requestWalks(
+        {hit, merge, walk, bypass}, 0, 1,
+        [&](Vpn v, std::uint64_t f, Cycle c) {
+            EXPECT_EQ(f, as.pageTable().translate(v)->ppn);
+            ++done_a[v];
+            if (v == walk) {
+                mmu_c.requestWalks(
+                    {bypass}, 0, c,
+                    [&](Vpn, std::uint64_t, Cycle) { ++done_c; });
+                EXPECT_TRUE(l2.mshrActive(bypass));
+            }
+            if (v == bypass) {
+                // The bypass fill installs but leaves C's MSHR live.
+                EXPECT_TRUE(l2.probe(bypass));
+                EXPECT_TRUE(l2.mshrActive(bypass));
+                EXPECT_EQ(done_c, 0);
+            }
+        });
+    EXPECT_EQ(l2.hits(), 1u);
+    EXPECT_EQ(l2.mshrMerges(), 1u);
+    EXPECT_EQ(l2.mshrBypasses(), 1u);
+    EXPECT_EQ(l2.mshrsInUse(), 2u);
+
+    int drains = 0;
+    mmu_a.onDrain([&] {
+        ++drains;
+        EXPECT_EQ(done_a.size(), 4u);
+    });
+    eq.runUntil(10'000'000);
+
+    for (Vpn v : {hit, merge, walk, bypass})
+        EXPECT_EQ(done_a[v], 1) << "tag " << v;
+    EXPECT_EQ(done_a.size(), 4u);
+    EXPECT_EQ(drains, 1);
+    EXPECT_EQ(done_b, 1);
+    EXPECT_EQ(done_c, 1);
+    EXPECT_FALSE(mmu_a.missOutstanding());
+    EXPECT_EQ(mmu_a.l2Satisfied(), 2u); // hit + merge
+    EXPECT_EQ(mmu_a.walkers().walksCompleted(), 2u);
+    EXPECT_EQ(l2.mshrsInUse(), 0u);
+
+    l2.checkEndOfKernel();
+    for (Mmu *m : {&mmu_a, &mmu_b, &mmu_c})
+        m->checkEndOfKernel();
 }
 
 namespace {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+
 #include "mmu/mmu.hh"
 #include "sim/event_queue.hh"
 
@@ -93,18 +95,21 @@ TEST_F(MmuFixture, WalkFillsTlbAndFiresCallback)
     EXPECT_EQ(res.lookups[0].frameBase, frame);
 }
 
-TEST_F(MmuFixture, DuplicateWalksMerge)
+TEST_F(MmuFixture, RequestWalksUnderAMissIsRejected)
 {
-    auto mmu = make();
-    int fires = 0;
-    mmu.requestWalks({vpn(4)}, 0, 0,
-                     [&](Vpn, std::uint64_t, Cycle) { ++fires; });
-    mmu.requestWalks({vpn(4)}, 1, 0,
-                     [&](Vpn, std::uint64_t, Cycle) { ++fires; });
-    eq.runUntil(1'000'000);
-    EXPECT_EQ(fires, 2);
-    EXPECT_EQ(mmu.mergedWalks(), 1u);
-    EXPECT_EQ(mmu.walkers().walksCompleted(), 1u);
+    // No miss under a miss: a second batch while one is in flight is
+    // a caller bug (canStartMisses() is false), even for the same
+    // page - it is rejected, not merged.
+    EXPECT_EXIT(
+        {
+            auto mmu = make();
+            mmu.requestWalks({vpn(4)}, 0, 0,
+                             [](Vpn, std::uint64_t, Cycle) {});
+            ASSERT_FALSE(mmu.canStartMisses(1));
+            mmu.requestWalks({vpn(4)}, 1, 0,
+                             [](Vpn, std::uint64_t, Cycle) {});
+        },
+        ::testing::KilledBySignal(SIGABRT), "miss batch is in flight");
 }
 
 TEST_F(MmuFixture, BlockingPolicyGatesMemory)
