@@ -134,14 +134,13 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
              std::uint64_t &fast_forwarded)
 {
     // Per-core sleep: after a quiescent tick a core is not ticked
-    // again until its wakeHint() arrives, any event fires or a block
-    // is launched onto it. Its skipped cycles repeat the quiescent
-    // tick's charges, settled lazily through chargeSkipped() from
-    // `last`, the last cycle accounted for it.
+    // again until its live wakeHint() arrives or a block is launched
+    // onto it. Its skipped cycles repeat the quiescent tick's
+    // charges, settled lazily through chargeSkipped() from `last`,
+    // the last cycle accounted for it.
     struct Sleep
     {
         bool asleep = false;
-        Cycle wake = 0;
         Cycle last = 0;
     };
     std::vector<Sleep> sleep(cores.size());
@@ -176,27 +175,18 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
     };
     dispatch();
 
-    std::uint64_t events_seen = eq.eventsFired();
     while (true) {
         eq.runUntil(cycle);
-        const bool fired = eq.eventsFired() != events_seen;
-        events_seen = eq.eventsFired();
         bool all_asleep = true;
-        Cycle wake = kCycleNever;
         for (std::size_t i = 0; i < cores.size(); ++i) {
             Sleep &s = sleep[i];
-            if (!s.asleep || fired || cycle >= s.wake) {
+            if (!s.asleep || cycle >= cores[i]->wakeHint()) {
                 settle(i, cycle - 1);
                 cores[i]->tick(cycle);
                 s.last = cycle;
                 s.asleep = cores[i]->lastTickQuiescent();
-                if (s.asleep)
-                    s.wake = cores[i]->wakeHint();
             }
-            if (s.asleep)
-                wake = std::min(wake, s.wake);
-            else
-                all_asleep = false;
+            all_asleep = all_asleep && s.asleep;
         }
         // Blocks placed this cycle have yet to run, even on a machine
         // that was idle with an empty queue.
@@ -224,7 +214,9 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
         // there. Telemetry caps the jump at its next interval
         // boundary so sampled counters see every charge in order.
         if (all_asleep && !placed) {
-            Cycle target = std::min(eq.nextEventCycle(), wake);
+            Cycle target = eq.nextEventCycle();
+            for (const auto &core : cores)
+                target = std::min(target, core->wakeHint());
             if (target == kCycleNever) {
                 GPUMMU_FATAL("deadlock at cycle ", cycle,
                              ": every core sleeps with nothing pending"
@@ -256,11 +248,11 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
     }
 
     // Armed runs verify the drain invariants here: all blocking MMU
-    // state (outstanding walks, drain waiters, queued batches) must
-    // be gone once every core is idle, and every surviving TLB entry
-    // must still match its reference walk. endKernel() also clears
-    // transient walker state (stale port reservations) so a
-    // follow-on kernel would start from a clean pipeline.
+    // state (outstanding walks, queued batches) must be gone once
+    // every core is idle, and every surviving TLB entry must still
+    // match its reference walk. endKernel() also clears transient
+    // walker state (stale port reservations) so a follow-on kernel
+    // would start from a clean pipeline.
     for (const auto &core : cores)
         core->mmu().endKernel();
 

@@ -127,9 +127,10 @@ void dumpRunStatsJson(std::ostream &os, const RunStats &s);
  * The cycle loop of GpuTop::run and every multi-tenant slice. From
  * cycle @p start, dispatches blocks [@p first_block, @p end_block)
  * breadth-first as slots free up and, after the events due, ticks
- * every awake core. A quiescent core sleeps until its wakeHint(),
- * any event or a block launch; when every core sleeps the clock
- * jumps (adding to @p fast_forwarded). Drives @p telemetry's
+ * every awake core. A quiescent core sleeps until the cycle its
+ * wakeHint() names, read live each cycle, or a block launch; when
+ * every core sleeps the clock jumps to the next event or the
+ * earliest hint (adding to @p fast_forwarded). Drives @p telemetry's
  * boundaries. When all is idle, drains the cores (deferred charges,
  * then mmu().endKernel(), then finalizeRun()) and returns the end
  * cycle. Fatal once the clock passes @p max_cycles, or at once when

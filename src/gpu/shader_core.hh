@@ -35,16 +35,16 @@ class ShaderCore
     /**
      * Sleep support. A tick is *quiescent* when it issued nothing,
      * retired nothing and only charged stall attribution, so every
-     * following cycle would charge the same until an event fires,
-     * wakeHint() arrives or a block is launched here. runCycleLoop()
-     * stops ticking such a core until one of those happens. Cores
-     * that cannot prove this (TBC) keep the defaults and never sleep.
+     * following cycle would charge the same until wakeHint() arrives
+     * or a block is launched here. runCycleLoop() stops ticking such
+     * a core until one of those happens. Cores that cannot prove this
+     * (TBC) keep the defaults and never sleep.
      */
     virtual bool lastTickQuiescent() const { return false; }
 
-    /** Earliest cycle (> the last ticked one) at which a resident
-     *  warp wakes by timeout alone; kCycleNever if only events can
-     *  change this core's state. Valid after a quiescent tick. */
+    /** The next cycle this core must be ticked, read live while it
+     *  sleeps: every callback that changes its state lowers it, so an
+     *  event touching only shared structures wakes no core. */
     virtual Cycle wakeHint() const { return kCycleNever; }
 
     /** Apply the charges of the @p n cycles a sleeping core skipped

@@ -25,11 +25,27 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
                      launch.threadsPerBlock,
                      ") and fit the 64-bit warp-set masks");
     }
+    if (cfg.issueWidth == 0)
+        GPUMMU_FATAL("SimtCore: issueWidth (0) must be at least 1");
     warps_.resize(cfg.numWarpSlots);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
     // Default scheduler; presets usually replace it.
     setScheduler(std::make_unique<LooseRoundRobin>(cfg.numWarpSlots));
+
+    // The miss batch retired: bounced warps retry next cycle, and
+    // this cycle's tick must re-poll the TLB gate (memAvailable) and
+    // the TLB-idle charge (missOutstanding), so wake now.
+    mmu_.setDrainListener([this]() {
+        for (std::uint64_t m = drainWaiting_; m != 0; m &= m - 1) {
+            const int wid = std::countr_zero(m);
+            Warp &w = warps_[static_cast<std::size_t>(wid)];
+            w.readyAt = eq_.now() + 1;
+            makeTimed(wid, w);
+        }
+        drainWaiting_ = 0;
+        nextWake_ = std::min(nextWake_, eq_.now());
+    });
 }
 
 void
@@ -126,7 +142,6 @@ SimtCore::launchBlock(unsigned global_block_id)
                 static_cast<int>(assigned * kWarpWidth + lane);
         }
         w.stack.reset(0, full);
-        w.state = WarpState::Ready;
         w.readyAt = 0;
         due_ |= std::uint64_t(1) << wid;
         blk.warpIds.push_back(static_cast<int>(wid));
@@ -216,7 +231,6 @@ SimtCore::retireWarp(int wid, Warp &w)
 {
     GPUMMU_ASSERT(w.valid);
     w.valid = false;
-    w.state = WarpState::Invalid;
     due_ &= ~(std::uint64_t(1) << wid);
     GPUMMU_ASSERT(liveWarps_ > 0);
     --liveWarps_;
@@ -286,29 +300,19 @@ SimtCore::issueWarp(int wid, Cycle now)
             }
         }
         const bool is_store = in->op == Opcode::Store;
-        w.state = WarpState::WaitingMem;
         due_ &= ~(std::uint64_t(1) << wid);
         auto result = memStage_.issue(
             wid, is_store, w.pendingAddrs, now,
             [this, wid](Cycle ready) {
                 Warp &ww = warps_[static_cast<std::size_t>(wid)];
-                ww.state = WarpState::Ready;
                 ww.readyAt = ready;
                 makeTimed(wid, ww);
             });
         if (result == MemIssueResult::BlockedTlbBusy) {
             // Swapped out: retry this instruction after the MMU
             // drains. The PC was not advanced.
-            w.state = WarpState::WaitingTlbDrain;
             w.stallReason = StallReason::WalkerStructural;
-            mmu_.onDrain([this, wid]() {
-                Warp &ww = warps_[static_cast<std::size_t>(wid)];
-                if (ww.state == WarpState::WaitingTlbDrain) {
-                    ww.state = WarpState::Ready;
-                    ww.readyAt = eq_.now() + 1;
-                    makeTimed(wid, ww);
-                }
-            });
+            drainWaiting_ |= std::uint64_t(1) << wid;
             return true;
         }
         instrs_.inc();
@@ -456,8 +460,8 @@ SimtCore::tick(Cycle now)
     // A quiescent tick only charged attribution: nothing issued or
     // retired and the scan produced no issuable warp, so pick() was
     // never consulted. With a pure scheduler, every following tick
-    // charges the same cells until an event fires, nextWake_ arrives
-    // or a block is launched - so the core may sleep.
+    // charges the same cells until nextWake_ arrives or a block is
+    // launched - so the core may sleep.
     quiescent_ = issued == 0 && !retired && scan_empty &&
                  sched_->tickIsPure();
 }

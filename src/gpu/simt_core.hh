@@ -49,15 +49,6 @@ struct LaunchParams
     std::uint64_t seed = 1;
 };
 
-enum class WarpState
-{
-    Invalid,
-    Ready,
-    WaitingMem,
-    WaitingTlbDrain,
-    Finished,
-};
-
 class SimtCore : public ShaderCore
 {
   public:
@@ -144,7 +135,6 @@ class SimtCore : public ShaderCore
         /** Per-lane index into the block's thread array; -1 empty. */
         std::array<int, kWarpWidth> laneThread{};
         SimtStack stack;
-        WarpState state = WarpState::Invalid;
         Cycle readyAt = 0;
         /**
          * Lane addresses generated for the current memory
@@ -229,10 +219,13 @@ class SimtCore : public ShaderCore
      * its stallReason. The only per-cycle charges are the idle
      * counters and the due memory warps held at the blocking TLB's
      * gate (tlbGated_); chargeSkipped() repeats the last tick's.
+     * drainWaiting_ holds the warps bounced off the MMU's miss batch
+     * until the drain listener readies them.
      */
     std::uint64_t due_ = 0;
     std::uint64_t timed_ = 0;
     Cycle nextWake_ = kCycleNever;
+    std::uint64_t drainWaiting_ = 0;
     std::uint64_t tlbGated_ = 0;
     bool chargeTlbIdle_ = false;
     bool chargeMemBlocked_ = false;

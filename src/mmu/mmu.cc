@@ -104,14 +104,6 @@ Mmu::canStartMisses(std::size_t count) const
 }
 
 void
-Mmu::onDrain(std::function<void()> fn)
-{
-    GPUMMU_ASSERT(missOutstanding(),
-                  "onDrain with no outstanding walks would never fire");
-    drainWaiters_.push_back(std::move(fn));
-}
-
-void
 Mmu::setL2Tlb(L2Tlb *l2)
 {
     GPUMMU_ASSERT(cfg_.enabled,
@@ -179,12 +171,8 @@ Mmu::finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
     auto done = std::move(batch_.done);
     done(tag, frame_base, finish);
 
-    if (!missOutstanding() && !drainWaiters_.empty()) {
-        auto drained = std::move(drainWaiters_);
-        drainWaiters_.clear();
-        for (auto &fn : drained)
-            fn();
-    }
+    if (!missOutstanding() && drainListener_)
+        drainListener_();
 }
 
 void
@@ -272,8 +260,6 @@ Mmu::checkEndOfKernel() const
         return;
     GPUMMU_ASSERT(!missOutstanding(), batch_.pending.size(),
                   " VPNs still outstanding in the MMU at kernel end");
-    GPUMMU_ASSERT(drainWaiters_.empty(), drainWaiters_.size(),
-                  " warps still blocked on a TLB drain at kernel end");
     walkers_.checkDrained();
     tlb_.checkSweep();
 }

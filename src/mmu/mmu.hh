@@ -162,11 +162,14 @@ class Mmu
     void requestWalks(const std::vector<Vpn> &vpns, int warp_id,
                       Cycle now, WalkDoneFn done);
 
-    /**
-     * Register a one-shot callback fired when the last outstanding
-     * walk drains (hit-under-miss warps waiting to retry a miss).
-     */
-    void onDrain(std::function<void()> fn);
+    /** Install the one listener fired each time the miss batch
+     *  retires, after its last tag's completion (unless that started
+     *  the next batch). The core wakes and readies bounced warps. */
+    void
+    setDrainListener(std::function<void()> fn)
+    {
+        drainListener_ = std::move(fn);
+    }
 
     bool missOutstanding() const { return !batch_.pending.empty(); }
 
@@ -206,8 +209,8 @@ class Mmu
 
     /**
      * Kernel-end invariant check (no-op unarmed): no outstanding
-     * walks or drain waiters, walker pool idle and conserved, every
-     * resident TLB entry still equal to its reference walk.
+     * walks, walker pool idle and conserved, every resident TLB
+     * entry still equal to its reference walk.
      */
     void checkEndOfKernel() const;
 
@@ -269,7 +272,8 @@ class Mmu
     /**
      * Shared completion tail of every translation path (own walk, L2
      * hit, L2 MSHR wakeup): fill the L1 TLB, retire the tag from the
-     * batch, sample the miss latency and fire the waiters.
+     * batch, sample the miss latency, fire the tag's completion and,
+     * once the batch is empty, the drain listener.
      */
     void finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
                     Cycle finish);
@@ -312,7 +316,7 @@ class Mmu
     SpanTracker *spans_ = nullptr;
 
     MissBatch batch_;
-    std::vector<std::function<void()>> drainWaiters_;
+    std::function<void()> drainListener_;
 
     Counter mergedWalks_;
     Counter shootdowns_;

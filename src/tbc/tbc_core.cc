@@ -22,6 +22,8 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                      " warps of one block (threadsPerBlock ",
                      launch.threadsPerBlock, "); no block fits");
     }
+    if (cfg.issueWidth == 0)
+        GPUMMU_FATAL("TbcCore: issueWidth (0) must be at least 1");
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
     // Scheduler ids encode (block slot, warp index); size the round
@@ -38,6 +40,19 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
             for (unsigned i = 0; i < used && i < hist.size(); ++i)
                 cpm_.bump(warp, hist[i]);
         });
+
+    // The miss batch retired: bounced warps retry next cycle. They are
+    // not done, so their blocks cannot recompact before this fires.
+    mmu_.setDrainListener([this]() {
+        for (TbcBlock &blk : blocks_) {
+            for (DynWarp &w : blk.warps) {
+                if (w.state == WarpState::WaitingTlbDrain) {
+                    w.state = WarpState::Ready;
+                    w.readyAt = eq_.now() + 1;
+                }
+            }
+        }
+    });
 }
 
 void
@@ -329,16 +344,6 @@ TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
             --w.pendingLoads;
             w.state = WarpState::WaitingTlbDrain;
             w.stallReason = StallReason::WalkerStructural;
-            mmu_.onDrain([this, blk_slot, warp_idx]() {
-                auto &blk2 =
-                    blocks_[static_cast<std::size_t>(blk_slot)];
-                auto &ww =
-                    blk2.warps[static_cast<std::size_t>(warp_idx)];
-                if (ww.state == WarpState::WaitingTlbDrain) {
-                    ww.state = WarpState::Ready;
-                    ww.readyAt = eq_.now() + 1;
-                }
-            });
             return;
         }
         instrs_.inc();

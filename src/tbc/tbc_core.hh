@@ -34,6 +34,13 @@ struct TbcConfig
     CpmConfig cpm;
 };
 
+enum class WarpState
+{
+    Ready,
+    WaitingMem,
+    WaitingTlbDrain,
+};
+
 class TbcCore : public ShaderCore
 {
   public:

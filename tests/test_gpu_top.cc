@@ -8,7 +8,10 @@
 
 #include <map>
 #include <memory>
+#include <sstream>
 
+#include "core/presets.hh"
+#include "core/shared_translation.hh"
 #include "gpu/gpu_top.hh"
 #include "gpu/simt_core.hh"
 #include "workloads/workload.hh"
@@ -96,6 +99,123 @@ runCompute(ComputeWorkload &wl, unsigned cores, CoreConfig cfg,
                    return std::make_unique<CoreT>(id, cfg, l, as, m, e);
                });
     return gpu.run(max_cycles);
+}
+
+/**
+ * Forwards every call to the wrapped core and counts its ticks. With
+ * @p wake_on_any_event its wakeHint() is 0 once any event fired since
+ * its last tick: the cycle loop then ticks a sleeping core in every
+ * cycle an event fires, the wake rule from before cores were woken
+ * only by their own state changes.
+ */
+class WakeRuleCore final : public ShaderCore
+{
+  public:
+    WakeRuleCore(std::unique_ptr<ShaderCore> inner, const EventQueue &eq,
+                 bool wake_on_any_event, std::uint64_t &tick_calls)
+        : inner_(std::move(inner)), eq_(eq),
+          wakeOnAnyEvent_(wake_on_any_event), tickCalls_(tick_calls)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        seen_ = eq_.eventsFired();
+        ++tickCalls_;
+        inner_->tick(now);
+    }
+    Cycle
+    wakeHint() const override
+    {
+        return wakeOnAnyEvent_ && eq_.eventsFired() != seen_
+                   ? 0
+                   : inner_->wakeHint();
+    }
+    bool lastTickQuiescent() const override
+    {
+        return inner_->lastTickQuiescent();
+    }
+    void chargeSkipped(Cycle now, Cycle n) override
+    {
+        inner_->chargeSkipped(now, n);
+    }
+    void flushDeferredCharges() override
+    {
+        inner_->flushDeferredCharges();
+    }
+    bool canAcceptBlock() const override
+    {
+        return inner_->canAcceptBlock();
+    }
+    void launchBlock(unsigned id) override { inner_->launchBlock(id); }
+    bool idle() const override { return inner_->idle(); }
+    Mmu &mmu() override { return inner_->mmu(); }
+    L1Cache &l1() override { return inner_->l1(); }
+    MemoryStage &memStage() override { return inner_->memStage(); }
+    void finalizeRun() override { inner_->finalizeRun(); }
+    WarpStallAccounting &stallAccounting() override
+    {
+        return inner_->stallAccounting();
+    }
+    std::uint64_t instructionsIssued() const override
+    {
+        return inner_->instructionsIssued();
+    }
+    std::uint64_t idleCycles() const override
+    {
+        return inner_->idleCycles();
+    }
+    void regStats(StatRegistry &reg, const std::string &prefix) override
+    {
+        inner_->regStats(reg, prefix);
+    }
+
+  private:
+    std::unique_ptr<ShaderCore> inner_;
+    const EventQueue &eq_;
+    bool wakeOnAnyEvent_;
+    std::uint64_t &tickCalls_;
+    std::uint64_t seen_ = 0;
+};
+
+struct WakeRun
+{
+    RunStats stats;
+    std::string json;
+    std::uint64_t tickCalls = 0;
+};
+
+/** Run @p bench on @p cfg the way runWorkloadFull() wires it, each
+ *  core wrapped in a WakeRuleCore. */
+WakeRun
+runWakeRule(BenchmarkId bench, const SystemConfig &cfg,
+            bool wake_on_any_event)
+{
+    WorkloadParams params;
+    params.scale = 0.02;
+    params.seed = 7;
+    auto workload = makeWorkload(bench, params);
+    SharedTranslation unit(cfg);
+    GpuTop::CoreFactory inner = unit.coreFactory();
+    WakeRun out;
+    GpuTop gpu(cfg.numCores, cfg.mem, *workload,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   return std::make_unique<WakeRuleCore>(
+                       inner(id, l, as, m, e), e, wake_on_any_event,
+                       out.tickCalls);
+               },
+               cfg.largePages, cfg.physFrames);
+    unit.regStats(gpu.stats());
+    out.stats = gpu.run(cfg.maxCycles);
+    unit.checkEndOfKernel();
+    std::ostringstream os;
+    dumpRunStatsJson(os, out.stats);
+    gpu.stats().dumpJson(os);
+    out.json = os.str();
+    return out;
 }
 
 } // namespace
@@ -247,4 +367,42 @@ TEST(GpuTop, BlocksPlacedOnAnIdleMachineStillRun)
     const RunStats stats =
         runCompute<SimtCore>(wl, 1, one_block, 1'000'000);
     EXPECT_EQ(stats.instructions, 3u * 2u * 10u);
+}
+
+TEST(GpuTop, WakingOnOwnStateMatchesWakingOnAnyEvent)
+{
+    // A sleeping core is woken only by its own wakeHint() (lowered by
+    // the callbacks that change its state) or a block launch. Waking
+    // it in every cycle an event fires as well must change nothing
+    // but the number of ticks, on every workload and design.
+    const std::pair<const char *, SystemConfig> configs[] = {
+        {"naive", presets::naiveTlb()},
+        {"augmented", presets::augmentedTlb()},
+        {"iommu", presets::iommu()},
+        {"shared-l2", presets::withSharedL2Tlb(presets::augmentedTlb())},
+        {"tbc", presets::tbc(presets::augmentedTlb())},
+        {"ccws", presets::ccws(presets::augmentedTlb())},
+    };
+    for (auto [name, cfg] : configs) {
+        cfg.numCores = 4;
+        cfg.checkInvariants = true;
+        // TBC cores never sleep, and CCWS cores only once empty.
+        const bool sleeps = cfg.coreKind != CoreKind::Tbc &&
+                            cfg.sched != SchedulerKind::Ccws;
+        for (BenchmarkId id : allBenchmarks()) {
+            const std::string what =
+                std::string(name) + "/" + benchmarkName(id);
+            const WakeRun own = runWakeRule(id, cfg, false);
+            const WakeRun any = runWakeRule(id, cfg, true);
+            EXPECT_TRUE(own.stats == any.stats) << what;
+            EXPECT_EQ(own.stats.cyclesFastForwarded,
+                      any.stats.cyclesFastForwarded)
+                << what;
+            EXPECT_EQ(own.json, any.json) << what;
+            if (sleeps)
+                EXPECT_LT(own.tickCalls, any.tickCalls) << what;
+            else
+                EXPECT_LE(own.tickCalls, any.tickCalls) << what;
+        }
+    }
 }

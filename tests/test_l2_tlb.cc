@@ -366,7 +366,7 @@ TEST_F(L2TlbFixture, OneBatchTakesEveryL2Outcome)
     EXPECT_EQ(l2.mshrsInUse(), 2u);
 
     int drains = 0;
-    mmu_a.onDrain([&] {
+    mmu_a.setDrainListener([&] {
         ++drains;
         EXPECT_EQ(done_a.size(), 4u);
     });

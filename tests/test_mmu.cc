@@ -151,16 +151,17 @@ TEST_F(MmuFixture, MshrLimitBoundsMissSet)
     EXPECT_FALSE(mmu.canStartMisses(5));
 }
 
-TEST_F(MmuFixture, DrainCallbackFiresOnLastWalk)
+TEST_F(MmuFixture, DrainListenerFiresOnLastWalk)
 {
     auto mmu = make();
-    bool drained = false;
+    int drained = 0;
     mmu.requestWalks({vpn(7), vpn(8)}, 0, 0,
                      [](Vpn, std::uint64_t, Cycle) {});
-    mmu.onDrain([&] { drained = true; });
-    EXPECT_FALSE(drained);
+    mmu.setDrainListener([&] { ++drained; });
+    EXPECT_EQ(drained, 0);
     eq.runUntil(1'000'000);
-    EXPECT_TRUE(drained);
+    // Once per retired batch, not once per walk.
+    EXPECT_EQ(drained, 1);
 }
 
 TEST_F(MmuFixture, MissLatencyRecorded)

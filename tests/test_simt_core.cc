@@ -75,6 +75,54 @@ class TinyWorkload : public Workload
     VmRegion region_;
 };
 
+/** One block of two warps; each loads one line of the same page. */
+class SamePageLoadWorkload : public Workload
+{
+  public:
+    SamePageLoadWorkload() : Workload(WorkloadParams{}), prog_("page")
+    {
+    }
+
+    std::string name() const override { return "page"; }
+    const KernelProgram &program() const override { return prog_; }
+    unsigned threadsPerBlock() const override { return 64; }
+    unsigned numBlocks() const override { return 1; }
+
+    void
+    build(AddressSpace &as) override
+    {
+        region_ = as.mmap("page.data", kPageSize4K);
+        const int addr = prog_.addAddrGen([this](ThreadCtx &c) {
+            return region_.base + static_cast<VirtAddr>(c.globalTid) * 4;
+        });
+        const int b0 = prog_.addBlock();
+        prog_.appendLoad(b0, addr);
+        prog_.appendExit(b0);
+    }
+
+  private:
+    KernelProgram prog_;
+    VmRegion region_;
+};
+
+/** Records the cycles in which a memory instruction issued. */
+class MemIssueRecordingCore : public SimtCore
+{
+  public:
+    using SimtCore::SimtCore;
+
+    void
+    tick(Cycle now) override
+    {
+        const std::uint64_t before = memInstructionsIssued();
+        SimtCore::tick(now);
+        if (memInstructionsIssued() != before)
+            memIssues.push_back(now);
+    }
+
+    std::vector<Cycle> memIssues;
+};
+
 RunStats
 runTiny(const CoreConfig &core_cfg, unsigned blocks = 4,
         unsigned iters = 6, double active = 0.5,
@@ -180,6 +228,40 @@ TEST(SimtCore, SleepingChargesEqualTickingEveryCycle)
     }
 }
 
+TEST(SimtCore, GatedWarpIssuesInTheCycleTheMissBatchRetires)
+{
+    // Blocking TLB, one core: the first warp's load misses and walks.
+    // The second warp's load sits at the TLB gate, the core has
+    // nothing else to do and sleeps, and the first warp's own wake
+    // (its data) lies past the walk. The retiring batch must wake the
+    // core in its own cycle, so the gated load issues right then.
+    const CoreConfig cfg = presets::naiveTlb().core;
+    SamePageLoadWorkload wl;
+    MemIssueRecordingCore *core = nullptr;
+    GpuTop gpu(1, MemorySystemConfig{}, wl,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   auto c = std::make_unique<MemIssueRecordingCore>(
+                       id, cfg, l, as, m, e);
+                   core = c.get();
+                   return c;
+               });
+    const RunStats stats = gpu.run(1'000'000);
+    ASSERT_EQ(core->memIssues.size(), 2u);
+    // One miss batch: the second load hits the page the first filled.
+    const Histogram &miss = core->mmu().missLatency();
+    ASSERT_EQ(miss.count(), 1u);
+    const Cycle batch_start =
+        core->memIssues[0] +
+        cfg.mmu.cacti.accessPenalty(cfg.mmu.tlb.entries,
+                                    cfg.mmu.tlb.ports);
+    const Cycle retired = batch_start + miss.sum();
+    EXPECT_EQ(core->memIssues[1], retired);
+    EXPECT_EQ(stats.tlbAccesses, 2u);
+    EXPECT_EQ(stats.tlbHits, 1u);
+}
+
 TEST(SimtCore, RunsToCompletion)
 {
     auto stats = runTiny(CoreConfig{});
@@ -273,6 +355,25 @@ TEST(SimtCore, CoreTooSmallForOneBlockIsRejected)
     EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
                 ::testing::ExitedWithCode(1),
                 "numWarpSlots \\(4\\) must hold the 8 warps of one block");
+}
+
+TEST(SimtCore, ZeroIssueWidthIsRejected)
+{
+    // A core that may issue nothing per cycle never finishes; the run
+    // would tick to its cycle budget.
+    CoreConfig none;
+    none.issueWidth = 0;
+    EXPECT_EXIT(runTiny(none), ::testing::ExitedWithCode(1),
+                "SimtCore: issueWidth \\(0\\) must be at least 1");
+
+    SystemConfig cfg = presets::augmentedTlb();
+    cfg.numCores = 4;
+    cfg.core.issueWidth = 0;
+    WorkloadParams p;
+    p.scale = 0.05;
+    EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
+                ::testing::ExitedWithCode(1),
+                "issueWidth \\(0\\) must be at least 1");
 }
 
 TEST(SimtCore, WarpSlotsBeyondTheMaskWidthAreRejected)

@@ -187,3 +187,12 @@ TEST(TbcCore, CoreTooSmallForOneBlockIsRejected)
                 ::testing::ExitedWithCode(1),
                 "TbcCore: numWarpSlots \\(3\\) is below the 4 warps");
 }
+
+TEST(TbcCore, ZeroIssueWidthIsRejected)
+{
+    CoreConfig none;
+    none.issueWidth = 0;
+    EXPECT_EXIT(runDivergent(TbcConfig{}, 0.5, none),
+                ::testing::ExitedWithCode(1),
+                "TbcCore: issueWidth \\(0\\) must be at least 1");
+}
