@@ -1,7 +1,7 @@
 #include "mmu/ptw.hh"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 #include "check/invariant_checker.hh"
 #include "mem/request.hh"
@@ -12,15 +12,34 @@
 
 namespace gpummu {
 
+namespace {
+
+/** @p cfg, after rejecting a walker count or walk-cache geometry the
+ *  pool cannot model. */
+const PtwConfig &
+checkedConfig(const PtwConfig &cfg)
+{
+    if (cfg.numWalkers == 0)
+        GPUMMU_FATAL("PTW numWalkers must be at least 1");
+    // SetAssocArray makes ways above the line count fully associative.
+    if (cfg.pwcLines > 0 && cfg.pwcWays != 0 &&
+        cfg.pwcWays <= cfg.pwcLines && cfg.pwcLines % cfg.pwcWays != 0)
+        GPUMMU_FATAL("walk cache of ", cfg.pwcLines,
+                     " lines does not divide into ", cfg.pwcWays,
+                     " ways");
+    return cfg;
+}
+
+} // namespace
+
 PageWalkers::PageWalkers(const PtwConfig &cfg, const PageTable &pt,
                          MemorySystem &mem, EventQueue &eq)
-    : cfg_(cfg), pt_(pt), mem_(mem), eq_(eq),
-      pwc_(std::max<std::size_t>(cfg.pwcLines, 1),
-           std::min(cfg.pwcWays,
-                    std::max<std::size_t>(cfg.pwcLines, 1)))
+    : cfg_(checkedConfig(cfg)), pt_(pt), mem_(mem), eq_(eq),
+      walkers_(cfg.scheduling ? 1 : cfg.numWalkers),
+      pwc_(std::max<std::size_t>(cfg.pwcLines, 1), cfg.pwcWays)
 {
-    GPUMMU_ASSERT(cfg.numWalkers >= 1);
-    walkerBusy_.assign(cfg.scheduling ? 1 : cfg.numWalkers, false);
+    for (Walker &w : walkers_)
+        w.pool = this;
 }
 
 Cycle
@@ -35,36 +54,31 @@ PageWalkers::walkRef(PhysAddr line_addr, unsigned level, Cycle at)
                           "line", line_addr);
     if (checker_)
         checker_->onPagingLine(line_addr, kLineShift);
-    if (cfg_.pwcLines > 0) {
-        auto res = pwc_.lookup(line_addr);
-        if (res.hit) {
-            pwcHits_.inc();
-            if (heat_)
-                heat_->onWalkRef(line_addr, level, heatTid_,
-                                 HeatProfiler::RefWhere::Pwc);
-            if (spans_)
-                spans_->walkRef(level, SpanWalkRef::Pwc);
-            // The line enters the cache when its fetch is *issued*,
-            // so a hit may land while the fill is still in flight
-            // from memory; such a hit cannot complete before the
-            // fill does (no hit-under-fill optimism).
-            return std::max(issue + cfg_.pwcHitLatency, *res.payload);
-        }
+    Cycle ready;
+    SpanWalkRef where;
+    const Cycle *filled =
+        cfg_.pwcLines > 0 ? pwc_.lookup(line_addr).payload : nullptr;
+    if (filled) {
+        pwcHits_.inc();
+        where = SpanWalkRef::Pwc;
+        // The line enters the cache when its fetch is *issued*, so a
+        // hit may land while the fill is still in flight from memory;
+        // such a hit cannot complete before the fill does (no
+        // hit-under-fill optimism).
+        ready = std::max(issue + cfg_.pwcHitLatency, *filled);
+    } else {
+        const auto out = mem_.access(line_addr, false, issue,
+                                     AccessSource::PageWalk);
+        where = out.dram ? SpanWalkRef::Dram : SpanWalkRef::L2;
+        ready = out.readyAt;
+        if (cfg_.pwcLines > 0)
+            pwc_.insert(line_addr, ready);
     }
-    auto out =
-        mem_.access(line_addr, false, issue, AccessSource::PageWalk);
     if (heat_)
-        heat_->onWalkRef(line_addr, level, heatTid_,
-                         out.dram ? HeatProfiler::RefWhere::Dram
-                                  : HeatProfiler::RefWhere::L2);
-    // Mirrors the heat classification exactly: span walk-ref totals
-    // == ptw refs_issued (conservation check).
+        heat_->onWalkRef(line_addr, level, heatTid_, where);
     if (spans_)
-        spans_->walkRef(level, out.dram ? SpanWalkRef::Dram
-                                        : SpanWalkRef::L2);
-    if (cfg_.pwcLines > 0)
-        pwc_.insert(line_addr, out.readyAt);
-    return out.readyAt;
+        spans_->walkRef(level, where);
+    return ready;
 }
 
 void
@@ -107,130 +121,77 @@ PageWalkers::invalidatePagingLines(const PageTable &pt)
 void
 PageWalkers::pump(Cycle now)
 {
-    for (unsigned w = 0; w < walkerBusy_.size(); ++w) {
+    for (Walker &w : walkers_) {
         if (queue_.empty())
             return;
-        if (walkerBusy_[w])
-            continue;
-        if (cfg_.scheduling)
-            startScheduledBatch(w, now);
-        else
-            startNaive(w, now);
+        if (!w.busy)
+            startBatch(w, now);
     }
 }
 
 void
-PageWalkers::startNaive(unsigned w, Cycle now)
+PageWalkers::startBatch(Walker &w, Cycle now)
 {
     GPUMMU_ASSERT(!queue_.empty());
-    ActiveBatch *batch = batchArena_.create();
-    batch->pool = this;
-    PendingWalk walk = std::move(queue_.front());
-    queue_.pop_front();
-    const WalkPath path = walk.pt->walk(walk.vpn);
-    for (unsigned level = 0; level < path.levels; ++level) {
-        BatchRef ref;
-        ref.line = lineAddrOf(path.entryAddrs[level]);
-        if (level + 1 == path.levels)
-            ref.finishing.push_back(0);
-        batch->levels.push_back({std::move(ref)});
-    }
-    batch->walks.push_back(std::move(walk));
-    ++inFlight_;
+    if (cfg_.scheduling)
+        batches_.inc();
+    w.walks.clear();
+    w.refs.clear();
+    w.next = 0;
+    // Naive walkers take the oldest walk; the scheduler snapshots the
+    // whole queue into one batch (the MSHR scan).
+    do {
+        const PendingWalk &walk = w.walks.emplace_back(
+            std::move(queue_.front()));
+        queue_.pop_front();
+        const WalkPath path = walk.pt->walk(walk.vpn);
+        const auto idx = static_cast<std::uint32_t>(w.walks.size() - 1);
+        for (unsigned level = 0; level < path.levels; ++level)
+            w.refs.push_back(Ref{path.entryAddrs[level], idx,
+                                 static_cast<std::uint8_t>(level),
+                                 level + 1 == path.levels});
+    } while (cfg_.scheduling && !queue_.empty());
+    inFlight_ += static_cast<unsigned>(w.walks.size());
     if (trace_) {
-        trace_->instantAt(TraceCat::Ptw, "walk_grant", traceTid_, now,
-                          "vpn", batch->walks.back().vpn, "walker", w);
+        const auto walker = static_cast<unsigned>(&w - walkers_.data());
+        for (const PendingWalk &walk : w.walks)
+            trace_->instantAt(TraceCat::Ptw, "walk_grant", traceTid_,
+                              now, "vpn", walk.vpn, "walker", walker);
         trace_->counter(TraceCat::Ptw, "walks_in_flight", traceTid_,
                         inFlight_);
     }
     // Enqueue -> grant is the walker-queueing portion of the span.
     if (spans_) {
-        const PendingWalk &walk = batch->walks.back();
-        spans_->stageAt(asidKey(walk.asid, walk.vpn >> spanKeyShift_),
-                        SpanStage::WalkGrant, now);
-    }
-    walkerBusy_[w] = true;
-    stepLevel(w, batch, now);
-}
-
-void
-PageWalkers::startScheduledBatch(unsigned w, Cycle now)
-{
-    GPUMMU_ASSERT(!queue_.empty());
-    batches_.inc();
-    ActiveBatch *batch = batchArena_.create();
-    batch->pool = this;
-
-    // Snapshot every queued walk into this batch (the MSHR scan).
-    std::vector<WalkPath> paths;
-    while (!queue_.empty()) {
-        batch->walks.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        const PendingWalk &walk = batch->walks.back();
-        paths.push_back(walk.pt->walk(walk.vpn));
-    }
-    inFlight_ += static_cast<unsigned>(batch->walks.size());
-    if (trace_) {
-        for (const PendingWalk &walk : batch->walks)
-            trace_->instantAt(TraceCat::Ptw, "walk_grant", traceTid_,
-                              now, "vpn", walk.vpn, "walker", w);
-        trace_->counter(TraceCat::Ptw, "walks_in_flight", traceTid_,
-                        inFlight_);
-    }
-    if (spans_) {
-        for (const PendingWalk &walk : batch->walks)
+        for (const PendingWalk &walk : w.walks)
             spans_->stageAt(asidKey(walk.asid,
                                     walk.vpn >> spanKeyShift_),
                             SpanStage::WalkGrant, now);
     }
 
-    unsigned max_levels = 0;
-    for (const auto &p : paths)
-        max_levels = std::max(max_levels, p.levels);
+    // Comparator tree: within a level, exact repeats become adjacent
+    // and are issued once, and same-line entries are issued back to
+    // back so the later ones hit the walk cache or the L2 line just
+    // fetched (Figs. 8-9).
+    std::sort(w.refs.begin(), w.refs.end(),
+              [](const Ref &a, const Ref &b) {
+                  return std::tie(a.level, a.entry, a.walk) <
+                         std::tie(b.level, b.entry, b.walk);
+              });
+    std::uint64_t repeats = 0;
+    for (std::size_t i = 1; i < w.refs.size(); ++i)
+        repeats += w.refs[i].level == w.refs[i - 1].level &&
+                   w.refs[i].entry == w.refs[i - 1].entry;
+    refsEliminated_.inc(repeats);
 
-    for (unsigned level = 0; level < max_levels; ++level) {
-        // Comparator tree: collapse exact repeats, and issue
-        // same-line entries back to back so the later ones hit the
-        // walk cache or the L2 line just fetched (Figs. 8-9).
-        std::map<PhysAddr,
-                 std::map<PhysAddr, std::vector<std::size_t>>>
-            lines;
-        unsigned raw_refs = 0;
-        for (std::size_t i = 0; i < paths.size(); ++i) {
-            if (level >= paths[i].levels)
-                continue;
-            ++raw_refs;
-            const PhysAddr addr = paths[i].entryAddrs[level];
-            auto &finishers = lines[lineAddrOf(addr)][addr];
-            if (level + 1 == paths[i].levels)
-                finishers.push_back(i);
-        }
-        unsigned issued = 0;
-        std::vector<BatchRef> level_refs;
-        for (auto &[line, addrs] : lines) {
-            for (auto &[addr, finishers] : addrs) {
-                (void)addr;
-                BatchRef ref;
-                ref.line = line;
-                ref.finishing = std::move(finishers);
-                level_refs.push_back(std::move(ref));
-                ++issued;
-            }
-        }
-        batch->levels.push_back(std::move(level_refs));
-        GPUMMU_ASSERT(raw_refs >= issued);
-        refsEliminated_.inc(raw_refs - issued);
-    }
-
-    walkerBusy_[w] = true;
-    stepLevel(w, batch, now);
+    w.busy = true;
+    stepLevel(w, now);
 }
 
 void
 PageWalkers::fireStepLevel(void *ctx, Cycle now)
 {
-    auto *batch = static_cast<ActiveBatch *>(ctx);
-    batch->pool->stepLevel(batch->walker, batch, now);
+    auto *w = static_cast<Walker *>(ctx);
+    w->pool->stepLevel(*w, now);
 }
 
 void
@@ -260,7 +221,7 @@ PageWalkers::fireWalkDone(void *ctx, Cycle now)
 }
 
 void
-PageWalkers::stepLevel(unsigned w, ActiveBatch *batch, Cycle now)
+PageWalkers::stepLevel(Walker &w, Cycle now)
 {
     // One event per radix level: a level's references pipeline at
     // the port rate, the next level waits for this one (the pointer
@@ -268,44 +229,45 @@ PageWalkers::stepLevel(unsigned w, ActiveBatch *batch, Cycle now)
     // current simulated cycle; computing the whole batch's
     // timestamps up front would reserve L2/DRAM bandwidth far into
     // the future and distort every other client's latency.
-    if (batch->nextLevel >= batch->levels.size()) {
-        batchArena_.destroy(batch);
-        walkerBusy_[w] = false;
+    if (w.next == w.refs.size()) {
+        w.busy = false;
         pump(now);
         return;
     }
-    const unsigned level_idx =
-        static_cast<unsigned>(batch->nextLevel);
-    const auto &level = batch->levels[batch->nextLevel++];
+    const std::size_t first = w.next;
+    const unsigned level = w.refs[first].level;
+    Cycle ready = now;
     Cycle level_end = now;
-    for (const BatchRef &ref : level) {
-        const Cycle ready = walkRef(ref.line, level_idx, now);
-        level_end = std::max(level_end, ready);
-        for (std::size_t idx : ref.finishing) {
-            PendingWalk &walk = batch->walks[idx];
-            walks_.inc();
-            walkLatency_.sample(ready - walk.enqueued);
-            if (spans_)
-                spans_->stageAt(asidKey(walk.asid,
-                                        walk.vpn >> spanKeyShift_),
-                                SpanStage::WalkDone, ready);
-            if (heat_)
-                heat_->onWalkComplete(asidKey(walk.asid, walk.vpn),
-                                      heatTid_, walk.enqueued, ready);
-            // Each walk finishes exactly once, so its done callback
-            // can move into the completion node.
-            WalkDone *ev = doneArena_.create();
-            ev->pool = this;
-            ev->vpn = walk.vpn;
-            ev->asid = walk.asid;
-            ev->ready = ready;
-            ev->enqueued = walk.enqueued;
-            ev->done = std::move(walk.done);
-            eq_.scheduleRaw(ready, &PageWalkers::fireWalkDone, ev);
+    for (; w.next < w.refs.size() && w.refs[w.next].level == level;
+         ++w.next) {
+        const Ref &ref = w.refs[w.next];
+        if (w.next == first || ref.entry != w.refs[w.next - 1].entry) {
+            ready = walkRef(lineAddrOf(ref.entry), level, now);
+            level_end = std::max(level_end, ready);
         }
+        if (!ref.last)
+            continue;
+        PendingWalk &walk = w.walks[ref.walk];
+        walks_.inc();
+        walkLatency_.sample(ready - walk.enqueued);
+        if (spans_)
+            spans_->stageAt(asidKey(walk.asid, walk.vpn >> spanKeyShift_),
+                            SpanStage::WalkDone, ready);
+        if (heat_)
+            heat_->onWalkComplete(asidKey(walk.asid, walk.vpn), heatTid_,
+                                  walk.enqueued, ready);
+        // Each walk finishes exactly once, so its done callback can
+        // move into the completion node.
+        WalkDone *ev = doneArena_.create();
+        ev->pool = this;
+        ev->vpn = walk.vpn;
+        ev->asid = walk.asid;
+        ev->ready = ready;
+        ev->enqueued = walk.enqueued;
+        ev->done = std::move(walk.done);
+        eq_.scheduleRaw(ready, &PageWalkers::fireWalkDone, ev);
     }
-    batch->walker = w;
-    eq_.scheduleRaw(level_end, &PageWalkers::fireStepLevel, batch);
+    eq_.scheduleRaw(level_end, &PageWalkers::fireStepLevel, &w);
 }
 
 void

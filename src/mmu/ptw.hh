@@ -7,12 +7,18 @@
  * concurrent TLB misses queue behind them.
  *
  * Scheduled mode implements the paper's PTW scheduling contribution
- * (Figs. 8-9): all pending walks are processed level by level through
- * one comparator tree. Exactly repeated references (same PML4/PDP/PD
- * entry) are issued once, and distinct PTEs falling on one 128-byte
- * line are issued back to back so the later ones hit in the shared
- * L2. The paper's 3-walk example drops from 12 loads to 7; the unit
- * tests check that exact case.
+ * (Figs. 8-9): one walker takes every pending walk as a batch and
+ * processes it level by level through one comparator tree. Exactly
+ * repeated references (same PML4/PDP/PD entry) are issued once, and
+ * distinct PTEs falling on one 128-byte line are issued back to back
+ * so the later ones hit in the shared L2. The paper's 3-walk example
+ * drops from 12 loads to 7; the unit tests check that exact case.
+ *
+ * Both modes run through one engine: each walker slot holds its batch
+ * (one walk when naive, the whole queue when scheduled) as a flat
+ * array of (level, entry, walk) references sorted in that order. A
+ * line is entry >> 7, so the sort is the comparator tree's
+ * by-level, by-line, by-entry issue order.
  */
 
 #ifndef MMU_PTW_HH
@@ -193,32 +199,34 @@ class PageWalkers
         Asid asid = 0;
     };
 
-    /** One page-table reference of an in-flight walk/batch. */
-    struct BatchRef
+    /** One walk's reference at one radix level. */
+    struct Ref
     {
-        PhysAddr line = 0;
-        /** Indices of walks whose translation this reference yields. */
-        std::vector<std::size_t> finishing;
+        PhysAddr entry;
+        /** Index into Walker::walks. */
+        std::uint32_t walk;
+        std::uint8_t level;
+        /** This reference yields the walk's translation. */
+        bool last;
     };
 
     /**
-     * An in-flight walk (naive) or coalesced batch (scheduled).
-     * References are grouped by radix level: a level may start only
-     * when the previous one finished (the pointer chase), but within
-     * a level references pipeline at the port rate - the comparator
-     * tree issues them successively (Fig. 9).
-     *
-     * Arena-pooled: the level-chain event carries a raw pointer to
-     * the batch (via EventQueue::scheduleRaw), and the batch is
-     * returned to the pool when its last level completes.
+     * One walker slot and its in-flight batch. References are sorted
+     * by (level, entry, walk): a level may start only when the
+     * previous one finished (the pointer chase), but within a level
+     * references pipeline at the port rate - the comparator tree
+     * issues them successively (Fig. 9). The level-chain event
+     * carries a raw pointer to the slot (via EventQueue::scheduleRaw);
+     * the vectors keep their capacity from batch to batch.
      */
-    struct ActiveBatch
+    struct Walker
     {
-        std::vector<std::vector<BatchRef>> levels;
-        std::vector<PendingWalk> walks;
-        std::size_t nextLevel = 0;
         PageWalkers *pool = nullptr;
-        unsigned walker = 0;
+        bool busy = false;
+        std::vector<PendingWalk> walks;
+        std::vector<Ref> refs;
+        /** First reference of the next level to issue. */
+        std::size_t next = 0;
     };
 
     /** Arena-pooled per-walk completion event payload. */
@@ -232,16 +240,14 @@ class PageWalkers
         DoneFn done;
     };
 
-    /** Start the next queued walk on naive walker @p w. */
-    void startNaive(unsigned w, Cycle now);
+    /** Move one queued walk (naive) or the whole queue (scheduled)
+     *  onto idle walker @p w and issue its first level. */
+    void startBatch(Walker &w, Cycle now);
 
-    /** Snapshot the whole queue into one coalesced batch. */
-    void startScheduledBatch(unsigned w, Cycle now);
+    /** Issue @p w's next level of references; event-chained. */
+    void stepLevel(Walker &w, Cycle now);
 
-    /** Issue the batch's next level of references; event-chained. */
-    void stepLevel(unsigned w, ActiveBatch *batch, Cycle now);
-
-    /** scheduleRaw targets (ctx = arena object). */
+    /** scheduleRaw targets (ctx = Walker / WalkDone). */
     static void fireStepLevel(void *ctx, Cycle now);
     static void fireWalkDone(void *ctx, Cycle now);
 
@@ -250,7 +256,7 @@ class PageWalkers
      *  @return the cycle the referenced entry is available. */
     Cycle walkRef(PhysAddr line_addr, unsigned level, Cycle at);
 
-    /** Dispatch queued work onto free walkers / the batch engine. */
+    /** Dispatch queued work onto idle walkers. */
     void pump(Cycle now);
 
     PtwConfig cfg_;
@@ -266,15 +272,16 @@ class PageWalkers
     int spanTid_ = 0;
     unsigned spanKeyShift_ = 0;
 
-    /** Pools for the event payloads above. Declared before the
-     *  per-walker state so pending raw events (whose ctx points into
-     *  these) are diagnosed by the arena destructor, not by UB, if a
-     *  pool is ever torn down mid-walk. */
-    Arena<ActiveBatch> batchArena_;
+    /** Pool for the completion events. Declared before the walker
+     *  state so pending completions (whose ctx points into it) are
+     *  diagnosed by the arena destructor, not by UB, if a pool is
+     *  ever torn down mid-walk. */
     Arena<WalkDone> doneArena_;
 
     std::deque<PendingWalk> queue_;
-    std::vector<bool> walkerBusy_;
+    /** Fixed at construction (1 if scheduling, else numWalkers), so
+     *  the pointers pending level events hold stay valid. */
+    std::vector<Walker> walkers_;
     Cycle portFreeAt_ = 0;
     /** Walk cache payload: the cycle the line's fill completes, so a
      *  hit on a line still in flight from memory waits for it

@@ -85,9 +85,9 @@ bool spanStageQueueing(SpanStage stage);
 /** Where a page-walk memory reference was satisfied. */
 enum class SpanWalkRef : std::uint8_t
 {
-    Pwc,  ///< page-walk-cache hit
-    L2,   ///< L2 cache hit
-    Dram, ///< DRAM access
+    Pwc,  ///< page walk cache hit
+    L2,   ///< shared L2 slice (hit or merged fill)
+    Dram, ///< missed every cache; a DRAM channel serviced it
 };
 inline constexpr std::size_t kNumSpanWalkRefs = 3;
 

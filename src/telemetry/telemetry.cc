@@ -70,18 +70,18 @@ HeatProfiler::onWalkComplete(Vpn vpn, int tid, Cycle enq, Cycle done)
 
 void
 HeatProfiler::onWalkRef(PhysAddr line, unsigned level, int tid,
-                        RefWhere where)
+                        SpanWalkRef where)
 {
     LineStat &l = lines_[line];
     l.refs += 1;
     switch (where) {
-      case RefWhere::Pwc:
+      case SpanWalkRef::Pwc:
         l.pwcHits += 1;
         break;
-      case RefWhere::L2:
+      case SpanWalkRef::L2:
         l.l2Refs += 1;
         break;
-      case RefWhere::Dram:
+      case SpanWalkRef::Dram:
         l.dramRefs += 1;
         break;
     }

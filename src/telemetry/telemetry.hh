@@ -38,6 +38,7 @@
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "telemetry/span.hh"
 
 namespace gpummu {
 
@@ -57,14 +58,6 @@ struct TelemetryConfig
 class HeatProfiler
 {
   public:
-    /** Where one page-table reference was satisfied. */
-    enum class RefWhere : std::uint8_t
-    {
-        Pwc,  ///< per-core walk cache hit
-        L2,   ///< shared L2 slice (hit or merged fill)
-        Dram, ///< missed every cache; a DRAM channel serviced it
-    };
-
     /** Walk attribution for one 4KB-granularity VPN. */
     struct PageStat
     {
@@ -101,7 +94,7 @@ class HeatProfiler
 
     /** One page-table reference to @p line at radix @p level. */
     void onWalkRef(PhysAddr line, unsigned level, int tid,
-                   RefWhere where);
+                   SpanWalkRef where);
 
     /** One warp memory instruction touched @p pages distinct pages. */
     void onPageDivergence(std::uint64_t pages);

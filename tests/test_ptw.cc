@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <regex>
+#include <sstream>
+#include <utility>
 
 #include "check/invariant_checker.hh"
+#include "mem/request.hh"
 #include "mmu/ptw.hh"
 #include "sim/event_queue.hh"
+#include "trace/trace.hh"
 #include "vm/page_table.hh"
 #include "vm/physical_memory.hh"
 
@@ -24,6 +30,33 @@ vpnOf(unsigned pml4, unsigned pdp, unsigned pd, unsigned pt)
     return (static_cast<Vpn>(pml4) << 27) |
            (static_cast<Vpn>(pdp) << 18) |
            (static_cast<Vpn>(pd) << 9) | pt;
+}
+
+/** (issue cycle, line) of every walk_ref event in @p sink, in
+ *  recording order. */
+std::vector<std::pair<Cycle, PhysAddr>>
+walkRefEvents(const TraceSink &sink)
+{
+    std::ostringstream os;
+    sink.writeChromeTrace(os);
+    const std::string json = os.str();
+    static const std::regex re(
+        R"(\{"name":"walk_ref"[^}]*"ts":(\d+)[^}]*"args":\{"line":(\d+)\})");
+    std::vector<std::pair<Cycle, PhysAddr>> refs;
+    for (auto it = std::sregex_iterator(json.begin(), json.end(), re);
+         it != std::sregex_iterator(); ++it)
+        refs.emplace_back(std::stoull((*it)[1]), std::stoull((*it)[2]));
+    return refs;
+}
+
+/** Lines of @p refs, dropping the issue cycles. */
+std::vector<PhysAddr>
+linesOf(const std::vector<std::pair<Cycle, PhysAddr>> &refs)
+{
+    std::vector<PhysAddr> lines;
+    for (const auto &[ts, line] : refs)
+        lines.push_back(line);
+    return lines;
 }
 
 struct PtwFixture : public ::testing::Test
@@ -321,8 +354,9 @@ TEST_F(PtwFixture, BatchConservationUnderCoalescing)
 
 TEST_F(PtwFixture, DuplicateVpnsEachCompleteOnce)
 {
-    // The walker pool does not dedup VPNs (the Mmu's outstanding_
-    // table does); two requests for one page are two completions.
+    // The walker pool does not dedup VPNs, and no per-core structure
+    // does either (the per-core MMU never merges a walk); two requests
+    // for one page are two completions.
     const Vpn v = vpnOf(7, 7, 7, 7);
     pt.map4K(v, 5);
     InvariantChecker chk(pt);
@@ -368,4 +402,160 @@ TEST_F(PtwFixture, ConservationAcrossQueuedNaiveBatches)
     EXPECT_EQ(chk.walksTracked(), vpns.size());
     EXPECT_FALSE(w.busy());
     w.checkDrained();
+}
+
+TEST_F(PtwFixture, ScheduledBatchIssuesEachLevelInEntryOrder)
+{
+    // Requested out of address order, with an exact repeat (a twice)
+    // and two PTEs on one line (a, b). Each level issues its distinct
+    // entries in address order, each exactly once.
+    const Vpn a = vpnOf(1, 2, 3, 4);
+    const Vpn b = vpnOf(1, 2, 3, 5); // PTE on a's line
+    const Vpn c = vpnOf(1, 2, 9, 4); // PD entry on a's PD line
+    const Vpn d = vpnOf(1, 3, 0, 0); // PDP entry on a's PDP line
+    for (Vpn v : {a, b, c, d})
+        pt.map4K(v, v & 0xff);
+    const WalkPath pa = pt.walk(a), pb = pt.walk(b), pc = pt.walk(c),
+                   pd = pt.walk(d);
+    // Tables are allocated in map order (no frame scramble), so a's
+    // PD and PT pages precede c's PT page, which precedes d's pages.
+    ASSERT_LT(pa.entryAddrs[2], pd.entryAddrs[2]);
+    ASSERT_LT(pb.entryAddrs[3], pc.entryAddrs[3]);
+    ASSERT_LT(pc.entryAddrs[3], pd.entryAddrs[3]);
+    ASSERT_EQ(lineAddrOf(pa.entryAddrs[3]), lineAddrOf(pb.entryAddrs[3]));
+
+    TraceSink sink;
+    PtwConfig cfg;
+    cfg.scheduling = true;
+    auto w = make(cfg);
+    w.setTraceSink(&sink, 0);
+    std::vector<std::pair<Vpn, Cycle>> done;
+    w.requestBatch({d, b, a, c, a}, 0,
+                   [&](Vpn v, Cycle at) { done.emplace_back(v, at); });
+    eq.runUntil(1'000'000);
+
+    auto line = [](PhysAddr entry) { return lineAddrOf(entry); };
+    const std::vector<PhysAddr> expected = {
+        line(pa.entryAddrs[0]),                         // PML4
+        line(pa.entryAddrs[1]), line(pd.entryAddrs[1]), // PDP
+        line(pa.entryAddrs[2]), line(pc.entryAddrs[2]), // PD
+        line(pd.entryAddrs[2]),
+        line(pa.entryAddrs[3]), line(pb.entryAddrs[3]), // PT
+        line(pc.entryAddrs[3]), line(pd.entryAddrs[3]),
+    };
+    const auto refs = walkRefEvents(sink);
+    EXPECT_EQ(linesOf(refs), expected);
+    for (std::size_t i = 1; i < refs.size(); ++i)
+        EXPECT_GE(refs[i].first, refs[i - 1].first + cfg.portInterval);
+    // 5 walks x 4 levels = 20 references, 10 of them repeats.
+    EXPECT_EQ(w.refsIssued(), 10u);
+    EXPECT_EQ(w.refsEliminated(), 10u);
+
+    // Completions retire in entry order; both requests for a retire
+    // on the one reference, so at the same cycle.
+    ASSERT_EQ(done.size(), 5u);
+    std::sort(done.begin(), done.end(),
+              [](const auto &x, const auto &y) {
+                  return x.second < y.second;
+              });
+    EXPECT_EQ(done[0].first, a);
+    EXPECT_EQ(done[1].first, a);
+    EXPECT_EQ(done[0].second, done[1].second);
+    EXPECT_EQ(done[2].first, b);
+    EXPECT_EQ(done[3].first, c);
+    EXPECT_EQ(done[4].first, d);
+}
+
+TEST_F(PtwFixture, MixedPageSizeBatchRetiresEachWalkAtItsLeaf)
+{
+    // A 2MB walk (leaf at the PD, 3 levels) batched with two 4KB
+    // walks (4 levels) whose PD entries share the 2MB entry's line.
+    const std::uint64_t per_large = kPageSize2M / kPageSize4K;
+    pt.map2M(5, 4 * per_large);
+    const Vpn big = 5 * per_large + 17;
+    const Vpn a = vpnOf(0, 0, 6, 1);
+    const Vpn b = vpnOf(0, 0, 6, 2);
+    pt.map4K(a, 1);
+    pt.map4K(b, 2);
+    ASSERT_EQ(pt.walk(big).levels, 3u);
+    ASSERT_EQ(pt.walk(a).levels, 4u);
+    const PhysAddr a_leaf_line = lineAddrOf(pt.walk(a).entryAddrs[3]);
+
+    InvariantChecker chk(pt);
+    TraceSink sink;
+    PtwConfig cfg;
+    cfg.scheduling = true;
+    auto w = make(cfg);
+    w.setChecker(&chk);
+    w.setTraceSink(&sink, 0);
+    std::map<Vpn, std::vector<Cycle>> done;
+    w.requestBatch({a, big, b}, 0,
+                   [&](Vpn v, Cycle at) { done[v].push_back(at); });
+    eq.runUntil(1'000'000);
+
+    ASSERT_EQ(done.size(), 3u);
+    for (Vpn v : {big, a, b})
+        ASSERT_EQ(done[v].size(), 1u) << "vpn " << v;
+    // 3 + 4 + 4 = 11 references: one PML4, one PDP, PD entries 5 and
+    // 6 (6 twice), PT entries 1 and 2.
+    EXPECT_EQ(w.refsIssued(), 6u);
+    EXPECT_EQ(w.refsEliminated(), 5u);
+    EXPECT_EQ(w.walksCompleted(), 3u);
+
+    // The 2MB walk retires at the PD level, before the PT level
+    // issues; the 4KB walks retire after their PT references.
+    const auto refs = walkRefEvents(sink);
+    ASSERT_EQ(refs.size(), 6u);
+    EXPECT_EQ(refs[4].second, a_leaf_line);
+    const Cycle pt_level_issue = refs[4].first;
+    EXPECT_LE(done[big][0], pt_level_issue);
+    EXPECT_GT(done[a][0], pt_level_issue);
+    EXPECT_GT(done[b][0], pt_level_issue);
+    w.checkDrained();
+}
+
+TEST_F(PtwFixture, NaiveWalkMatchesOneWalkScheduledBatch)
+{
+    // One walk alone: the naive walker and the scheduler issue the
+    // same references at the same cycles and finish together.
+    const Vpn v = vpnOf(2, 4, 6, 8);
+    pt.map4K(v, 9);
+    auto run = [&](bool scheduling) {
+        EventQueue q;
+        MemorySystem m((MemorySystemConfig()));
+        TraceSink sink;
+        PtwConfig cfg;
+        cfg.scheduling = scheduling;
+        PageWalkers w(cfg, pt, m, q);
+        w.setTraceSink(&sink, 0);
+        Cycle done_at = 0;
+        w.requestBatch({v}, 3, [&](Vpn, Cycle at) { done_at = at; });
+        q.runUntil(1'000'000);
+        EXPECT_EQ(w.refsIssued(), 4u);
+        EXPECT_EQ(w.refsEliminated(), 0u);
+        return std::make_pair(walkRefEvents(sink), done_at);
+    };
+    const auto naive = run(false);
+    const auto sched = run(true);
+    ASSERT_EQ(naive.first.size(), 4u);
+    EXPECT_EQ(naive.first, sched.first);
+    EXPECT_GT(naive.second, 3u);
+    EXPECT_EQ(naive.second, sched.second);
+}
+
+TEST(PtwConfigDeath, RejectsUnmodellableConfigs)
+{
+    PhysicalMemory phys(1 << 10, false);
+    PageTable pt(phys);
+    MemorySystem mem{MemorySystemConfig{}};
+    EventQueue eq;
+    PtwConfig no_walkers;
+    no_walkers.numWalkers = 0;
+    EXPECT_EXIT(PageWalkers(no_walkers, pt, mem, eq),
+                ::testing::ExitedWithCode(1), "numWalkers");
+    PtwConfig odd_ways;
+    odd_ways.pwcLines = 16;
+    odd_ways.pwcWays = 3;
+    EXPECT_EXIT(PageWalkers(odd_ways, pt, mem, eq),
+                ::testing::ExitedWithCode(1), "16 lines .* 3 ways");
 }
