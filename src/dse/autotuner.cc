@@ -7,7 +7,7 @@
 #include "core/sweep.hh"
 #include "dse/pareto.hh"
 #include "sim/logging.hh"
-#include "sim/perf_report.hh"
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 namespace gpummu {
@@ -145,12 +145,16 @@ emitDseJson(const DseResult &r)
 
 namespace {
 
+/** A whole number in [0, 2^64): anything larger has no uint64_t
+ *  value, so the cast would be undefined. */
 bool
 getUint(const JsonValue &obj, const char *key, std::uint64_t &out)
 {
+    constexpr double kTwoTo64 = 18446744073709551616.0;
     const JsonValue *v = obj.find(key);
     if (v == nullptr || v->kind != JsonValue::Kind::Number ||
-        v->number < 0 || v->number != std::floor(v->number)) {
+        v->number < 0 || v->number >= kTwoTo64 ||
+        v->number != std::floor(v->number)) {
         return false;
     }
     out = static_cast<std::uint64_t>(v->number);
@@ -211,7 +215,7 @@ loadDseCache(const std::string &json,
             !getUint(p, "walk_refs_issued", m.walkRefsIssued) ||
             lat == nullptr ||
             lat->kind != JsonValue::Kind::Number) {
-            return fail(where + " is missing a metric field");
+            return fail(where + " has a missing or malformed metric");
         }
         m.avgTlbMissLatency = lat->number;
         if (m.cycles == 0)

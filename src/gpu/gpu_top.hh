@@ -44,8 +44,8 @@ struct RunStats
     double avgPageDivergence = 0.0;
     std::uint64_t maxPageDivergence = 0;
     /** Events the run dispatched through its EventQueue. Part of the
-     *  determinism contract (replays must match), and the
-     *  events-per-second numerator for bench/simbench. Deliberately
+     *  replay determinism contract (operator== compares it), and
+     *  what perfbench reports as sim.events. Deliberately
      *  not in dumpRunStatsJson: it is a simulator-internals metric,
      *  not a modelled-machine stat, and goldens predate it. */
     std::uint64_t eventsFired = 0;

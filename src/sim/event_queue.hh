@@ -118,8 +118,9 @@ class EventQueue
         return heap_.empty() ? kCycleNever : heap_.front().when;
     }
 
-    /** Events dispatched over this queue's lifetime (the simbench
-     *  events-fired-per-second numerator; deterministic). */
+    /** Events dispatched over this queue's lifetime (deterministic:
+     *  RunStats::eventsFired, so the replay determinism contract and
+     *  perfbench's sim.events). */
     std::uint64_t eventsFired() const { return eventsFired_; }
 
     /**

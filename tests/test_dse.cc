@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "dse/autotuner.hh"
 #include "dse/cost.hh"
@@ -414,6 +415,31 @@ TEST(Dse, CacheLoaderRejectsCorruption)
         "\"walk_refs_issued\":1,\"avg_tlb_miss_latency\":1.5}]}";
     EXPECT_TRUE(loadDseCache(dup, cache, &err)) << err;
     EXPECT_EQ(cache.size(), 1u);
+    // A count of 2^64 or more has no uint64_t value: it is a
+    // malformed metric, not a wrapped count.
+    const std::string one =
+        "{\"schema_version\":1,\"points\":["
+        "{\"key\":\"0123456789abcdef\",\"cycles\":10,"
+        "\"instructions\":1,\"tlb_accesses\":1,\"tlb_hits\":1,"
+        "\"walk_refs_issued\":1,\"avg_tlb_miss_latency\":1.5}]}";
+    auto with = [&](const std::string &from, const std::string &to) {
+        std::string s = one;
+        return s.replace(s.find(from), from.size(), to);
+    };
+    for (const std::string &bad :
+         {with("\"tlb_hits\":1,", "\"tlb_hits\":1e30,"),
+          with("\"cycles\":10,", "\"cycles\":1e30,"),
+          with("\"cycles\":10,", "\"cycles\":18446744073709551616,")}) {
+        EXPECT_FALSE(loadDseCache(bad, cache, &err)) << bad;
+        EXPECT_NE(err.find("malformed metric"), std::string::npos)
+            << err;
+    }
+    // The largest double below 2^64 still loads exactly.
+    ASSERT_TRUE(loadDseCache(
+        with("\"tlb_hits\":1,", "\"tlb_hits\":18446744073709549568,"),
+        cache, &err))
+        << err;
+    EXPECT_EQ(cache.begin()->second.tlbHits, 18446744073709549568u);
 }
 
 TEST(Dse, ValidatorCatchesSchemaViolations)

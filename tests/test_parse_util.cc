@@ -8,7 +8,7 @@
  * silently truncated values (the atoi/atof family accepted both);
  * (2) JSON number parsing is locale-independent — under a
  * comma-decimal LC_NUMERIC, std::stod parsed "1.5" as 1 and broke
- * the emit→parse round trip of the BENCH_*.json artifacts.
+ * the emit→parse round trip of the simulator's JSON exports.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +19,9 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "sim/json.hh"
 #include "sim/parse_util.hh"
-#include "sim/perf_report.hh"
+#include "sim/stats.hh"
 
 using namespace gpummu;
 
@@ -204,37 +205,21 @@ TEST(Locale, ParseDoubleIgnoresLcNumeric)
     EXPECT_FALSE(parseDouble("1,5", d));
 }
 
-TEST(Locale, BenchReportRoundTripsUnderCommaLocale)
+TEST(Locale, JsonRoundTripsUnderCommaLocale)
 {
     ScopedCommaLocale locale;
     if (!locale.active())
         GTEST_SKIP() << "no comma-decimal locale installed";
 
-    BenchReport report;
-    report.pr = 9;
-    report.scale = 0.25;
-    report.seed = 42;
-    report.repeat = 3;
-    BenchMeasurement m;
-    m.point = "bfs/augmented-tlb";
-    m.benchmark = "bfs";
-    m.config = "augmented-tlb";
-    m.cycles = 123456;
-    m.eventsFired = 777;
-    m.instructions = 999;
-    m.wallSeconds = 0.5;
-    report.points.push_back(m);
-
     // Emit (jsonNum/to_chars, locale-free) and re-parse
-    // (parseDouble/from_chars, locale-free): the round trip must
+    // (parseJson/parseDouble/from_chars, locale-free), as a DSE
+    // --out file and its --resume-from reload do: the round trip must
     // recover the exact values even with LC_NUMERIC=de_DE.
-    const std::string json = report.toJson();
+    const std::string json = "{\"scale\":" + jsonNum(0.25) +
+                             ",\"points\":[{\"wall_seconds\":" +
+                             jsonNum(0.5) + ",\"cycles_per_sec\":" +
+                             jsonNum(246912.0) + "}]}";
     EXPECT_NE(json.find("\"scale\":0.25"), std::string::npos);
-
-    const BenchValidation val = validateBenchJson(json);
-    EXPECT_TRUE(val.ok()) << (val.errors.empty()
-                                  ? std::string("?")
-                                  : val.errors.front());
 
     JsonValue doc;
     std::string err;
