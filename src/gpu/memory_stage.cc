@@ -49,6 +49,31 @@ MemoryStage::accessLine(PhysAddr pline, bool is_store, Cycle at,
     return out.readyAt;
 }
 
+bool
+MemoryStage::wouldMissUnderMiss(
+    const std::vector<VirtAddr> &lane_addrs) const
+{
+    if (iommu_ != nullptr || !mmu_.config().enabled ||
+        !mmu_.missOutstanding())
+        return false;
+    GPUMMU_ASSERT(mmu_.config().hitUnderMiss,
+                  "core must gate blocking TLBs on memAvailable()");
+    // Probe without disturbing stats/LRU. Lanes visit pages in the
+    // coalescer's first-appearance order; skipping a repeat of the
+    // previous lane's page drops most duplicate probes.
+    const unsigned page_shift = mmu_.pageShift();
+    Vpn prev = ~Vpn{0};
+    for (VirtAddr va : lane_addrs) {
+        const Vpn vpn = va >> page_shift;
+        if (vpn == prev)
+            continue;
+        if (!mmu_.probeTlb(vpn))
+            return true;
+        prev = vpn;
+    }
+    return false;
+}
+
 MemIssueResult
 MemoryStage::issue(int warp_id, bool is_store,
                    const std::vector<VirtAddr> &lane_addrs, Cycle now,
@@ -56,17 +81,26 @@ MemoryStage::issue(int warp_id, bool is_store,
 {
     GPUMMU_ASSERT(!lane_addrs.empty(), "memory op with no active lanes");
 
-    const unsigned page_shift =
-        mmu_.config().enabled ? mmu_.pageShift() : kPageShift4K;
-    coalesceInto(accScratch_, spareLines_, lane_addrs, kLineShift,
-                 page_shift);
+    // A bounced attempt needs no coalesced access; only a trace, which
+    // records every attempt's coalesce, still builds one.
+    const bool bounce = wouldMissUnderMiss(lane_addrs);
     const CoalescedAccess &acc = accScratch_;
+    if (!bounce || trace_) {
+        const unsigned page_shift =
+            mmu_.config().enabled ? mmu_.pageShift() : kPageShift4K;
+        coalesceInto(accScratch_, spareLines_, lane_addrs, kLineShift,
+                     page_shift);
+    }
 
     lastIssueReason_ = StallReason::Interconnect;
     if (trace_)
         trace_->instantAt(TraceCat::Coalescer, "coalesce", traceTid_,
                           now, "lines", acc.totalLines, "pages",
                           acc.pages.size());
+    if (bounce) {
+        tlbBounces_.inc();
+        return MemIssueResult::BlockedTlbBusy;
+    }
 
     if (iommu_ != nullptr)
         return issueIommu(warp_id, is_store, acc, now,
@@ -92,21 +126,6 @@ MemoryStage::issue(int warp_id, bool is_store,
         }
         complete(ready);
         return MemIssueResult::Issued;
-    }
-
-    // --- Hit-under-miss bounce check (no miss-under-miss). ---
-    // Probe without disturbing stats/LRU: if this warp would miss
-    // while walks are outstanding it gets swapped out and retries
-    // after the MMU drains.
-    if (mmu_.missOutstanding()) {
-        GPUMMU_ASSERT(mmu_.config().hitUnderMiss,
-                      "core must gate blocking TLBs on memAvailable()");
-        for (const auto &pg : acc.pages) {
-            if (!mmu_.probeTlb(pg.vpn)) {
-                tlbBounces_.inc();
-                return MemIssueResult::BlockedTlbBusy;
-            }
-        }
     }
 
     // Past the bounce point: the instruction definitely issues, so

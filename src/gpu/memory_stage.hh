@@ -10,7 +10,9 @@
  *  - blocking TLB: the core gates issue on Mmu::memAvailable();
  *  - hit-under-miss: all-hit warps proceed during outstanding walks,
  *    would-miss warps are bounced (BlockedTlbBusy) and must retry
- *    after the MMU drains (no miss-under-miss);
+ *    after the MMU drains (no miss-under-miss). The bounce is decided
+ *    from the lane addresses before coalescing, so a bounced attempt
+ *    costs TLB probes but no coalesce;
  *  - overlapped cache access: the missing warp's TLB-hitting lines
  *    access the L1 immediately; lines under missing pages go as each
  *    walk finishes.
@@ -89,6 +91,11 @@ class MemoryStage
 
     /**
      * Issue one warp memory instruction.
+     *
+     * Under hit-under-miss with a walk outstanding, the lanes' pages
+     * are probed first and the first non-resident one bounces the
+     * instruction (BlockedTlbBusy) without coalescing it; an armed
+     * trace still records the attempt's coalesce.
      *
      * @param warp_id    hardware warp slot
      * @param is_store   store (translation blocks, data does not)
@@ -180,6 +187,11 @@ class MemoryStage
     MemIssueResult issueIommu(int warp_id, bool is_store,
                               const CoalescedAccess &acc, Cycle now,
                               CompleteFn complete);
+
+    /** Hit-under-miss bounce: a walk is outstanding and some lane's
+     *  page is not resident in the L1 TLB (per-core MMU only). */
+    bool wouldMissUnderMiss(
+        const std::vector<VirtAddr> &lane_addrs) const;
 
     /** Fold one access outcome into the instruction's stall cause. */
     void noteOutcome(const AccessOutcome &out, bool is_store);

@@ -27,6 +27,11 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
     }
     if (cfg.issueWidth == 0)
         GPUMMU_FATAL("SimtCore: issueWidth (0) must be at least 1");
+    // A warp's miss set is never split, and it can span every lane.
+    if (cfg.mmu.enabled && cfg.mmu.mshrs < kWarpWidth)
+        GPUMMU_FATAL("SimtCore: core.mmu.mshrs (", cfg.mmu.mshrs,
+                     ") is below the warp width (", kWarpWidth,
+                     "); one warp's misses must start together");
     warps_.resize(cfg.numWarpSlots);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 

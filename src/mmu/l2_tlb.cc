@@ -8,14 +8,38 @@
 
 namespace gpummu {
 
+namespace {
+
+/** Entries in @p cfg, after rejecting a geometry, port, MSHR or
+ *  lookup-interval setting the shared L2 TLB cannot model. */
+std::size_t
+checkedEntries(const L2TlbConfig &cfg)
+{
+    if (cfg.entries == 0)
+        GPUMMU_FATAL("L2 TLB: l2tlb.entries (0) must be at least 1");
+    // SetAssocArray makes ways above the entry count fully associative.
+    if (cfg.ways != 0 && cfg.ways <= cfg.entries &&
+        cfg.entries % cfg.ways != 0)
+        GPUMMU_FATAL("L2 TLB: l2tlb.entries (", cfg.entries,
+                     ") does not divide into l2tlb.ways (", cfg.ways,
+                     ")");
+    if (cfg.ports == 0)
+        GPUMMU_FATAL("L2 TLB: l2tlb.ports (0) must be at least 1");
+    if (cfg.mshrs == 0)
+        GPUMMU_FATAL("L2 TLB: l2tlb.mshrs (0) must be at least 1");
+    if (cfg.lookupInterval == 0)
+        GPUMMU_FATAL("L2 TLB: l2tlb.lookupInterval (0) must be at "
+                     "least 1");
+    return cfg.entries;
+}
+
+} // namespace
+
 L2Tlb::L2Tlb(const L2TlbConfig &cfg, const PageTable &pt,
              EventQueue &eq, unsigned page_shift)
     : cfg_(cfg), pageShift_(page_shift), eq_(eq),
-      array_(cfg.entries, cfg.ways)
+      array_(checkedEntries(cfg), cfg.ways)
 {
-    GPUMMU_ASSERT(cfg.ports >= 1);
-    GPUMMU_ASSERT(cfg.mshrs >= 1);
-    GPUMMU_ASSERT(cfg.lookupInterval >= 1);
     portFreeAt_.assign(cfg.ports, 0);
     if (cfg_.checkInvariants)
         checker_ = std::make_unique<InvariantChecker>(pt);

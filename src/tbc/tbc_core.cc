@@ -24,6 +24,11 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
     }
     if (cfg.issueWidth == 0)
         GPUMMU_FATAL("TbcCore: issueWidth (0) must be at least 1");
+    // A warp's miss set is never split, and it can span every lane.
+    if (cfg.mmu.enabled && cfg.mmu.mshrs < kWarpWidth)
+        GPUMMU_FATAL("TbcCore: core.mmu.mshrs (", cfg.mmu.mshrs,
+                     ") is below the warp width (", kWarpWidth,
+                     "); one warp's misses must start together");
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
     // Scheduler ids encode (block slot, warp index); size the round

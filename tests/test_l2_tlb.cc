@@ -408,6 +408,29 @@ shrink(SystemConfig cfg, unsigned cores = 4)
 
 } // namespace
 
+TEST_F(L2TlbFixture, RejectsUnmodellableConfigs)
+{
+    const auto rejects = [this](L2TlbConfig cfg, const char *msg) {
+        EXPECT_EXIT(make(cfg), ::testing::ExitedWithCode(1), msg);
+    };
+    L2TlbConfig cfg;
+    cfg.entries = 0;
+    rejects(cfg, "l2tlb.entries \\(0\\) must be at least 1");
+    cfg = L2TlbConfig{};
+    cfg.ways = 3;
+    rejects(cfg, "l2tlb.entries \\(4096\\) does not divide into "
+                 "l2tlb.ways \\(3\\)");
+    cfg = L2TlbConfig{};
+    cfg.ports = 0;
+    rejects(cfg, "l2tlb.ports \\(0\\) must be at least 1");
+    cfg = L2TlbConfig{};
+    cfg.mshrs = 0;
+    rejects(cfg, "l2tlb.mshrs \\(0\\) must be at least 1");
+    cfg = L2TlbConfig{};
+    cfg.lookupInterval = 0;
+    rejects(cfg, "l2tlb.lookupInterval \\(0\\) must be at least 1");
+}
+
 TEST(L2TlbSystem, ArmedCheckerPassesOnAllSixWorkloads)
 {
     // Full-system sanity with the differential checker armed on the

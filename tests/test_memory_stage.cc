@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "gpu/memory_stage.hh"
 #include "mmu/iommu.hh"
 #include "sched/warp_scheduler.hh"
+#include "trace/trace.hh"
 
 using namespace gpummu;
 
@@ -137,6 +140,112 @@ TEST_F(StageFixture, HitUnderMissBouncesWouldMissWarp)
     eq.runUntil(10'000'000);
     EXPECT_GT(w1, 0u);
     EXPECT_GT(w3, 0u);
+}
+
+/** A hit-under-miss stage with pages 0 (and, if asked, 6) resident
+ *  in the TLB and a walk for page 5 outstanding. */
+struct BounceFixture : public StageFixture
+{
+    explicit BounceFixture(bool warm_b = false)
+        : mmu(humConfig(), as, mem, eq), l1(L1CacheConfig{}, mem),
+          stage(mmu, l1, eq)
+    {
+        stage.setScheduler(&sched);
+        warm(0);
+        if (warm_b)
+            warm(6);
+        stage.issue(1, false, {addr(5)}, eq.now(), [](Cycle) {});
+    }
+
+    // Walk callbacks hold the stage's pending descriptors: drain them.
+    ~BounceFixture() override { eq.runUntil(eq.now() + 10'000'000); }
+
+    static MmuConfig
+    humConfig()
+    {
+        MmuConfig mc;
+        mc.hitUnderMiss = true;
+        return mc;
+    }
+
+    void
+    warm(unsigned page)
+    {
+        stage.issue(0, false, {addr(page)}, eq.now(), [](Cycle) {});
+        eq.runUntil(eq.now() + 1'000'000);
+    }
+
+    /** Lanes A, B, A: page 0, page 6, then page 0 on another line. */
+    std::vector<VirtAddr>
+    lanesAba() const
+    {
+        return {addr(0), addr(6), addr(0, 128)};
+    }
+
+    Mmu mmu;
+    L1Cache l1;
+    MemoryStage stage;
+    RecordingScheduler sched;
+};
+
+struct BounceMissFixture : public BounceFixture
+{
+    BounceMissFixture() : BounceFixture(false) {}
+};
+
+struct BounceHitFixture : public BounceFixture
+{
+    BounceHitFixture() : BounceFixture(true) {}
+};
+
+TEST_F(BounceMissFixture, LaterLaneOnAMissingPageBounces)
+{
+    ASSERT_TRUE(mmu.missOutstanding());
+    const auto instrs = stage.memInstructions();
+    const auto bounces = stage.tlbBusyBounces();
+    const int misses = sched.tlbMisses;
+
+    auto res = stage.issue(2, false, lanesAba(), eq.now(),
+                           [](Cycle) { FAIL(); });
+    EXPECT_EQ(res, MemIssueResult::BlockedTlbBusy);
+    EXPECT_EQ(stage.tlbBusyBounces(), bounces + 1);
+    EXPECT_EQ(stage.memInstructions(), instrs);
+    EXPECT_EQ(sched.tlbMisses, misses);
+}
+
+TEST_F(BounceHitFixture, AllLanesResidentIssueUnderTheMiss)
+{
+    ASSERT_TRUE(mmu.missOutstanding());
+    const auto instrs = stage.memInstructions();
+    const auto samples = stage.pageDivergence().count();
+
+    Cycle done = 0;
+    auto res = stage.issue(2, false, lanesAba(), eq.now(),
+                           [&](Cycle c) { done = c; });
+    EXPECT_EQ(res, MemIssueResult::Issued);
+    EXPECT_EQ(stage.tlbBusyBounces(), 0u);
+    EXPECT_EQ(stage.memInstructions(), instrs + 1);
+    ASSERT_EQ(stage.pageDivergence().count(), samples + 1);
+    // Every earlier instruction touched one page.
+    EXPECT_EQ(stage.pageDivergence().max(), 2u);
+    eq.runUntil(eq.now() + 1'000'000);
+    EXPECT_GT(done, 0u);
+}
+
+TEST_F(BounceMissFixture, TracedBounceRecordsTheFullCoalesce)
+{
+    TraceSink sink(64);
+    stage.setTraceSink(&sink, 0);
+    auto res = stage.issue(2, false, lanesAba(), eq.now(),
+                           [](Cycle) { FAIL(); });
+    ASSERT_EQ(res, MemIssueResult::BlockedTlbBusy);
+    EXPECT_EQ(sink.recorded(TraceCat::Coalescer), 1u);
+    std::ostringstream os;
+    sink.writeChromeTrace(os);
+    EXPECT_NE(os.str().find("\"args\":{\"lines\":3,\"pages\":2}"),
+              std::string::npos)
+        << os.str();
+    stage.setTraceSink(nullptr, 0);
 }
 
 TEST_F(StageFixture, OverlapReleasesHitLinesEarly)

@@ -376,6 +376,36 @@ TEST(SimtCore, ZeroIssueWidthIsRejected)
                 "issueWidth \\(0\\) must be at least 1");
 }
 
+TEST(SimtCore, MmuMshrsBelowTheWarpWidthAreRejected)
+{
+    // One warp's misses start together and can span all 32 lanes'
+    // pages, so fewer per-core MSHRs would panic on the first wide
+    // miss set instead of running.
+    CoreConfig narrow;
+    narrow.mmu.mshrs = 16;
+    EXPECT_EXIT(runTiny(narrow), ::testing::ExitedWithCode(1),
+                "SimtCore: core.mmu.mshrs \\(16\\) is below the warp "
+                "width \\(32\\)");
+
+    SystemConfig cfg = presets::augmentedTlb();
+    cfg.numCores = 4;
+    cfg.core.mmu.mshrs = 0;
+    WorkloadParams p;
+    p.scale = 0.05;
+    p.seed = 7;
+    EXPECT_EXIT(runConfig(BenchmarkId::Hashprobe, cfg, p),
+                ::testing::ExitedWithCode(1),
+                "core.mmu.mshrs \\(0\\) is below the warp width");
+}
+
+TEST(SimtCore, MmuMshrsAreUnusedWithoutAPerCoreMmu)
+{
+    CoreConfig no_tlb;
+    no_tlb.mmu.enabled = false;
+    no_tlb.mmu.mshrs = 0;
+    EXPECT_GT(runTiny(no_tlb).instructions, 0u);
+}
+
 TEST(SimtCore, WarpSlotsBeyondTheMaskWidthAreRejected)
 {
     CoreConfig wide;

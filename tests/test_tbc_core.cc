@@ -188,6 +188,16 @@ TEST(TbcCore, CoreTooSmallForOneBlockIsRejected)
                 "TbcCore: numWarpSlots \\(3\\) is below the 4 warps");
 }
 
+TEST(TbcCore, MmuMshrsBelowTheWarpWidthAreRejected)
+{
+    CoreConfig narrow;
+    narrow.mmu.mshrs = 16;
+    EXPECT_EXIT(runDivergent(TbcConfig{}, 0.5, narrow),
+                ::testing::ExitedWithCode(1),
+                "TbcCore: core.mmu.mshrs \\(16\\) is below the warp "
+                "width \\(32\\)");
+}
+
 TEST(TbcCore, ZeroIssueWidthIsRejected)
 {
     CoreConfig none;

@@ -292,3 +292,36 @@ TEST(Tlb, LruOrderAfterHitUnderMiss)
     // Stack order afterwards: 9 (fill) > 2 > 1 > 4.
     EXPECT_EQ(tlb.lookup(4, 0).depth, 3u);
 }
+
+TEST(TlbConfigDeath, RejectsUnmodellableConfigs)
+{
+    TlbConfig no_entries;
+    no_entries.entries = 0;
+    EXPECT_EXIT(Tlb{no_entries}, ::testing::ExitedWithCode(1),
+                "tlb.entries \\(0\\) must be at least 1");
+    TlbConfig odd_ways;
+    odd_ways.ways = 3;
+    EXPECT_EXIT(Tlb{odd_ways}, ::testing::ExitedWithCode(1),
+                "tlb.entries \\(128\\) does not divide into "
+                "tlb.ways \\(3\\)");
+    TlbConfig no_ports;
+    no_ports.ports = 0;
+    EXPECT_EXIT(Tlb{no_ports}, ::testing::ExitedWithCode(1),
+                "tlb.ports \\(0\\) must be at least 1");
+    TlbConfig long_history;
+    long_history.historyLength = 5;
+    EXPECT_EXIT(Tlb{long_history}, ::testing::ExitedWithCode(1),
+                "tlb.historyLength \\(5\\) exceeds");
+}
+
+TEST(TlbConfig, MoreWaysThanEntriesIsFullyAssociative)
+{
+    TlbConfig cfg;
+    cfg.entries = 4;
+    cfg.ways = 8;
+    Tlb tlb(cfg);
+    for (Vpn v = 0; v < 4; ++v)
+        tlb.fill(v * 1000, Translation{v, false});
+    for (Vpn v = 0; v < 4; ++v)
+        EXPECT_TRUE(tlb.probe(v * 1000));
+}
