@@ -40,7 +40,8 @@ GpuTop::GpuTop(unsigned num_cores, const MemorySystemConfig &mem_cfg,
     : phys_(phys_frames), as_(phys_, large_pages), mem_(mem_cfg),
       workload_(workload)
 {
-    GPUMMU_ASSERT(num_cores > 0);
+    if (num_cores == 0)
+        GPUMMU_FATAL("numCores (0) must be at least 1");
     workload_.build(as_);
     workload_.program().validate();
 

@@ -205,13 +205,17 @@ MemoryStage::issue(int warp_id, bool is_store,
     // --- Misses: start walks; policy decides what overlaps. ---
     const bool overlap = mmu_.config().cacheOverlap;
 
-    ArenaRc<WalkPending> pending = walkArena_.createRc();
-    pending->remainingWalks = miss_vpns.size();
-    pending->ready = t0 + 1;
-    pending->isStore = is_store;
-    pending->overlap = overlap;
-    pending->warpId = warp_id;
-    pending->complete = std::move(complete);
+    GPUMMU_ASSERT(walk_.remainingWalks == 0,
+                  "miss issued while the previous one walks");
+    walk_.remainingWalks = miss_vpns.size();
+    walk_.ready = t0 + 1;
+    walk_.lastWalkDone = 0;
+    walk_.isStore = is_store;
+    walk_.overlap = overlap;
+    walk_.warpId = warp_id;
+    walk_.deferredByFrame.clear();
+    walk_.deferredByVpn.clear();
+    walk_.complete = std::move(complete);
 
     for (std::size_t i = 0; i < acc.pages.size(); ++i) {
         const auto &pg = acc.pages[i];
@@ -227,71 +231,76 @@ MemoryStage::issue(int warp_id, bool is_store,
                         accessLine(lineAddrOf(pa), is_store, t0, warp_id,
                                    true);
                     if (!is_store)
-                        pending->ready = std::max(pending->ready, done);
+                        walk_.ready = std::max(walk_.ready, done);
                 }
             } else {
-                pending->deferredByFrame.emplace_back(vl.frameBase,
-                                                      pg.vlines);
+                walk_.deferredByFrame.emplace_back(vl.frameBase,
+                                                   pg.vlines);
             }
         } else {
-            pending->deferredByVpn.emplace_back(pg.vpn, pg.vlines);
+            walk_.deferredByVpn.emplace_back(pg.vpn, pg.vlines);
         }
     }
 
-    auto replay = [this, pending](std::uint64_t frame,
-                                  const std::vector<std::uint64_t> &vlines,
-                                  Cycle at) {
-        for (std::uint64_t vline : vlines) {
-            const PhysAddr pa = mmu_.physAddr(frame, vline << kLineShift);
-            const Cycle done = accessLine(lineAddrOf(pa),
-                                          pending->isStore, at,
-                                          pending->warpId, true);
-            if (!pending->isStore)
-                pending->ready = std::max(pending->ready, done);
-        }
-    };
-
-    mmu_.requestWalks(
-        miss_vpns, warp_id, t0,
-        [pending, replay](Vpn vpn, std::uint64_t frame, Cycle fin) {
-            pending->lastWalkDone = std::max(pending->lastWalkDone, fin);
-            if (pending->overlap) {
-                // Release this page's lines as soon as its walk ends.
-                for (auto &[dvpn, vlines] : pending->deferredByVpn) {
-                    if (dvpn == vpn && !vlines.empty()) {
-                        replay(frame, vlines, fin);
-                        vlines.clear();
-                    }
-                }
-            } else {
-                // Remember the frame; all lines go after the last walk.
-                for (auto &[dvpn, vlines] : pending->deferredByVpn) {
-                    if (dvpn == vpn) {
-                        pending->deferredByFrame.emplace_back(
-                            frame, std::move(vlines));
-                        vlines.clear();
-                    }
-                }
-            }
-
-            GPUMMU_ASSERT(pending->remainingWalks > 0);
-            if (--pending->remainingWalks > 0)
-                return;
-
-            if (!pending->overlap) {
-                for (const auto &[dframe, vlines] :
-                     pending->deferredByFrame) {
-                    replay(dframe, vlines, pending->lastWalkDone);
-                }
-            }
-            const Cycle resume = pending->isStore
-                                     ? pending->lastWalkDone + 1
-                                     : std::max(pending->ready,
-                                                pending->lastWalkDone + 1);
-            pending->complete(resume);
-        });
-
+    mmu_.requestWalks(miss_vpns, warp_id, t0,
+                      [this](Vpn vpn, std::uint64_t frame, Cycle fin) {
+                          walkDone(vpn, frame, fin);
+                      });
     return MemIssueResult::Issued;
+}
+
+void
+MemoryStage::replay(std::uint64_t frame,
+                    const std::vector<std::uint64_t> &vlines, Cycle at)
+{
+    for (std::uint64_t vline : vlines) {
+        const PhysAddr pa = mmu_.physAddr(frame, vline << kLineShift);
+        const Cycle done = accessLine(lineAddrOf(pa), walk_.isStore, at,
+                                      walk_.warpId, true);
+        if (!walk_.isStore)
+            walk_.ready = std::max(walk_.ready, done);
+    }
+}
+
+void
+MemoryStage::walkDone(Vpn vpn, std::uint64_t frame, Cycle fin)
+{
+    walk_.lastWalkDone = std::max(walk_.lastWalkDone, fin);
+    if (walk_.overlap) {
+        // Release this page's lines as soon as its walk ends.
+        for (auto &[dvpn, vlines] : walk_.deferredByVpn) {
+            if (dvpn == vpn && !vlines.empty()) {
+                replay(frame, vlines, fin);
+                vlines.clear();
+            }
+        }
+    } else {
+        // Remember the frame; all lines go after the last walk.
+        for (auto &[dvpn, vlines] : walk_.deferredByVpn) {
+            if (dvpn == vpn) {
+                walk_.deferredByFrame.emplace_back(frame,
+                                                   std::move(vlines));
+                vlines.clear();
+            }
+        }
+    }
+
+    GPUMMU_ASSERT(walk_.remainingWalks > 0);
+    if (--walk_.remainingWalks > 0)
+        return;
+
+    if (!walk_.overlap) {
+        for (const auto &[dframe, vlines] : walk_.deferredByFrame)
+            replay(dframe, vlines, walk_.lastWalkDone);
+    }
+    const Cycle resume = walk_.isStore
+                             ? walk_.lastWalkDone + 1
+                             : std::max(walk_.ready,
+                                        walk_.lastWalkDone + 1);
+    // The record is idle again: complete() may issue the next miss
+    // on this stage, so run it from a local.
+    CompleteFn complete = std::move(walk_.complete);
+    complete(resume);
 }
 
 MemIssueResult
@@ -311,9 +320,12 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     // (the virtual->physical bijection makes the hit/miss pattern
     // identical for the tag-level model). Translation gates only the
     // pages whose lines missed.
-    ArenaRc<IommuPending> pending = iommuArena_.createRc();
-    pending->ready = now + 1;
-    pending->complete = std::move(complete);
+    if (static_cast<std::size_t>(warp_id) >= iommuPending_.size())
+        iommuPending_.resize(warp_id + 1);
+    IommuPending &pending = iommuPending_[warp_id];
+    GPUMMU_ASSERT(pending.remaining == 0, "warp ", warp_id,
+                  " issued while its load translates at the IOMMU");
+    pending.ready = now + 1;
 
     std::vector<Vpn> &missing_pages = iommuMissScratch_;
     missing_pages.clear();
@@ -331,8 +343,7 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
             }
             noteOutcome(out, is_store);
             if (!is_store) {
-                pending->ready =
-                    std::max(pending->ready, out.readyAt);
+                pending.ready = std::max(pending.ready, out.readyAt);
                 if (!out.hit) {
                     page_missed = true;
                     if (sched_)
@@ -345,7 +356,7 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     }
 
     if (is_store || missing_pages.empty()) {
-        pending->complete(pending->ready);
+        complete(pending.ready);
         return MemIssueResult::Issued;
     }
 
@@ -353,30 +364,39 @@ MemoryStage::issueIommu(int warp_id, bool is_store,
     // dominates whatever the cache did.
     lastIssueReason_ = StallReason::TlbMiss;
 
-    // After-L1-miss translation at the controller: the miss response
-    // cannot return before the IOMMU produced a physical address
-    // (plus the L2 leg it gates). Both legs run on this run's memory
-    // system.
-    const MemorySystemConfig &mem_cfg = l1_.memory().config();
-    const Cycle refetch = mem_cfg.icntLatency + mem_cfg.l2HitLatency;
-    pending->remaining = missing_pages.size();
+    const Cycle icnt = l1_.memory().config().icntLatency;
+    pending.remaining = missing_pages.size();
+    pending.complete = std::move(complete);
     for (Vpn vpn : missing_pages) {
         // The span opens as the request departs the core; the gap to
         // the IOMMU's lookup stage is interconnect + port queueing.
         if (spans_)
             spans_->openAt(asidKey(asid_, vpn),
                            SpanStage::IommuDepart, now, spanTid_);
-        iommu_->translate(
-            asidKey(asid_, vpn), now + mem_cfg.icntLatency,
-            [pending, refetch](std::uint64_t, Cycle done) {
-                pending->ready =
-                    std::max(pending->ready, done + refetch);
-                GPUMMU_ASSERT(pending->remaining > 0);
-                if (--pending->remaining == 0)
-                    pending->complete(pending->ready);
-            });
+        iommu_->translate(asidKey(asid_, vpn), now + icnt,
+                          [this, warp_id](std::uint64_t, Cycle done) {
+                              iommuDone(warp_id, done);
+                          });
     }
     return MemIssueResult::Issued;
+}
+
+void
+MemoryStage::iommuDone(int warp_id, Cycle done)
+{
+    // After-L1-miss translation at the controller: the miss response
+    // cannot return before the IOMMU produced a physical address
+    // (plus the L2 leg it gates). Both legs run on this run's memory
+    // system.
+    const MemorySystemConfig &mem_cfg = l1_.memory().config();
+    IommuPending &pending = iommuPending_[warp_id];
+    pending.ready = std::max(
+        pending.ready, done + mem_cfg.icntLatency + mem_cfg.l2HitLatency);
+    GPUMMU_ASSERT(pending.remaining > 0);
+    if (--pending.remaining > 0)
+        return;
+    CompleteFn complete = std::move(pending.complete);
+    complete(pending.ready);
 }
 
 void

@@ -33,7 +33,6 @@
 #include "mmu/iommu.hh"
 #include "mmu/mmu.hh"
 #include "sched/warp_scheduler.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "trace/stall_accounting.hh"
@@ -147,10 +146,9 @@ class MemoryStage
 
   private:
     /**
-     * Miss-path state of one in-flight warp memory instruction,
-     * shared by the walk-completion callbacks. Arena-pooled behind
-     * ArenaRc handles (the old make_shared churn was one control
-     * block per missing instruction).
+     * Miss-path state of the warp memory instruction whose walks are
+     * in flight. The Mmu holds one miss batch at a time (no miss
+     * under a miss), so the stage keeps exactly one.
      */
     struct WalkPending
     {
@@ -160,7 +158,6 @@ class MemoryStage
         bool isStore = false;
         bool overlap = false;
         int warpId = -1;
-        bool tlbMissedInstr = true;
         /** vlines to replay per missing vpn (and, without overlap,
          *  the already-hit groups too, frame resolved eagerly). */
         std::vector<
@@ -171,7 +168,8 @@ class MemoryStage
         CompleteFn complete;
     };
 
-    /** IOMMU-path equivalent of WalkPending. */
+    /** IOMMU-path equivalent of WalkPending, one per warp: a warp
+     *  has at most one load translating at the IOMMU. */
     struct IommuPending
     {
         std::size_t remaining = 0;
@@ -196,6 +194,16 @@ class MemoryStage
     /** Fold one access outcome into the instruction's stall cause. */
     void noteOutcome(const AccessOutcome &out, bool is_store);
 
+    /** Access the pending instruction's @p vlines under @p frame. */
+    void replay(std::uint64_t frame,
+                const std::vector<std::uint64_t> &vlines, Cycle at);
+
+    /** One of the pending instruction's walks finished. */
+    void walkDone(Vpn vpn, std::uint64_t frame, Cycle fin);
+
+    /** An IOMMU translation for @p warp_id's load finished. */
+    void iommuDone(int warp_id, Cycle done);
+
     Mmu &mmu_;
     L1Cache &l1_;
     EventQueue &eq_;
@@ -210,19 +218,17 @@ class MemoryStage
     StallReason lastIssueReason_ = StallReason::None;
     Asid asid_ = 0;
 
-    /** Pools for the pending descriptors above. Walk callbacks held
-     *  by the Mmu/walkers carry ArenaRc handles into these; a
-     *  teardown with walks still in flight panics in ~Arena rather
-     *  than dangling. */
-    Arena<WalkPending> walkArena_;
-    Arena<IommuPending> iommuArena_;
+    WalkPending walk_;
+    /** Indexed by warp id, grown on demand. */
+    std::vector<IommuPending> iommuPending_;
 
     /**
      * issue() scratch, reused across instructions so the per-issue
      * path performs no allocation. Safe because issue() is never
-     * re-entered: completion callbacks only mark warps ready, and
-     * cores issue from tick(). Anything that outlives the call
-     * (deferred replay lines) is copied into the pending descriptor.
+     * re-entered: it calls a completion synchronously only as its
+     * last step, and walk and IOMMU completions arrive as events.
+     * Anything that outlives the call (deferred replay lines) is
+     * copied into the pending record.
      */
     CoalescedAccess accScratch_;
     std::vector<std::vector<std::uint64_t>> spareLines_;

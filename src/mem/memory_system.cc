@@ -8,7 +8,9 @@ namespace gpummu {
 
 MemorySystem::MemorySystem(const MemorySystemConfig &cfg) : cfg_(cfg)
 {
-    GPUMMU_ASSERT(cfg.numPartitions > 0);
+    if (cfg.numPartitions == 0)
+        GPUMMU_FATAL("memory system: mem.numPartitions (0) must be at "
+                     "least 1");
     partitions_.reserve(cfg.numPartitions);
     for (unsigned i = 0; i < cfg.numPartitions; ++i)
         partitions_.emplace_back(cfg);

@@ -78,13 +78,16 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
                               issue, "vpn", tag);
         if (spans_)
             spans_->stageAt(tag, SpanStage::L2Hit, ready);
-        HitWake *ev = hitArena_.create();
-        ev->tlb = this;
-        ev->tag = tag;
-        ev->t = *res.payload;
-        ev->ready = ready;
-        ev->done = std::move(done);
-        eq_.scheduleRaw(ready, &L2Tlb::fireHitWake, ev);
+        std::size_t slot;
+        if (freeHitWakes_.empty()) {
+            slot = hitWakes_.size();
+            hitWakes_.emplace_back();
+        } else {
+            slot = freeHitWakes_.back();
+            freeHitWakes_.pop_back();
+        }
+        hitWakes_[slot] = HitWake{tag, *res.payload, std::move(done)};
+        eq_.schedule(ready, [this, slot] { fireHitWake(slot); });
         return AccessResult{Outcome::Hit, ready};
     }
 
@@ -135,19 +138,16 @@ L2Tlb::access(Vpn tag, Cycle now, WakeFn done)
 }
 
 void
-L2Tlb::fireHitWake(void *ctx, Cycle now)
+L2Tlb::fireHitWake(std::size_t slot)
 {
-    auto *ev = static_cast<HitWake *>(ctx);
-    GPUMMU_ASSERT(now == ev->ready);
-    // Release the node before the callback: done() may access() this
-    // L2 again and needs the slot free for its own completion.
-    L2Tlb *tlb = ev->tlb;
-    const Vpn tag = ev->tag;
-    const Translation t = ev->t;
-    const Cycle ready = ev->ready;
-    WakeFn done = std::move(ev->done);
-    tlb->hitArena_.destroy(ev);
-    done(tag, t.ppn, t.isLarge, ready);
+    // Free the slot before the callback: done() may access() this
+    // L2 again and take the slot for its own hit.
+    HitWake &h = hitWakes_[slot];
+    const Vpn tag = h.tag;
+    const Translation t = h.t;
+    WakeFn done = std::move(h.done);
+    freeHitWakes_.push_back(slot);
+    done(tag, t.ppn, t.isLarge, eq_.now());
 }
 
 void

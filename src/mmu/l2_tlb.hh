@@ -37,7 +37,6 @@
 
 #include "check/invariant_checker.hh"
 #include "mem/set_assoc.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -215,23 +214,25 @@ class L2Tlb
     /** Install @p t, reporting eviction + running the armed sweep. */
     void install(Vpn tag, const Translation &t);
 
-    /** Arena-pooled hit-completion event payload (scheduleRaw). */
+    /** A hit's wakeup, pending until its ready cycle. Hits are the
+     *  only in-flight records no requester bounds, so the L2 keeps
+     *  them in slots of hitWakes_, recycled LIFO through
+     *  freeHitWakes_; the event is [this, slot]. */
     struct HitWake
     {
-        L2Tlb *tlb = nullptr;
         Vpn tag = 0;
         Translation t;
-        Cycle ready = 0;
         WakeFn done;
     };
 
-    static void fireHitWake(void *ctx, Cycle now);
+    /** Hit wakeup event: free @p slot, then run its callback. */
+    void fireHitWake(std::size_t slot);
 
     L2TlbConfig cfg_;
     unsigned pageShift_;
     EventQueue &eq_;
-    /** Before every member a pending HitWake could reference. */
-    Arena<HitWake> hitArena_;
+    std::vector<HitWake> hitWakes_;
+    std::vector<std::size_t> freeHitWakes_;
     std::unique_ptr<InvariantChecker> checker_;
     SetAssocArray<Translation> array_;
     std::vector<Cycle> portFreeAt_;

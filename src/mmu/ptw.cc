@@ -133,6 +133,8 @@ void
 PageWalkers::startBatch(Walker &w, Cycle now)
 {
     GPUMMU_ASSERT(!queue_.empty());
+    GPUMMU_ASSERT(w.completing == 0,
+                  "walker reused with completions pending");
     if (cfg_.scheduling)
         batches_.inc();
     w.walks.clear();
@@ -188,36 +190,24 @@ PageWalkers::startBatch(Walker &w, Cycle now)
 }
 
 void
-PageWalkers::fireStepLevel(void *ctx, Cycle now)
+PageWalkers::completeWalk(Walker &w, std::uint32_t idx)
 {
-    auto *w = static_cast<Walker *>(ctx);
-    w->pool->stepLevel(*w, now);
-}
-
-void
-PageWalkers::fireWalkDone(void *ctx, Cycle now)
-{
-    auto *ev = static_cast<WalkDone *>(ctx);
-    PageWalkers *pool = ev->pool;
-    GPUMMU_ASSERT(now == ev->ready);
-    GPUMMU_ASSERT(pool->inFlight_ > 0);
-    --pool->inFlight_;
-    if (pool->trace_) {
-        pool->trace_->span(TraceCat::Ptw, "page_walk", pool->traceTid_,
-                           ev->enqueued, ev->ready - ev->enqueued,
-                           "vpn", ev->vpn);
-        pool->trace_->counter(TraceCat::Ptw, "walks_in_flight",
-                              pool->traceTid_, pool->inFlight_);
+    const PendingWalk &walk = w.walks[idx];
+    const Cycle now = eq_.now();
+    GPUMMU_ASSERT(w.completing > 0 && inFlight_ > 0);
+    --w.completing;
+    --inFlight_;
+    if (trace_) {
+        trace_->span(TraceCat::Ptw, "page_walk", traceTid_,
+                     walk.enqueued, now - walk.enqueued, "vpn", walk.vpn);
+        trace_->counter(TraceCat::Ptw, "walks_in_flight", traceTid_,
+                        inFlight_);
     }
-    if (pool->checker_)
-        pool->checker_->onWalkCompleted(asidKey(ev->asid, ev->vpn));
-    // Move the callback out before releasing the node: done() may
-    // start new walks, and the recycled slot must be free for them.
-    DoneFn done = std::move(ev->done);
-    const Vpn vpn = ev->vpn;
-    const Cycle ready = ev->ready;
-    pool->doneArena_.destroy(ev);
-    done(vpn, ready);
+    if (checker_)
+        checker_->onWalkCompleted(asidKey(walk.asid, walk.vpn));
+    // The slot stays busy until its last level event, so done() may
+    // start new walks on other walkers or queue them, never here.
+    walk.done(walk.vpn, now);
 }
 
 void
@@ -247,7 +237,7 @@ PageWalkers::stepLevel(Walker &w, Cycle now)
         }
         if (!ref.last)
             continue;
-        PendingWalk &walk = w.walks[ref.walk];
+        const PendingWalk &walk = w.walks[ref.walk];
         walks_.inc();
         walkLatency_.sample(ready - walk.enqueued);
         if (spans_)
@@ -256,18 +246,13 @@ PageWalkers::stepLevel(Walker &w, Cycle now)
         if (heat_)
             heat_->onWalkComplete(asidKey(walk.asid, walk.vpn), heatTid_,
                                   walk.enqueued, ready);
-        // Each walk finishes exactly once, so its done callback can
-        // move into the completion node.
-        WalkDone *ev = doneArena_.create();
-        ev->pool = this;
-        ev->vpn = walk.vpn;
-        ev->asid = walk.asid;
-        ev->ready = ready;
-        ev->enqueued = walk.enqueued;
-        ev->done = std::move(walk.done);
-        eq_.scheduleRaw(ready, &PageWalkers::fireWalkDone, ev);
+        ++w.completing;
+        const std::uint32_t idx = ref.walk;
+        eq_.schedule(ready,
+                     [&w, idx] { w.pool->completeWalk(w, idx); });
     }
-    eq_.scheduleRaw(level_end, &PageWalkers::fireStepLevel, &w);
+    eq_.schedule(level_end,
+                 [&w] { w.pool->stepLevel(w, w.pool->eq_.now()); });
 }
 
 void

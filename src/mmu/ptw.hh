@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "mem/memory_system.hh"
-#include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -215,9 +214,12 @@ class PageWalkers
      * by (level, entry, walk): a level may start only when the
      * previous one finished (the pointer chase), but within a level
      * references pipeline at the port rate - the comparator tree
-     * issues them successively (Fig. 9). The level-chain event
-     * carries a raw pointer to the slot (via EventQueue::scheduleRaw);
-     * the vectors keep their capacity from batch to batch.
+     * issues them successively (Fig. 9). The level event refers to
+     * the slot and each completion event to its walk in the slot
+     * (`[&w, idx]`): a slot's last level event fires at the batch's
+     * latest ready cycle, after every completion, so `walks` stays
+     * put until they have all fired. The vectors keep their capacity
+     * from batch to batch.
      */
     struct Walker
     {
@@ -227,17 +229,8 @@ class PageWalkers
         std::vector<Ref> refs;
         /** First reference of the next level to issue. */
         std::size_t next = 0;
-    };
-
-    /** Arena-pooled per-walk completion event payload. */
-    struct WalkDone
-    {
-        PageWalkers *pool = nullptr;
-        Vpn vpn = 0;
-        Asid asid = 0;
-        Cycle ready = 0;
-        Cycle enqueued = 0;
-        DoneFn done;
+        /** Completion events scheduled but not yet fired. */
+        unsigned completing = 0;
     };
 
     /** Move one queued walk (naive) or the whole queue (scheduled)
@@ -247,9 +240,9 @@ class PageWalkers
     /** Issue @p w's next level of references; event-chained. */
     void stepLevel(Walker &w, Cycle now);
 
-    /** scheduleRaw targets (ctx = Walker / WalkDone). */
-    static void fireStepLevel(void *ctx, Cycle now);
-    static void fireWalkDone(void *ctx, Cycle now);
+    /** Completion event of @p w's walk @p idx (fires at its ready
+     *  cycle). */
+    void completeWalk(Walker &w, std::uint32_t idx);
 
     /** One page-table reference at radix @p level, checking the walk
      *  cache first.
@@ -272,15 +265,9 @@ class PageWalkers
     int spanTid_ = 0;
     unsigned spanKeyShift_ = 0;
 
-    /** Pool for the completion events. Declared before the walker
-     *  state so pending completions (whose ctx points into it) are
-     *  diagnosed by the arena destructor, not by UB, if a pool is
-     *  ever torn down mid-walk. */
-    Arena<WalkDone> doneArena_;
-
     std::deque<PendingWalk> queue_;
     /** Fixed at construction (1 if scheduling, else numWalkers), so
-     *  the pointers pending level events hold stay valid. */
+     *  the references pending events hold stay valid. */
     std::vector<Walker> walkers_;
     Cycle portFreeAt_ = 0;
     /** Walk cache payload: the cycle the line's fill completes, so a

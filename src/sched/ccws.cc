@@ -65,6 +65,20 @@ computeAllowed(const std::vector<std::uint64_t> &scores,
     return true;
 }
 
+/** Reject a per-warp victim tag array geometry the tag array cannot
+ *  model; @p sched names the config field (ccws or tcws). */
+void
+checkVta(const char *sched, unsigned entries, unsigned ways)
+{
+    if (entries == 0)
+        GPUMMU_FATAL(sched, ".vtaEntriesPerWarp (0) must be at least 1");
+    // SetAssocArray makes ways above the entry count fully associative.
+    if (ways != 0 && ways <= entries && entries % ways != 0)
+        GPUMMU_FATAL(sched, ".vtaEntriesPerWarp (", entries,
+                     ") does not divide into ", sched, ".vtaWays (",
+                     ways, ")");
+}
+
 } // namespace
 
 // ---------------------------------------------------------------- Ccws
@@ -73,6 +87,7 @@ Ccws::Ccws(const CcwsConfig &cfg)
     : cfg_(cfg), rr_(cfg.numWarps), scores_(cfg.numWarps, 0),
       allowed_(cfg.numWarps, true)
 {
+    checkVta("ccws", cfg.vtaEntriesPerWarp, cfg.vtaWays);
     vtas_.reserve(cfg.numWarps);
     for (unsigned i = 0; i < cfg.numWarps; ++i) {
         vtas_.push_back(std::make_unique<SetAssocArray<char>>(
@@ -182,11 +197,11 @@ Tcws::Tcws(const TcwsConfig &cfg)
     : cfg_(cfg), rr_(cfg.numWarps), scores_(cfg.numWarps, 0),
       allowed_(cfg.numWarps, true)
 {
+    checkVta("tcws", cfg.vtaEntriesPerWarp, cfg.vtaWays);
     vtas_.reserve(cfg.numWarps);
     for (unsigned i = 0; i < cfg.numWarps; ++i) {
         vtas_.push_back(std::make_unique<SetAssocArray<char>>(
-            cfg.vtaEntriesPerWarp,
-            std::min<unsigned>(cfg.vtaWays, cfg.vtaEntriesPerWarp)));
+            cfg.vtaEntriesPerWarp, cfg.vtaWays));
     }
 }
 

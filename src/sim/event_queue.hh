@@ -7,23 +7,22 @@
  * cycle fire in scheduling order (a monotonic sequence number breaks
  * ties) so simulation stays deterministic.
  *
- * Two hot-path mechanisms keep dispatch cheap:
+ * Same-cycle batch drain keeps dispatch cheap: runUntil() pulls
+ * every event of the front cycle into a drain buffer in one pass
+ * (pop_heap yields them in seq order, so the buffer needs no sort)
+ * and fires from the buffer. Events a callback schedules for the
+ * *current* cycle append straight onto the buffer - O(1) instead of
+ * a heap push/pop round trip - which is exactly the common case of
+ * completion cascades. Drained events hold every seq smaller than
+ * any event scheduled during dispatch, so firing order is plain
+ * (when, seq).
  *
- *  - Same-cycle batch drain: runUntil() pulls every event of the
- *    front cycle into a drain buffer in one pass (pop_heap yields
- *    them in seq order, so the buffer needs no sort) and fires from
- *    the buffer. Events a callback schedules for the *current* cycle
- *    append straight onto the buffer - O(1) instead of a heap
- *    push/pop round trip - which is exactly the common case of
- *    completion cascades. Firing order is identical to the old
- *    one-pop-per-event loop: drained events hold every seq smaller
- *    than any event scheduled during dispatch.
- *
- *  - Raw callback events: scheduleRaw() takes a plain function
- *    pointer plus a context pointer, so per-cycle machinery (the
- *    page-walk level chain, arena-backed completion nodes) never
- *    touches std::function's allocating type erasure. Both event
- *    kinds share one (when, seq) ordering domain.
+ * There is one event kind, a std::function. Simulation components
+ * keep each in-flight record with the component that bounds it, so
+ * the hot-path events (walk levels and completions, shared L2 TLB
+ * hits) capture one pointer plus at most one index: at most 16
+ * trivially copyable bytes, which libstdc++ stores inline with no
+ * allocation.
  *
  * The heap is managed directly with std::push_heap / std::pop_heap
  * rather than std::priority_queue: priority_queue::top() returns a
@@ -51,8 +50,6 @@ class EventQueue
 {
   public:
     using Callback = std::function<void()>;
-    /** Raw event callback: (context, fire cycle). */
-    using RawFn = void (*)(void *ctx, Cycle now);
 
     /** Schedule cb to run at cycle when (must not be in the past). */
     void
@@ -64,33 +61,10 @@ class EventQueue
             // consuming the buffer in index order, and every drained
             // event carries a smaller seq, so appending preserves
             // the (when, seq) firing order exactly.
-            drain_.push_back(
-                Event{when, nextSeq_++, nullptr, nullptr,
-                      std::move(cb)});
+            drain_.push_back(Event{when, nextSeq_++, std::move(cb)});
             return;
         }
-        heap_.push_back(Event{when, nextSeq_++, nullptr, nullptr,
-                              std::move(cb)});
-        std::push_heap(heap_.begin(), heap_.end(), Event::Later{});
-    }
-
-    /**
-     * Schedule a raw function-pointer event: no std::function, no
-     * type erasure, no possible allocation. @p ctx is passed back to
-     * @p fn together with the fire cycle; lifetime of whatever ctx
-     * points at is the caller's problem (arena-backed nodes free
-     * themselves from inside fn).
-     */
-    void
-    scheduleRaw(Cycle when, RawFn fn, void *ctx)
-    {
-        GPUMMU_ASSERT(when >= now_, "scheduling into the past");
-        GPUMMU_ASSERT(fn != nullptr);
-        if (draining_ && when == now_) {
-            drain_.push_back(Event{when, nextSeq_++, fn, ctx, {}});
-            return;
-        }
-        heap_.push_back(Event{when, nextSeq_++, fn, ctx, {}});
+        heap_.push_back(Event{when, nextSeq_++, std::move(cb)});
         std::push_heap(heap_.begin(), heap_.end(), Event::Later{});
     }
 
@@ -154,80 +128,20 @@ class EventQueue
                 Event ev = std::move(drain_[i]);
                 drainPos_ = i + 1;
                 ++eventsFired_;
-                if (ev.raw != nullptr)
-                    ev.raw(ev.ctx, now_);
-                else
-                    ev.cb();
-                if (cleared_)
-                    break;
+                ev.cb();
             }
             draining_ = false;
             drain_.clear();
             drainPos_ = 0;
-            if (cleared_) {
-                // clear() ran from inside a callback: the queue was
-                // fully reset (time included); do not advance now_.
-                cleared_ = false;
-                return;
-            }
         }
         now_ = upto;
     }
-
-    /**
-     * Drop all pending events and reset time and the tie-break
-     * counter. Test-only: production code builds a fresh EventQueue
-     * per run (GpuTop owns one) and never reuses a queue across
-     * kernels; nothing under src/ calls clear(). Unlike the old
-     * behaviour, backing storage is released too (see shrink()), so
-     * a reused queue cannot carry stale capacity forever. Safe to
-     * call from inside a firing callback: the remaining events of
-     * the cycle are dropped and runUntil returns without touching
-     * the reset state.
-     */
-    void
-    clear()
-    {
-        heap_.clear();
-        if (draining_) {
-            // Mid-drain: the index loop in runUntil observes the
-            // emptied buffer and stops; the flag makes runUntil
-            // return without overwriting the reset now_.
-            cleared_ = true;
-        }
-        drain_.clear();
-        drainPos_ = 0;
-        now_ = 0;
-        nextSeq_ = 0;
-        eventsFired_ = 0;
-        shrink();
-    }
-
-    /**
-     * Release heap and drain-buffer capacity down to the live event
-     * count. The buffers otherwise only grow (capacity policy:
-     * high-water within a run is fine, but callers keeping a queue
-     * beyond a run call shrink() - or clear(), which implies it - so
-     * a burst does not pin memory forever.
-     */
-    void
-    shrink()
-    {
-        heap_.shrink_to_fit();
-        drain_.shrink_to_fit();
-    }
-
-    /** Backing-store capacities (capacity-policy tests). */
-    std::size_t heapCapacity() const { return heap_.capacity(); }
-    std::size_t drainCapacity() const { return drain_.capacity(); }
 
   private:
     struct Event
     {
         Cycle when;
         std::uint64_t seq;
-        RawFn raw;  ///< non-null for scheduleRaw events
-        void *ctx;
         Callback cb;
 
         /** Max-heap comparator that puts the earliest event on top. */
@@ -249,7 +163,6 @@ class EventQueue
     std::vector<Event> drain_;
     std::size_t drainPos_ = 0;
     bool draining_ = false;
-    bool cleared_ = false;
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t eventsFired_ = 0;

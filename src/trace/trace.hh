@@ -173,11 +173,10 @@ class TraceSink
 
   private:
     /**
-     * Slab-pooled ring storage (the sim/arena.hh idea applied to
-     * trace events): events live in fixed-size slabs that never move
-     * once allocated, so growing to a million-event ring costs one
-     * slab allocation every 4096 events instead of geometric
-     * reallocation + copy of everything recorded so far.
+     * Slab-pooled ring storage: events live in fixed-size slabs that
+     * never move once allocated, so growing to a million-event ring
+     * costs one slab allocation every 4096 events instead of
+     * geometric reallocation + copy of everything recorded so far.
      */
     static constexpr std::size_t kSlabShift = 12;
     static constexpr std::size_t kSlabSize = std::size_t(1)

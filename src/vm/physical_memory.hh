@@ -33,7 +33,8 @@ class PhysicalMemory
                             std::uint64_t seed = 0x9e3779b9ULL)
         : numFrames_(num_frames), scramble_(scramble), seed_(seed)
     {
-        GPUMMU_ASSERT(num_frames > 0);
+        if (num_frames == 0)
+            GPUMMU_FATAL("physFrames (0) must be at least 1");
         maskBits_ = 1;
         while ((1ULL << maskBits_) < num_frames)
             ++maskBits_;
@@ -43,7 +44,8 @@ class PhysicalMemory
     Ppn
     allocFrame()
     {
-        GPUMMU_ASSERT(nextFrame_ < numFrames_, "out of physical memory");
+        if (nextFrame_ >= numFrames_)
+            outOfMemory();
         const std::uint64_t seq = nextFrame_++;
         return scramble_ ? permute(seq) : seq;
     }
@@ -59,8 +61,8 @@ class PhysicalMemory
         const std::uint64_t frames_per_large = kPageSize2M / kPageSize4K;
         std::uint64_t base = (nextFrame_ + frames_per_large - 1) &
                              ~(frames_per_large - 1);
-        GPUMMU_ASSERT(base + frames_per_large <= numFrames_,
-                      "out of physical memory for 2MB page");
+        if (base + frames_per_large > numFrames_)
+            outOfMemory();
         nextFrame_ = base + frames_per_large;
         return base;
     }
@@ -69,6 +71,14 @@ class PhysicalMemory
     std::uint64_t framesAllocated() const { return nextFrame_; }
 
   private:
+    /** The workload needs more frames than the config provides. */
+    [[noreturn]] void
+    outOfMemory() const
+    {
+        GPUMMU_FATAL("out of physical memory: physFrames (", numFrames_,
+                     ") is too small for the workload");
+    }
+
     /**
      * Format-preserving permutation of [0, numFrames) built from a
      * bijective mix on the enclosing power of two plus cycle walking:

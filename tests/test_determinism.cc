@@ -17,7 +17,6 @@
 #include "core/multi_tenant.hh"
 #include "core/presets.hh"
 #include "core/sweep.hh"
-#include "sim/arena.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/trace.hh"
 
@@ -190,59 +189,38 @@ TEST(Determinism, ArmedTracingIsBitIdentical)
     }
 }
 
-TEST(Determinism, ParallelJobsAgreeWithSerialUnderArenaPooling)
+TEST(Determinism, ParallelJobsAgreeWithSerial)
 {
-    // The hot-path re-architecture (arena-backed descriptors plus
-    // same-cycle event batching) must be invisible to the parallel
-    // runner: a 6-worker sweep and a 1-worker sweep, with pooling on
-    // and with the plain-heap fallback, all agree byte-for-byte.
-    struct PoolingGuard
-    {
-        explicit PoolingGuard(bool pooled) { setArenaPooling(pooled); }
-        ~PoolingGuard() { setArenaPooling(true); }
-    };
-
+    // Same-cycle event batching and the component-owned in-flight
+    // records must be invisible to the parallel runner: a 6-worker
+    // sweep and a 1-worker sweep agree byte-for-byte.
     const auto cfg = paperDefault();
     std::vector<SweepPoint> grid;
     for (BenchmarkId id : allBenchmarks())
         grid.push_back(SweepPoint{id, cfg});
 
-    std::vector<RunOutput> pooled_serial, pooled_par, heap_par;
-    {
-        PoolingGuard guard(true);
-        Experiment serial_exp(tinyParams());
-        pooled_serial = SweepRunner(serial_exp, 1).run(grid);
-        Experiment par_exp(tinyParams());
-        pooled_par = SweepRunner(par_exp, 6).run(grid);
-    }
-    {
-        PoolingGuard guard(false);
-        Experiment heap_exp(tinyParams());
-        heap_par = SweepRunner(heap_exp, 6).run(grid);
-    }
+    Experiment serial_exp(tinyParams());
+    const std::vector<RunOutput> serial =
+        SweepRunner(serial_exp, 1).run(grid);
+    Experiment par_exp(tinyParams());
+    const std::vector<RunOutput> par = SweepRunner(par_exp, 6).run(grid);
 
-    ASSERT_EQ(pooled_serial.size(), grid.size());
-    ASSERT_EQ(pooled_par.size(), grid.size());
-    ASSERT_EQ(heap_par.size(), grid.size());
+    ASSERT_EQ(serial.size(), grid.size());
+    ASSERT_EQ(par.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         const std::string name = benchmarkName(grid[i].bench);
-        EXPECT_TRUE(pooled_serial[i].stats == pooled_par[i].stats)
-            << name << ": jobs=1 vs jobs=6 diverge with pooling on";
-        EXPECT_EQ(pooled_serial[i].statsJson, pooled_par[i].statsJson)
-            << name;
-        EXPECT_TRUE(pooled_par[i].stats == heap_par[i].stats)
-            << name << ": pooled vs heap fallback diverge";
-        EXPECT_EQ(pooled_par[i].statsJson, heap_par[i].statsJson)
-            << name;
+        EXPECT_TRUE(serial[i].stats == par[i].stats)
+            << name << ": jobs=1 vs jobs=6 diverge";
+        EXPECT_EQ(serial[i].statsJson, par[i].statsJson) << name;
     }
 }
 
-TEST(Determinism, ArmedObserversComposeWithArenasAndBatchedDispatch)
+TEST(Determinism, ArmedObserversComposeWithBatchedDispatch)
 {
-    // Telemetry and tracing both hook the re-architected hot path
-    // (interval boundaries cap fast-forward windows; the trace sink
-    // sees arena-backed descriptors). Each armed run must still be
-    // bit-identical to the plain run on the modelled quantities.
+    // Telemetry and tracing both hook the batched hot path (interval
+    // boundaries cap sleep windows; the trace sink sees every walk
+    // completion). Each armed run must still be bit-identical to the
+    // plain run on the modelled quantities.
     const auto cfg = paperDefault();
     const RunOutput plain =
         runConfigFull(BenchmarkId::Memcached, cfg, tinyParams());
@@ -254,14 +232,14 @@ TEST(Determinism, ArmedObserversComposeWithArenasAndBatchedDispatch)
                                           tinyParams(),
                                           {.telemetry = &telemetry});
     EXPECT_TRUE(plain.stats == armed.stats)
-        << "telemetry perturbed an arena-pooled batched run";
+        << "telemetry perturbed a batched run";
     EXPECT_EQ(plain.statsJson, armed.statsJson);
 
     TraceSink sink;
     const RunOutput traced = runConfigFull(BenchmarkId::Memcached, cfg,
                                            tinyParams(), {.trace = &sink});
     EXPECT_TRUE(plain.stats == traced.stats)
-        << "tracing perturbed an arena-pooled batched run";
+        << "tracing perturbed a batched run";
     EXPECT_EQ(plain.statsJson, withoutTraceStats(traced.statsJson));
     EXPECT_GT(sink.size(), 0u);
 }

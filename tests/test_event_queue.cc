@@ -89,18 +89,6 @@ TEST(EventQueue, SizeAndEmpty)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(EventQueue, ClearDropsEventsAndResetsTime)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.runUntil(3);
-    eq.clear();
-    EXPECT_EQ(eq.now(), 0u);
-    eq.runUntil(100);
-    EXPECT_EQ(fired, 0);
-}
-
 namespace {
 
 /** Callable that counts copy-constructions of itself. */
@@ -167,127 +155,17 @@ TEST(EventQueue, SameCycleFifoWithCallbackScheduledEvents)
     EXPECT_EQ(order, (std::vector<int>{30, 31, 33, 50, 51, 52}));
 }
 
-// Raw function-pointer events share the (when, seq) ordering domain
-// with std::function events: interleaving the two kinds — including
-// raw events appended from inside a same-cycle callback — must fire
-// in exact scheduling order.
-TEST(EventQueue, RawAndFunctionEventsShareOneOrderingDomain)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(4, [&] { order.push_back(0); });
-    eq.scheduleRaw(
-        4, [](void *ctx, Cycle) {
-            static_cast<std::vector<int> *>(ctx)->push_back(1);
-        },
-        &order);
-    eq.schedule(4, [&] {
-        order.push_back(2);
-        // Same-cycle raw event scheduled during dispatch: gets the
-        // next seq, so it fires after everything already queued.
-        eq.scheduleRaw(
-            4, [](void *ctx, Cycle) {
-                static_cast<std::vector<int> *>(ctx)->push_back(4);
-            },
-            &order);
-    });
-    eq.scheduleRaw(
-        4, [](void *ctx, Cycle) {
-            static_cast<std::vector<int> *>(ctx)->push_back(3);
-        },
-        &order);
-    eq.runUntil(4);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RawCallbackReceivesContextAndFireCycle)
-{
-    EventQueue eq;
-    struct Probe
-    {
-        Cycle fired_at = 0;
-        int calls = 0;
-    } probe;
-    eq.scheduleRaw(
-        17, [](void *ctx, Cycle now) {
-            auto *p = static_cast<Probe *>(ctx);
-            p->fired_at = now;
-            ++p->calls;
-        },
-        &probe);
-    eq.runUntil(40);
-    EXPECT_EQ(probe.calls, 1);
-    EXPECT_EQ(probe.fired_at, 17u);
-}
-
-TEST(EventQueue, EventsFiredCountsBothKindsAndResetsOnClear)
+TEST(EventQueue, EventsFiredCountsDispatchedEvents)
 {
     EventQueue eq;
     EXPECT_EQ(eq.eventsFired(), 0u);
     eq.schedule(1, [] {});
-    eq.schedule(1, [] {});
-    eq.scheduleRaw(2, [](void *, Cycle) {}, &eq);
+    eq.schedule(1, [&] { eq.schedule(1, [] {}); });
+    eq.schedule(9, [] {});
     eq.runUntil(5);
-    EXPECT_EQ(eq.eventsFired(), 3u);
-    eq.clear();
-    EXPECT_EQ(eq.eventsFired(), 0u);
-}
-
-// clear() called from inside a firing callback: the rest of the
-// cycle's events are dropped, the queue is fully reset (time
-// included), and runUntil returns without clobbering the reset.
-TEST(EventQueue, ClearMidDrainDropsRestOfCycleAndResetsTime)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(8, [&] { order.push_back(0); });
-    eq.schedule(8, [&] {
-        order.push_back(1);
-        eq.clear();
-    });
-    eq.schedule(8, [&] { order.push_back(2); }); // must be dropped
-    eq.schedule(9, [&] { order.push_back(3); }); // must be dropped
-    eq.runUntil(20);
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-    EXPECT_EQ(eq.now(), 0u) << "clear() resets time even mid-drain";
-    EXPECT_TRUE(eq.empty());
-
-    // The reset queue is immediately reusable from cycle 0.
-    int fired = 0;
-    eq.schedule(2, [&] { ++fired; });
-    eq.runUntil(5);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 5u);
-}
-
-// Capacity policy: buffers may grow to a run's high-water mark, but
-// clear()/shrink() must actually release the backing store — the
-// regression was clear() keeping stale capacity pinned forever.
-TEST(EventQueue, ClearReleasesStaleCapacity)
-{
-    EventQueue eq;
-    for (int i = 0; i < 4096; ++i)
-        eq.schedule(static_cast<Cycle>(1 + i), [] {});
-    EXPECT_GE(eq.heapCapacity(), 4096u);
-    eq.clear();
-    EXPECT_EQ(eq.heapCapacity(), 0u)
-        << "clear() must release heap backing store";
-    EXPECT_EQ(eq.drainCapacity(), 0u);
-}
-
-TEST(EventQueue, ShrinkReleasesCapacityDownToLiveEvents)
-{
-    EventQueue eq;
-    for (int i = 0; i < 1024; ++i)
-        eq.schedule(static_cast<Cycle>(1 + i), [] {});
-    eq.runUntil(1020); // leaves 4 events pending
-    ASSERT_EQ(eq.size(), 4u);
-    eq.shrink();
-    EXPECT_LE(eq.heapCapacity(), 8u)
-        << "shrink() must trim capacity to the live event count";
-    // Pending events survive the shrink.
-    eq.runUntil(2000);
-    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.eventsFired(), 3u) << "the cycle-9 event is pending";
+    eq.runUntil(9);
+    EXPECT_EQ(eq.eventsFired(), 4u);
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)

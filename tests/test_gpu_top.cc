@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 
+#include "core/experiment.hh"
 #include "core/presets.hh"
 #include "core/shared_translation.hh"
 #include "gpu/gpu_top.hh"
@@ -354,6 +356,52 @@ TEST(GpuTop, WorkThatCanNeverEndIsFatalAtOnce)
                 ::testing::ExitedWithCode(1),
                 "deadlock at cycle [0-9]+: every core sleeps with "
                 "nothing pending \\(next undispatched block 2 of 2\\)");
+}
+
+TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
+{
+    // Each of these once hit an assert or panic while the run was set
+    // up; each is now a clean fatal that names the field.
+    struct Case
+    {
+        std::function<void(SystemConfig &)> edit;
+        const char *message;
+    };
+    const Case cases[] = {
+        {[](SystemConfig &c) { c.numCores = 0; },
+         "numCores \\(0\\) must be at least 1"},
+        {[](SystemConfig &c) { c.mem.numPartitions = 0; },
+         "mem.numPartitions \\(0\\) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::ccws(c);
+             c.ccws.vtaEntriesPerWarp = 0;
+         },
+         "ccws.vtaEntriesPerWarp \\(0\\) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::ccws(c);
+             c.ccws.vtaEntriesPerWarp = 12;
+         },
+         "ccws.vtaEntriesPerWarp \\(12\\) does not divide into "
+         "ccws.vtaWays \\(8\\)"},
+        {[](SystemConfig &c) { c = presets::tcws(c, 0, {}); },
+         "tcws.vtaEntriesPerWarp \\(0\\) must be at least 1"},
+        {[](SystemConfig &c) { c = presets::tcws(c, 12, {}); },
+         "tcws.vtaEntriesPerWarp \\(12\\) does not divide into "
+         "tcws.vtaWays \\(8\\)"},
+        {[](SystemConfig &c) { c.physFrames = 16; },
+         "out of physical memory: physFrames \\(16\\)"},
+        {[](SystemConfig &c) { c.physFrames = 0; },
+         "physFrames \\(0\\) must be at least 1"},
+    };
+    WorkloadParams p;
+    p.scale = 0.03;
+    for (const Case &tc : cases) {
+        SystemConfig cfg = presets::augmentedTlb();
+        cfg.numCores = 4;
+        tc.edit(cfg);
+        EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
+                    ::testing::ExitedWithCode(1), tc.message);
+    }
 }
 
 TEST(GpuTop, BlocksPlacedOnAnIdleMachineStillRun)

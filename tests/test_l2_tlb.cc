@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -106,6 +107,51 @@ TEST_F(L2TlbFixture, MissAllocatesMshrThenFillWakesAndHits)
     EXPECT_EQ(l2.checker()->hitsChecked(), 1u);
     // alloc + wake, conservation balanced.
     EXPECT_EQ(l2.checker()->mshrEventsChecked(), 2u);
+    l2.checkEndOfKernel();
+}
+
+TEST_F(L2TlbFixture, HitCallbackThatHitsAgainFiresEachWakeOnce)
+{
+    // A hit's wakeup frees its slot before running the callback, so a
+    // callback that accesses the L2 again and hits takes that slot for
+    // its own wakeup. Every wakeup still fires once, at its own ready
+    // cycle, with its own translation.
+    L2TlbConfig cfg;
+    cfg.checkInvariants = true;
+    auto l2 = make(cfg);
+    for (unsigned page : {0u, 1u, 2u}) {
+        l2.access(vpn(page), 0, [](Vpn, std::uint64_t, bool, Cycle) {});
+        l2.fill(vpn(page), xlat(page), 50);
+    }
+
+    std::map<Vpn, std::vector<Cycle>> woken;
+    std::map<Vpn, Cycle> expected;
+    std::function<void(Vpn, std::uint64_t, bool, Cycle)> chain =
+        [&](Vpn tag, std::uint64_t f, bool, Cycle c) {
+            woken[tag].push_back(c);
+            EXPECT_EQ(f, frameOf(static_cast<unsigned>(tag - vpn(0))));
+            EXPECT_EQ(c, eq.now());
+            if (tag == vpn(2))
+                return;
+            const auto res = l2.access(tag + 1, c, chain);
+            EXPECT_EQ(res.outcome, L2Tlb::Outcome::Hit);
+            expected[tag + 1] = res.ready;
+        };
+    const auto first = l2.access(vpn(0), 100, chain);
+    ASSERT_EQ(first.outcome, L2Tlb::Outcome::Hit);
+    expected[vpn(0)] = first.ready;
+    // A second, independent hit in flight alongside the chain.
+    const auto other = l2.access(vpn(2), 101, chain);
+    ASSERT_EQ(other.outcome, L2Tlb::Outcome::Hit);
+    eq.runUntil(1'000'000);
+
+    EXPECT_EQ(woken[vpn(0)], (std::vector<Cycle>{first.ready}));
+    EXPECT_EQ(woken[vpn(1)], (std::vector<Cycle>{expected[vpn(1)]}));
+    EXPECT_EQ(woken[vpn(2)],
+              (std::vector<Cycle>{other.ready, expected[vpn(2)]}));
+    EXPECT_GT(expected[vpn(1)], first.ready);
+    EXPECT_GT(expected[vpn(2)], expected[vpn(1)]);
+    EXPECT_EQ(l2.hits(), 4u);
     l2.checkEndOfKernel();
 }
 

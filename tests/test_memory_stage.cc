@@ -276,6 +276,49 @@ TEST_F(StageFixture, OverlapReleasesHitLinesEarly)
     EXPECT_GT(done, t);
 }
 
+TEST_F(StageFixture, CompletionMayIssueTheNextMissOnTheSameStage)
+{
+    // The stage keeps one miss record, and the Mmu one miss batch. A
+    // load's completion runs once both have retired, so it may issue
+    // the next missing load on the same stage synchronously, with or
+    // without cache overlap.
+    for (bool overlap : {false, true}) {
+        EventQueue q;
+        MmuConfig mc;
+        mc.hitUnderMiss = true;
+        mc.cacheOverlap = overlap;
+        Mmu mmu(mc, as, mem, q);
+        L1Cache l1(L1CacheConfig{}, mem);
+        MemoryStage stage(mmu, l1, q);
+
+        const std::vector<VirtAddr> next = {addr(20, 128), addr(24),
+                                            addr(25)};
+        int first_calls = 0;
+        int next_calls = 0;
+        Cycle first_at = 0;
+        Cycle next_done = 0;
+        stage.issue(0, false, {addr(20), addr(21, 64)}, 0, [&](Cycle) {
+            ++first_calls;
+            first_at = q.now();
+            EXPECT_FALSE(mmu.missOutstanding());
+            EXPECT_EQ(stage.issue(1, false, next, q.now(),
+                                  [&](Cycle c) {
+                                      ++next_calls;
+                                      next_done = c;
+                                  }),
+                      MemIssueResult::Issued);
+            EXPECT_TRUE(mmu.missOutstanding());
+        });
+        q.runUntil(10'000'000);
+        EXPECT_EQ(first_calls, 1) << "overlap " << overlap;
+        EXPECT_EQ(next_calls, 1) << "overlap " << overlap;
+        EXPECT_GT(next_done, first_at);
+        EXPECT_FALSE(mmu.missOutstanding());
+        // Both loads missed; the second's line on page 20 hit the TLB.
+        EXPECT_EQ(mmu.walkers().walksCompleted(), 4u);
+    }
+}
+
 TEST_F(StageFixture, StoresResolveAtTranslationNotData)
 {
     Mmu mmu(MmuConfig{}, as, mem, eq);
@@ -369,4 +412,57 @@ TEST(MemoryStageIommu, LegTakesTheRunsInterconnectAndL2Latency)
     eq.runUntil(t + 1'000'000);
     EXPECT_EQ(done, t + mc.icntLatency + ic.lookupLatency +
                         mc.icntLatency + mc.l2HitLatency);
+}
+
+TEST(MemoryStageIommu, WarpsCompleteOutOfOrderFromTheirOwnRecords)
+{
+    // Each warp keeps its own IOMMU record. Warp 0's load waits for a
+    // walk; warp 1's, issued after it, hits the IOMMU TLB and finishes
+    // first. Warp 1 may issue again at once, but warp 0 may not while
+    // its translation is pending.
+    PhysicalMemory phys(1 << 20, false);
+    AddressSpace as(phys);
+    const VmRegion region = as.mmap("d", 16 * kPageSize4K);
+    MemorySystem mem(MemorySystemConfig{});
+    EventQueue eq;
+    Iommu iommu(IommuConfig{}, as, mem, eq);
+    MmuConfig off;
+    off.enabled = false;
+    Mmu mmu_a(off, as, mem, eq);
+    Mmu mmu_b(off, as, mem, eq);
+    L1Cache l1_a(L1CacheConfig{}, mem);
+    L1Cache l1_b(L1CacheConfig{}, mem);
+    MemoryStage a(mmu_a, l1_a, eq);
+    MemoryStage b(mmu_b, l1_b, eq);
+    a.setIommu(&iommu);
+    b.setIommu(&iommu);
+    const auto page = [&](unsigned p) {
+        return region.base + p * kPageSize4K;
+    };
+
+    // Core B warms page 3's IOMMU entry.
+    b.issue(0, false, {page(3)}, 0, [](Cycle) {});
+    eq.runUntil(1'000'000);
+    const Cycle t = eq.now();
+
+    std::vector<std::pair<int, Cycle>> done;
+    a.issue(0, false, {page(5)}, t,
+            [&](Cycle c) { done.emplace_back(0, c); });
+    a.issue(1, false, {page(3)}, t + 1,
+            [&](Cycle c) { done.emplace_back(1, c); });
+    ASSERT_EQ(done.size(), 1u) << "warp 1's translation hits at once";
+    EXPECT_EQ(done[0].first, 1);
+
+    // Warp 1's record is idle again; warp 0's is not.
+    a.issue(1, false, {page(3)}, t + 2,
+            [&](Cycle c) { done.emplace_back(1, c); });
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_DEATH(a.issue(0, false, {page(7)}, t + 2, [](Cycle) {}),
+                 "translates at the IOMMU");
+
+    eq.runUntil(t + 1'000'000);
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(done[2].first, 0);
+    EXPECT_GT(done[2].second, done[0].second);
+    EXPECT_EQ(iommu.walkers().walksCompleted(), 2u);
 }

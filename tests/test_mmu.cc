@@ -136,9 +136,8 @@ TEST_F(MmuFixture, HitUnderMissKeepsTlbAvailable)
     EXPECT_TRUE(mmu.memAvailable());
     // But no miss-under-miss.
     EXPECT_FALSE(mmu.canStartMisses(1));
-    // Drain before teardown: in-flight walk state is arena-pooled
-    // inside the walker pool, which asserts nothing is live when it
-    // is destroyed.
+    // Drain before teardown: the pending walk's events refer into
+    // this Mmu's walker slots, and the fixture's queue outlives it.
     eq.runUntil(1'000'000);
 }
 

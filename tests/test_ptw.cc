@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -512,6 +513,51 @@ TEST_F(PtwFixture, MixedPageSizeBatchRetiresEachWalkAtItsLeaf)
     EXPECT_GT(done[a][0], pt_level_issue);
     EXPECT_GT(done[b][0], pt_level_issue);
     w.checkDrained();
+}
+
+TEST_F(PtwFixture, CompletionCallbackNeverRefillsItsBusyWalker)
+{
+    // A 2MB walk retires at the PD level while its 4KB batch-mates
+    // still have a PT level to go. Its callback enqueues new walks;
+    // the walker slot that holds the batch is still busy, so they go
+    // to another walker or wait in the queue, and every walk of the
+    // batch still completes once, as itself.
+    const std::uint64_t per_large = kPageSize2M / kPageSize4K;
+    pt.map2M(5, 4 * per_large);
+    const Vpn big = 5 * per_large + 17;
+    const Vpn a = vpnOf(0, 0, 6, 1);
+    const Vpn b = vpnOf(0, 0, 6, 2);
+    const Vpn late1 = vpnOf(0, 0, 7, 3);
+    const Vpn late2 = vpnOf(0, 1, 2, 4);
+    for (Vpn v : {a, b, late1, late2})
+        pt.map4K(v, static_cast<Ppn>(v & 0xff));
+
+    for (bool scheduling : {false, true}) {
+        InvariantChecker chk(pt);
+        PtwConfig cfg;
+        cfg.scheduling = scheduling;
+        cfg.numWalkers = 2;
+        auto w = make(cfg);
+        w.setChecker(&chk);
+        std::map<Vpn, std::vector<Cycle>> done;
+        std::function<void(Vpn, Cycle)> on_done = [&](Vpn v, Cycle at) {
+            done[v].push_back(at);
+            if (v == big)
+                w.requestBatch({late1, late2}, at, on_done);
+        };
+        w.requestBatch({big, a, b}, eq.now(), on_done);
+        eq.runUntil(eq.now() + 1'000'000);
+
+        for (Vpn v : {big, a, b, late1, late2})
+            ASSERT_EQ(done[v].size(), 1u)
+                << "vpn " << v << " scheduling " << scheduling;
+        EXPECT_LT(done[big][0], done[a][0]);
+        EXPECT_GT(done[late1][0], done[big][0]);
+        EXPECT_GT(done[late2][0], done[big][0]);
+        EXPECT_EQ(w.walksCompleted(), 5u);
+        EXPECT_FALSE(w.busy());
+        w.checkDrained();
+    }
 }
 
 TEST_F(PtwFixture, NaiveWalkMatchesOneWalkScheduledBatch)
