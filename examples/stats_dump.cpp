@@ -15,15 +15,27 @@
 #include <string>
 
 #include "core/experiment.hh"
-#include "mmu/iommu.hh"
 #include "core/presets.hh"
-#include "sched/ccws.hh"
+#include "core/shared_translation.hh"
 #include "sim/parse_util.hh"
-#include "tbc/tbc_core.hh"
 
 using namespace gpummu;
 
 namespace {
+
+BenchmarkId
+benchmarkByName(const std::string &name)
+{
+    for (BenchmarkId id : allBenchmarks()) {
+        if (benchmarkName(id) == name)
+            return id;
+    }
+    std::cerr << "unknown benchmark '" << name << "'; one of:";
+    for (BenchmarkId id : allBenchmarks())
+        std::cerr << " " << benchmarkName(id);
+    std::cerr << "\n";
+    std::exit(1);
+}
 
 SystemConfig
 presetByName(const std::string &name)
@@ -42,7 +54,8 @@ presetByName(const std::string &name)
         return presets::ccws(presets::augmentedTlb());
     if (name == "tbc")
         return presets::tbc(presets::augmentedTlb());
-    std::cerr << "unknown preset '" << name << "'\n";
+    std::cerr << "unknown preset '" << name << "'; one of: no-tlb naive "
+                 "augmented ideal iommu ccws tbc\n";
     std::exit(1);
 }
 
@@ -51,7 +64,8 @@ presetByName(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    const std::string bench_name = argc > 1 ? argv[1] : "bfs";
+    const BenchmarkId bench =
+        benchmarkByName(argc > 1 ? argv[1] : "bfs");
     const SystemConfig cfg =
         presetByName(argc > 2 ? argv[2] : "augmented");
     WorkloadParams params;
@@ -64,40 +78,11 @@ main(int argc, char **argv)
         return 1;
     }
 
-    BenchmarkId bench = BenchmarkId::Bfs;
-    for (BenchmarkId id : allBenchmarks()) {
-        if (benchmarkName(id) == bench_name)
-            bench = id;
-    }
-
     auto workload = makeWorkload(bench, params);
-    auto iommu_holder = std::make_shared<std::unique_ptr<Iommu>>();
-    GpuTop gpu(
-        cfg.numCores, cfg.mem, *workload,
-        [&cfg, iommu_holder](
-            int id, const LaunchParams &l, AddressSpace &as,
-            MemorySystem &m,
-            EventQueue &e) -> std::unique_ptr<ShaderCore> {
-            if (cfg.coreKind == CoreKind::Tbc) {
-                return std::make_unique<TbcCore>(id, cfg.core,
-                                                 cfg.tbc, l, as, m, e);
-            }
-            auto core = std::make_unique<SimtCore>(id, cfg.core, l,
-                                                   as, m, e);
-            if (cfg.sched == SchedulerKind::Ccws)
-                core->setScheduler(std::make_unique<Ccws>(cfg.ccws));
-            if (cfg.iommu) {
-                if (!*iommu_holder) {
-                    *iommu_holder = std::make_unique<Iommu>(
-                        cfg.iommuCfg, as, m, e);
-                }
-                core->setIommu(iommu_holder->get());
-            }
-            return core;
-        },
-        cfg.largePages, cfg.physFrames);
-    if (*iommu_holder)
-        (*iommu_holder)->regStats(gpu.stats(), "iommu");
+    SharedTranslation unit(cfg);
+    GpuTop gpu(cfg.numCores, cfg.mem, *workload, unit.coreFactory(),
+               cfg.largePages, cfg.physFrames);
+    unit.regStats(gpu.stats());
 
     const RunStats stats = gpu.run(cfg.maxCycles);
     std::cout << "# " << benchmarkName(bench) << " / " << cfg.name

@@ -108,7 +108,6 @@ ccws(SystemConfig base)
 {
     base.name += "+ccws";
     base.sched = SchedulerKind::Ccws;
-    base.ccws.numWarps = base.core.numWarpSlots;
     base.ccws.tlbMissWeight = 1;
     return base;
 }
@@ -118,7 +117,6 @@ taCcws(SystemConfig base, unsigned weight)
 {
     base.name += "+ta-ccws-" + std::to_string(weight) + "x";
     base.sched = SchedulerKind::TaCcws;
-    base.ccws.numWarps = base.core.numWarpSlots;
     base.ccws.tlbMissWeight = weight;
     return base;
 }
@@ -135,7 +133,6 @@ tcws(SystemConfig base, unsigned entries_per_warp,
                      std::to_string(lru_weights[3]);
     }
     base.sched = SchedulerKind::Tcws;
-    base.tcws.numWarps = base.core.numWarpSlots;
     base.tcws.vtaEntriesPerWarp = entries_per_warp;
     base.tcws.lruWeights = lru_weights;
     return base;
@@ -157,7 +154,6 @@ tlbAwareTbc(SystemConfig base, unsigned cpm_bits)
     base.coreKind = CoreKind::Tbc;
     base.tbc.tlbAware = true;
     base.tbc.cpm.counterBits = cpm_bits;
-    base.tbc.cpm.numWarps = base.core.numWarpSlots;
     return base;
 }
 

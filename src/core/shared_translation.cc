@@ -20,9 +20,9 @@ makeScheduler(const SystemConfig &cfg)
         return std::make_unique<GreedyThenOldest>();
       case SchedulerKind::Ccws:
       case SchedulerKind::TaCcws:
-        return std::make_unique<Ccws>(cfg.ccws);
+        return std::make_unique<Ccws>(cfg.ccws, cfg.core.numWarpSlots);
       case SchedulerKind::Tcws:
-        return std::make_unique<Tcws>(cfg.tcws);
+        return std::make_unique<Tcws>(cfg.tcws, cfg.core.numWarpSlots);
     }
     GPUMMU_PANIC("unknown scheduler kind");
 }
@@ -49,6 +49,12 @@ SharedTranslation::SharedTranslation(const SystemConfig &cfg) : cfg_(cfg)
         GPUMMU_FATAL("config '", cfg_.name,
                      "': TBC cores have no IOMMU path; IOMMU mode "
                      "runs SIMT cores only");
+    }
+    if (cfg_.coreKind == CoreKind::Tbc &&
+        cfg_.sched != SchedulerKind::LooseRoundRobin) {
+        GPUMMU_FATAL("config '", cfg_.name,
+                     "': TBC cores issue in loose round robin order; "
+                     "sched must be LooseRoundRobin");
     }
 }
 

@@ -27,7 +27,8 @@ class SharedTranslation
   public:
     /** Fans cfg.checkInvariants out to every translation unit. Fatal,
      *  naming the config, for what no core can run: an L2 TLB without
-     *  per-core MMUs, an IOMMU with them, TBC cores on an IOMMU. */
+     *  per-core MMUs, an IOMMU with them, TBC cores on an IOMMU or
+     *  under a scheduler other than loose round robin. */
     explicit SharedTranslation(const SystemConfig &cfg);
 
     SharedTranslation(const SharedTranslation &) = delete;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "gpu/issue.hh"
 #include "trace/memtrace.hh"
 #include "trace/trace.hh"
 
@@ -60,12 +61,10 @@ SimtCore::setScheduler(std::unique_ptr<WarpScheduler> sched)
     memStage_.setScheduler(sched_.get());
     // Route cache and TLB victims into the scheduler's VTAs.
     l1_.setEvictionListener([this](PhysAddr line, int warp) {
-        if (sched_)
-            sched_->onL1Eviction(line, warp);
+        sched_->onL1Eviction(line, warp);
     });
     mmu_.tlb().setEvictionListener([this](Vpn vpn, int warp) {
-        if (sched_)
-            sched_->onTlbEviction(vpn, warp);
+        sched_->onTlbEviction(vpn, warp);
     });
 }
 
@@ -239,11 +238,10 @@ SimtCore::retireWarp(int wid, Warp &w)
     due_ &= ~(std::uint64_t(1) << wid);
     GPUMMU_ASSERT(liveWarps_ > 0);
     --liveWarps_;
-    if (sched_)
-        sched_->onWarpReset(wid);
+    sched_->onWarpReset(wid);
 }
 
-bool
+void
 SimtCore::issueWarp(int wid, Cycle now)
 {
     Warp &w = warps_[static_cast<std::size_t>(wid)];
@@ -262,21 +260,21 @@ SimtCore::issueWarp(int wid, Cycle now)
         ++top.instIdx;
         w.readyAt = now + cfg_.aluLatency;
         makeTimed(wid, w);
-        return false;
+        return;
 
       case Opcode::Branch:
         instrs_.inc();
         executeBranch(w, *in);
         w.readyAt = now + 1;
         makeTimed(wid, w);
-        return false;
+        return;
 
       case Opcode::Exit:
         // Lanes left behind keep the warp due; a finished warp
         // retires out of due_.
         instrs_.inc();
         executeExit(wid, w);
-        return false;
+        return;
 
       case Opcode::Load:
       case Opcode::Store: {
@@ -318,7 +316,7 @@ SimtCore::issueWarp(int wid, Cycle now)
             // drains. The PC was not advanced.
             w.stallReason = StallReason::WalkerStructural;
             drainWaiting_ |= std::uint64_t(1) << wid;
-            return true;
+            return;
         }
         instrs_.inc();
         w.hasPendingAddrs = false;
@@ -327,7 +325,7 @@ SimtCore::issueWarp(int wid, Cycle now)
         // the future) or is pending (miss path, WaitingMem), the wait
         // ahead is charged to the instruction's dominant cause.
         w.stallReason = memStage_.lastIssueReason();
-        return true;
+        return;
       }
     }
     GPUMMU_PANIC("unhandled opcode");
@@ -425,32 +423,16 @@ SimtCore::tick(Cycle now)
         issuable.push_back(iw);
     }
 
-    const bool scan_empty = issuable.empty();
-
-    unsigned issued = 0;
-    bool mem_issued = false;
-    while (issued < cfg_.issueWidth && !issuable.empty()) {
-        const int wid = sched_->pick(now, issuable);
-        if (wid < 0)
-            break;
-        issuable.erase(std::remove(issuable.begin(), issuable.end(),
-                                   wid),
-                       issuable.end());
-        Warp &w = warps_[static_cast<std::size_t>(wid)];
-        const Instruction *in = nextInstr(w);
-        if (in == nullptr) {
-            retireWarp(wid, w);
+    const unsigned issued = issuePass(
+        *sched_, issuable, cfg_.issueWidth,
+        [this](int wid) {
+            return nextInstr(warps_[static_cast<std::size_t>(wid)]);
+        },
+        [this, &retired](int wid) {
+            retireWarp(wid, warps_[static_cast<std::size_t>(wid)]);
             retired = true;
-            continue;
-        }
-        const bool is_mem =
-            in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem && mem_issued)
-            continue; // one LSU: try another warp this cycle
-        if (issueWarp(wid, now))
-            mem_issued = true;
-        ++issued;
-    }
+        },
+        [this, now](int wid) { issueWarp(wid, now); });
 
     if (issued == 0 && liveWarps_ > 0) {
         idleCycles_.inc();
@@ -463,11 +445,11 @@ SimtCore::tick(Cycle now)
     }
 
     // A quiescent tick only charged attribution: nothing issued or
-    // retired and the scan produced no issuable warp, so pick() was
-    // never consulted. With a pure scheduler, every following tick
+    // retired and the scan produced no issuable warp, so the scheduler
+    // was never consulted. With a pure scheduler, every following tick
     // charges the same cells until nextWake_ arrives or a block is
     // launched - so the core may sleep.
-    quiescent_ = issued == 0 && !retired && scan_empty &&
+    quiescent_ = issued == 0 && !retired && issuable.empty() &&
                  sched_->tickIsPure();
 }
 
@@ -506,8 +488,7 @@ SimtCore::regStats(StatRegistry &reg, const std::string &prefix)
     l1_.regStats(reg, prefix + ".l1");
     mmu_.regStats(reg, prefix + ".mmu");
     memStage_.regStats(reg, prefix + ".mem");
-    if (sched_)
-        sched_->regStats(reg, prefix + ".sched");
+    sched_->regStats(reg, prefix + ".sched");
     reg.addCounter(prefix + ".instrs", &instrs_);
     reg.addCounter(prefix + ".alu_instrs", &aluInstrs_);
     reg.addCounter(prefix + ".branch_instrs", &branchInstrs_);

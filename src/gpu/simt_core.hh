@@ -8,7 +8,7 @@
  * per-core MMU (TLB + PTWs) beside the 32KB L1.
  *
  * Thread block compaction uses a different core (TbcCore) that shares
- * the MemoryStage and scheduler machinery.
+ * the MemoryStage and the issue pass (gpu/issue.hh).
  */
 
 #ifndef GPU_SIMT_CORE_HH
@@ -64,7 +64,6 @@ class SimtCore : public ShaderCore
 
     /** Route translation through a shared IOMMU (Section 2.2). */
     void setIommu(Iommu *iommu) { memStage_.setIommu(iommu); }
-    WarpScheduler *scheduler() { return sched_.get(); }
 
     /** Warps per thread block for the configured launch. */
     unsigned warpsPerBlock() const;
@@ -162,9 +161,8 @@ class SimtCore : public ShaderCore
     /** The instruction the warp would execute next, or nullptr. */
     const Instruction *nextInstr(Warp &w);
 
-    /** Execute one instruction for warp @p wid. @return true if a
-     *  memory instruction was issued. */
-    bool issueWarp(int wid, Cycle now);
+    /** Execute one instruction for warp @p wid. */
+    void issueWarp(int wid, Cycle now);
 
     void executeBranch(Warp &w, const Instruction &in);
     void executeExit(int wid, Warp &w);

@@ -81,63 +81,54 @@ checkVta(const char *sched, unsigned entries, unsigned ways)
 
 } // namespace
 
-// ---------------------------------------------------------------- Ccws
+// --------------------------------------------------------- VtaThrottle
 
-Ccws::Ccws(const CcwsConfig &cfg)
-    : cfg_(cfg), rr_(cfg.numWarps), scores_(cfg.numWarps, 0),
-      allowed_(cfg.numWarps, true)
+VtaThrottle::VtaThrottle(const char *field, const ThrottleConfig &cfg,
+                         unsigned num_warps)
+    : cfg_(cfg), rr_(num_warps), scores_(num_warps, 0),
+      allowed_(num_warps, true)
 {
-    checkVta("ccws", cfg.vtaEntriesPerWarp, cfg.vtaWays);
-    vtas_.reserve(cfg.numWarps);
-    for (unsigned i = 0; i < cfg.numWarps; ++i) {
+    checkVta(field, cfg.vtaEntriesPerWarp, cfg.vtaWays);
+    vtas_.reserve(num_warps);
+    for (unsigned i = 0; i < num_warps; ++i) {
         vtas_.push_back(std::make_unique<SetAssocArray<char>>(
             cfg.vtaEntriesPerWarp, cfg.vtaWays));
     }
 }
 
-int
-Ccws::pick(Cycle now, const std::vector<int> &issuable)
-{
-    return rr_.pick(now, issuable);
-}
-
 bool
-Ccws::mayIssueMem(int warp_id)
+VtaThrottle::mayIssueMem(int warp_id)
 {
     return allowed_[static_cast<std::size_t>(warp_id)];
 }
 
-void
-Ccws::onL1Miss(int warp_id, PhysAddr line_addr, bool tlb_missed)
+bool
+VtaThrottle::lostLocality(int warp_id, std::uint64_t tag)
 {
-    auto &vta = *vtas_[static_cast<std::size_t>(warp_id)];
-    if (vta.lookup(line_addr).hit) {
-        vtaHits_.inc();
-        const std::uint64_t weight =
-            tlb_missed ? cfg_.vtaHitScore * cfg_.tlbMissWeight
-                       : cfg_.vtaHitScore;
-        bump(warp_id, weight);
-    }
+    if (!vtas_[static_cast<std::size_t>(warp_id)]->lookup(tag).hit)
+        return false;
+    vtaHits_.inc();
+    return true;
 }
 
 void
-Ccws::onL1Eviction(PhysAddr line_addr, int alloc_warp)
+VtaThrottle::recordVictim(std::uint64_t tag, int alloc_warp)
 {
     if (alloc_warp < 0 ||
         alloc_warp >= static_cast<int>(vtas_.size()))
         return;
-    vtas_[static_cast<std::size_t>(alloc_warp)]->insert(line_addr, 0);
+    vtas_[static_cast<std::size_t>(alloc_warp)]->insert(tag, 0);
 }
 
 void
-Ccws::bump(int warp_id, std::uint64_t amount)
+VtaThrottle::bump(int warp_id, std::uint64_t amount)
 {
     auto &s = scores_[static_cast<std::size_t>(warp_id)];
     s = std::min(s + amount, cfg_.scoreCap);
 }
 
 void
-Ccws::onWarpReset(int warp_id)
+VtaThrottle::onWarpReset(int warp_id)
 {
     if (warp_id < 0 || warp_id >= static_cast<int>(scores_.size()))
         return;
@@ -147,22 +138,16 @@ Ccws::onWarpReset(int warp_id)
 }
 
 void
-Ccws::decayTo(Cycle now)
-{
-    decayScores(scores_, lastDecay_, now, cfg_.halfLife);
-}
-
-void
-Ccws::recomputeAllowed()
+VtaThrottle::recomputeAllowed()
 {
     throttling_ = computeAllowed(scores_, cfg_.cutoff,
                                  cfg_.minAllowed, allowed_);
 }
 
 void
-Ccws::tick(Cycle now)
+VtaThrottle::tick(Cycle now)
 {
-    decayTo(now);
+    decayScores(scores_, lastDecay_, now, cfg_.halfLife);
     if (now - lastUpdate_ >= cfg_.updateInterval) {
         lastUpdate_ = now;
         recomputeAllowed();
@@ -172,67 +157,67 @@ Ccws::tick(Cycle now)
 }
 
 std::uint64_t
-Ccws::score(int warp_id) const
+VtaThrottle::score(int warp_id) const
 {
     return scores_[static_cast<std::size_t>(warp_id)];
 }
 
 std::uint64_t
-Ccws::totalScore() const
+VtaThrottle::totalScore() const
 {
     return std::accumulate(scores_.begin(), scores_.end(),
                            std::uint64_t{0});
 }
 
 void
-Ccws::regStats(StatRegistry &reg, const std::string &prefix)
+VtaThrottle::regStats(StatRegistry &reg, const std::string &prefix)
 {
     reg.addCounter(prefix + ".vta_hits", &vtaHits_);
     reg.addCounter(prefix + ".throttled_cycles", &throttledCycles_);
 }
 
-// ---------------------------------------------------------------- Tcws
+// ---------------------------------------------------------------- Ccws
 
-Tcws::Tcws(const TcwsConfig &cfg)
-    : cfg_(cfg), rr_(cfg.numWarps), scores_(cfg.numWarps, 0),
-      allowed_(cfg.numWarps, true)
+Ccws::Ccws(const CcwsConfig &cfg, unsigned num_warps)
+    : VtaThrottle("ccws", cfg, num_warps),
+      tlbMissWeight_(cfg.tlbMissWeight)
 {
-    checkVta("tcws", cfg.vtaEntriesPerWarp, cfg.vtaWays);
-    vtas_.reserve(cfg.numWarps);
-    for (unsigned i = 0; i < cfg.numWarps; ++i) {
-        vtas_.push_back(std::make_unique<SetAssocArray<char>>(
-            cfg.vtaEntriesPerWarp, cfg.vtaWays));
+}
+
+void
+Ccws::onL1Miss(int warp_id, PhysAddr line_addr, bool tlb_missed)
+{
+    if (lostLocality(warp_id, line_addr)) {
+        bump(warp_id, tlb_missed ? cfg_.vtaHitScore * tlbMissWeight_
+                                 : cfg_.vtaHitScore);
     }
 }
 
-int
-Tcws::pick(Cycle now, const std::vector<int> &issuable)
+void
+Ccws::onL1Eviction(PhysAddr line_addr, int alloc_warp)
 {
-    return rr_.pick(now, issuable);
+    recordVictim(line_addr, alloc_warp);
 }
 
-bool
-Tcws::mayIssueMem(int warp_id)
+// ---------------------------------------------------------------- Tcws
+
+Tcws::Tcws(const TcwsConfig &cfg, unsigned num_warps)
+    : VtaThrottle("tcws", cfg, num_warps), lruWeights_(cfg.lruWeights)
 {
-    return allowed_[static_cast<std::size_t>(warp_id)];
 }
 
 void
 Tcws::onTlbMiss(int warp_id, Vpn vpn)
 {
-    auto &vta = *vtas_[static_cast<std::size_t>(warp_id)];
-    if (vta.lookup(vpn).hit) {
-        vtaHits_.inc();
+    if (lostLocality(warp_id, vpn))
         bump(warp_id, cfg_.vtaHitScore);
-    }
 }
 
 void
 Tcws::onTlbHit(int warp_id, Vpn vpn, unsigned depth)
 {
     (void)vpn;
-    const unsigned idx = std::min<unsigned>(depth, 3);
-    const std::uint64_t w = cfg_.lruWeights[idx];
+    const std::uint64_t w = lruWeights_[std::min<unsigned>(depth, 3)];
     if (w > 0)
         bump(warp_id, w);
 }
@@ -240,72 +225,7 @@ Tcws::onTlbHit(int warp_id, Vpn vpn, unsigned depth)
 void
 Tcws::onTlbEviction(Vpn vpn, int alloc_warp)
 {
-    if (alloc_warp < 0 ||
-        alloc_warp >= static_cast<int>(vtas_.size()))
-        return;
-    vtas_[static_cast<std::size_t>(alloc_warp)]->insert(vpn, 0);
-}
-
-void
-Tcws::bump(int warp_id, std::uint64_t amount)
-{
-    auto &s = scores_[static_cast<std::size_t>(warp_id)];
-    s = std::min(s + amount, cfg_.scoreCap);
-}
-
-void
-Tcws::onWarpReset(int warp_id)
-{
-    if (warp_id < 0 || warp_id >= static_cast<int>(scores_.size()))
-        return;
-    scores_[static_cast<std::size_t>(warp_id)] = 0;
-    vtas_[static_cast<std::size_t>(warp_id)]->flush();
-    recomputeAllowed();
-}
-
-void
-Tcws::decayTo(Cycle now)
-{
-    decayScores(scores_, lastDecay_, now, cfg_.halfLife);
-}
-
-void
-Tcws::recomputeAllowed()
-{
-    throttling_ = computeAllowed(scores_, cfg_.cutoff,
-                                 cfg_.minAllowed, allowed_);
-}
-
-void
-Tcws::tick(Cycle now)
-{
-    decayTo(now);
-    if (now - lastUpdate_ >= cfg_.updateInterval) {
-        lastUpdate_ = now;
-        recomputeAllowed();
-    }
-    if (throttling_)
-        throttledCycles_.inc();
-}
-
-std::uint64_t
-Tcws::score(int warp_id) const
-{
-    return scores_[static_cast<std::size_t>(warp_id)];
-}
-
-std::uint64_t
-Tcws::totalScore() const
-{
-    return std::accumulate(scores_.begin(), scores_.end(),
-                           std::uint64_t{0});
-}
-
-void
-Tcws::regStats(StatRegistry &reg, const std::string &prefix)
-{
-    reg.addCounter(prefix + ".vta_hits", &vtaHits_);
-    reg.addCounter(prefix + ".throttled_cycles", &throttledCycles_);
+    recordVictim(vpn, alloc_warp);
 }
 
 } // namespace gpummu

@@ -21,6 +21,11 @@
  * misses; additionally, TLB hits feed the score weighted by the LRU
  * depth of the hit (deeper hit = entry closer to eviction), keeping
  * scheduling decisions frequent. Paper's best weights: LRU(1,2,4,8).
+ *
+ * All three share one throttle (VtaThrottle): loose round robin issue
+ * order, a victim tag array and a saturating, decaying score per
+ * warp, and the allowed set recomputed from the scores. Ccws and Tcws
+ * differ only in the hooks that feed the score.
  */
 
 #ifndef SCHED_CCWS_HH
@@ -35,9 +40,9 @@
 
 namespace gpummu {
 
-struct CcwsConfig
+/** The throttle parameters CCWS and TCWS share. */
+struct ThrottleConfig
 {
-    unsigned numWarps = 48;
     unsigned vtaEntriesPerWarp = 16; ///< paper: 16-entry, 8-way
     unsigned vtaWays = 8;
     /** Score added on a VTA hit. */
@@ -53,26 +58,40 @@ struct CcwsConfig
     Cycle halfLife = 4096;
     /** Recompute the allowed set at most this often. */
     Cycle updateInterval = 128;
+};
+
+struct CcwsConfig : ThrottleConfig
+{
     /** TA-CCWS: extra weight for VTA hits under a TLB miss (1 = off). */
     unsigned tlbMissWeight = 1;
 };
 
-/** CCWS / TA-CCWS (TA-CCWS is CCWS with tlbMissWeight > 1). */
-class Ccws : public WarpScheduler
+struct TcwsConfig : ThrottleConfig
+{
+    /** The TLB VTA holds 8 entries per warp (paper sweeps 2-16; 8
+     *  best). */
+    TcwsConfig() { vtaEntriesPerWarp = 8; }
+
+    /**
+     * Score added per TLB hit, indexed by LRU depth (4-way TLB).
+     * All-zero disables depth weighting (the Fig. 17 configuration);
+     * the paper's best is {1, 2, 4, 8} (Fig. 18).
+     */
+    std::array<std::uint64_t, 4> lruWeights{0, 0, 0, 0};
+};
+
+/**
+ * Lost-locality throttle over @p num_warps warp slots: when the total
+ * score passes the cutoff, only the highest scorers may issue memory
+ * instructions. Subclasses score VTA hits (lostLocality) and feed
+ * victims (recordVictim) from their own hooks.
+ */
+class VtaThrottle : public WarpScheduler
 {
   public:
-    explicit Ccws(const CcwsConfig &cfg);
-
-    std::string name() const override
-    {
-        return cfg_.tlbMissWeight > 1 ? "ta-ccws" : "ccws";
-    }
-
-    int pick(Cycle now, const std::vector<int> &issuable) override;
+    void order(std::vector<int> &ready) override { rr_.order(ready); }
+    void consumed(int warp_id) override { rr_.consumed(warp_id); }
     bool mayIssueMem(int warp_id) override;
-    void onL1Miss(int warp_id, PhysAddr line_addr,
-                  bool tlb_missed) override;
-    void onL1Eviction(PhysAddr line_addr, int alloc_warp) override;
     void onWarpReset(int warp_id) override;
     void tick(Cycle now) override;
     /** Stateful tick (decay, throttle updates, per-cycle stats). */
@@ -84,11 +103,22 @@ class Ccws : public WarpScheduler
     std::uint64_t totalScore() const;
 
   protected:
+    /** @p field names the config in fatal messages (ccws or tcws). */
+    VtaThrottle(const char *field, const ThrottleConfig &cfg,
+                unsigned num_warps);
+
+    /** Does @p warp_id's VTA hold @p tag? A hit is counted. */
+    bool lostLocality(int warp_id, std::uint64_t tag);
+    /** @p tag (a line or a page) allocated by @p alloc_warp was
+     *  evicted: remember it in that warp's VTA. */
+    void recordVictim(std::uint64_t tag, int alloc_warp);
     void bump(int warp_id, std::uint64_t amount);
-    void decayTo(Cycle now);
+
+    ThrottleConfig cfg_;
+
+  private:
     void recomputeAllowed();
 
-    CcwsConfig cfg_;
     LooseRoundRobin rr_;
     std::vector<std::unique_ptr<SetAssocArray<char>>> vtas_;
     std::vector<std::uint64_t> scores_;
@@ -101,64 +131,32 @@ class Ccws : public WarpScheduler
     Counter throttledCycles_;
 };
 
-struct TcwsConfig
+/** CCWS / TA-CCWS (TA-CCWS is CCWS with tlbMissWeight > 1). */
+class Ccws : public VtaThrottle
 {
-    unsigned numWarps = 48;
-    /** Entries per warp in the TLB VTA (paper sweeps 2-16; 8 best). */
-    unsigned vtaEntriesPerWarp = 8;
-    unsigned vtaWays = 8;
-    std::uint64_t vtaHitScore = 128;
-    std::uint64_t scoreCap = 512;
-    std::uint64_t cutoff = 640;
-    unsigned minAllowed = 6;
-    Cycle halfLife = 4096;
-    Cycle updateInterval = 128;
-    /**
-     * Score added per TLB hit, indexed by LRU depth (4-way TLB).
-     * All-zero disables depth weighting (the Fig. 17 configuration);
-     * the paper's best is {1, 2, 4, 8} (Fig. 18).
-     */
-    std::array<std::uint64_t, 4> lruWeights{0, 0, 0, 0};
+  public:
+    Ccws(const CcwsConfig &cfg, unsigned num_warps);
+
+    void onL1Miss(int warp_id, PhysAddr line_addr,
+                  bool tlb_missed) override;
+    void onL1Eviction(PhysAddr line_addr, int alloc_warp) override;
+
+  private:
+    unsigned tlbMissWeight_;
 };
 
 /** TLB-conscious warp scheduling. */
-class Tcws : public WarpScheduler
+class Tcws : public VtaThrottle
 {
   public:
-    explicit Tcws(const TcwsConfig &cfg);
+    Tcws(const TcwsConfig &cfg, unsigned num_warps);
 
-    std::string name() const override { return "tcws"; }
-
-    int pick(Cycle now, const std::vector<int> &issuable) override;
-    bool mayIssueMem(int warp_id) override;
     void onTlbMiss(int warp_id, Vpn vpn) override;
     void onTlbHit(int warp_id, Vpn vpn, unsigned depth) override;
     void onTlbEviction(Vpn vpn, int alloc_warp) override;
-    void onWarpReset(int warp_id) override;
-    void tick(Cycle now) override;
-    /** Stateful tick (decay, throttle updates, per-cycle stats). */
-    bool tickIsPure() const override { return false; }
-    void regStats(StatRegistry &reg, const std::string &prefix) override;
-
-    std::uint64_t score(int warp_id) const;
-    std::uint64_t totalScore() const;
 
   private:
-    void bump(int warp_id, std::uint64_t amount);
-    void decayTo(Cycle now);
-    void recomputeAllowed();
-
-    TcwsConfig cfg_;
-    LooseRoundRobin rr_;
-    std::vector<std::unique_ptr<SetAssocArray<char>>> vtas_;
-    std::vector<std::uint64_t> scores_;
-    std::vector<bool> allowed_;
-    Cycle lastDecay_ = 0;
-    Cycle lastUpdate_ = 0;
-    bool throttling_ = false;
-
-    Counter vtaHits_;
-    Counter throttledCycles_;
+    std::array<std::uint64_t, 4> lruWeights_;
 };
 
 } // namespace gpummu

@@ -2,19 +2,25 @@
  * @file
  * Warp scheduler interface.
  *
- * The shader core consults the scheduler to order issueable warps and
- * to gate memory issue (CCWS-family schedulers throttle which warps
- * may touch the memory system). The core feeds back cache, victim-tag
- * and TLB events through the notification hooks; each scheduler uses
- * the subset it cares about.
+ * Once per tick the core collects the warps that may issue, in
+ * ascending id order, and the scheduler puts them in issue order in
+ * place (order()). The core's issue pass (gpu/issue.hh) walks that
+ * order until the issue width is spent, then reports the last warp it
+ * reached (consumed()). The scheduler also gates memory issue
+ * (CCWS-family schedulers throttle which warps may touch the memory
+ * system). The core feeds back cache, victim-tag and TLB events
+ * through the notification hooks; each scheduler uses the subset it
+ * cares about.
  */
 
 #ifndef SCHED_WARP_SCHEDULER_HH
 #define SCHED_WARP_SCHEDULER_HH
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -25,13 +31,15 @@ class WarpScheduler
   public:
     virtual ~WarpScheduler() = default;
 
-    virtual std::string name() const = 0;
-
     /**
-     * Choose the next warp to issue among @p issuable hardware warp
-     * ids (never empty). The core calls this once per issue slot.
+     * Put @p ready, the ids of the warps that may issue this cycle
+     * (ascending, never empty), in issue order.
      */
-    virtual int pick(Cycle now, const std::vector<int> &issuable) = 0;
+    virtual void order(std::vector<int> &ready) = 0;
+
+    /** The issue pass stopped at @p warp_id: the last warp of the
+     *  order it reached, issued or skipped. */
+    virtual void consumed(int warp_id) = 0;
 
     /**
      * May this warp issue a *memory* instruction now? CCWS-family
@@ -116,42 +124,31 @@ class WarpScheduler
 
 /**
  * Loose round robin: the paper's default GPU scheduler. Warps issue
- * in slot order starting after the last issued warp.
+ * in slot order starting after the last warp the issue pass reached.
  */
 class LooseRoundRobin : public WarpScheduler
 {
   public:
+    /** Schedules warp ids below @p num_warps. */
     explicit LooseRoundRobin(unsigned num_warps)
-        : numWarps_(num_warps)
+        : numWarps_(static_cast<int>(num_warps))
     {
     }
 
-    std::string name() const override { return "lrr"; }
-
-    int
-    pick(Cycle now, const std::vector<int> &issuable) override
+    void
+    order(std::vector<int> &ready) override
     {
-        (void)now;
-        // Choose the first issuable warp after last_, in slot order.
-        int best = -1;
-        unsigned best_dist = numWarps_ + 1;
-        for (int w : issuable) {
-            const unsigned dist =
-                (static_cast<unsigned>(w) + numWarps_ - last_ - 1) %
-                numWarps_;
-            if (dist < best_dist) {
-                best_dist = dist;
-                best = w;
-            }
-        }
-        if (best >= 0)
-            last_ = static_cast<unsigned>(best);
-        return best;
+        GPUMMU_ASSERT(ready.back() < numWarps_);
+        std::rotate(ready.begin(),
+                    std::upper_bound(ready.begin(), ready.end(), last_),
+                    ready.end());
     }
+
+    void consumed(int warp_id) override { last_ = warp_id; }
 
   private:
-    unsigned numWarps_;
-    unsigned last_ = 0;
+    int numWarps_;
+    int last_ = 0;
 };
 
 /**
@@ -162,22 +159,16 @@ class LooseRoundRobin : public WarpScheduler
 class GreedyThenOldest : public WarpScheduler
 {
   public:
-    std::string name() const override { return "gto"; }
-
-    int
-    pick(Cycle now, const std::vector<int> &issuable) override
+    void
+    order(std::vector<int> &ready) override
     {
-        (void)now;
-        for (int w : issuable) {
-            if (w == greedy_)
-                return w;
-        }
-        int best = issuable.front();
-        for (int w : issuable)
-            best = std::min(best, w);
-        greedy_ = best;
-        return best;
+        // The greedy warp first, the rest oldest (lowest id) first.
+        auto it = std::lower_bound(ready.begin(), ready.end(), greedy_);
+        if (it != ready.end() && *it == greedy_)
+            std::rotate(ready.begin(), it, it + 1);
     }
+
+    void consumed(int warp_id) override { greedy_ = warp_id; }
 
   private:
     int greedy_ = -1;

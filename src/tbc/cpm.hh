@@ -3,9 +3,9 @@
  * Common Page Matrix (CPM) for TLB-aware thread block compaction
  * (Section 8.2, Fig. 21 of the paper).
  *
- * One row per hardware warp; each row holds a saturating counter per
- * other warp indicating how often the two warps have recently hit the
- * same TLB entries. The compactor admits a thread into a dynamic warp
+ * One row per hardware warp slot; each row holds a saturating counter
+ * per other warp indicating how often the two warps have recently hit
+ * the same TLB entries. The compactor admits a thread into a dynamic warp
  * only when its original warp's counters against every original warp
  * already in that dynamic warp are saturated. The table is flushed
  * periodically (paper: every 500 cycles) to track phase changes.
@@ -26,7 +26,6 @@ namespace gpummu {
 
 struct CpmConfig
 {
-    unsigned numWarps = 48;
     /** Bits per saturating counter (paper sweeps 1-3; 3 best). */
     unsigned counterBits = 3;
     /** Flush period in cycles (paper: 500). */
@@ -36,13 +35,15 @@ struct CpmConfig
 class CommonPageMatrix
 {
   public:
-    explicit CommonPageMatrix(const CpmConfig &cfg)
-        : cfg_(cfg),
-          counters_(static_cast<std::size_t>(cfg.numWarps) *
-                        cfg.numWarps,
-                    0)
+    /** A row and a column per warp slot, @p num_warps of each. */
+    CommonPageMatrix(const CpmConfig &cfg, unsigned num_warps)
+        : cfg_(cfg), numWarps_(num_warps),
+          counters_(static_cast<std::size_t>(num_warps) * num_warps, 0)
     {
-        GPUMMU_ASSERT(cfg.counterBits >= 1 && cfg.counterBits <= 8);
+        if (cfg.counterBits < 1 || cfg.counterBits > 8) {
+            GPUMMU_FATAL("tbc.cpm.counterBits (", cfg.counterBits,
+                         ") must be 1-8");
+        }
         max_ = static_cast<std::uint8_t>((1u << cfg.counterBits) - 1);
     }
 
@@ -101,24 +102,25 @@ class CommonPageMatrix
     bool
     inRange(int w) const
     {
-        return w >= 0 && w < static_cast<int>(cfg_.numWarps);
+        return w >= 0 && w < static_cast<int>(numWarps_);
     }
 
     std::uint8_t &
     at(int r, int c)
     {
-        return counters_[static_cast<std::size_t>(r) * cfg_.numWarps +
+        return counters_[static_cast<std::size_t>(r) * numWarps_ +
                          static_cast<std::size_t>(c)];
     }
 
     const std::uint8_t &
     at(int r, int c) const
     {
-        return counters_[static_cast<std::size_t>(r) * cfg_.numWarps +
+        return counters_[static_cast<std::size_t>(r) * numWarps_ +
                          static_cast<std::size_t>(c)];
     }
 
     CpmConfig cfg_;
+    unsigned numWarps_;
     std::vector<std::uint8_t> counters_;
     std::uint8_t max_ = 7;
     Cycle lastFlush_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "gpu/issue.hh"
 #include "trace/trace.hh"
 
 namespace gpummu {
@@ -11,7 +12,8 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                  AddressSpace &as, MemorySystem &mem, EventQueue &eq)
     : coreId_(core_id), cfg_(cfg), tbcCfg_(tbc), launch_(launch),
       eq_(eq), l1_(cfg.l1, mem), mmu_(cfg.mmu, as, mem, eq),
-      memStage_(mmu_, l1_, eq), cpm_(tbc.cpm), warpOccupancy_(1, 33)
+      memStage_(mmu_, l1_, eq), cpm_(tbc.cpm, cfg.numWarpSlots),
+      sched_(cfg.numWarpSlots * kSchedStride), warpOccupancy_(1, 33)
 {
     GPUMMU_ASSERT(launch.program != nullptr);
     GPUMMU_ASSERT(launch.threadsPerBlock % kWarpWidth == 0);
@@ -30,11 +32,6 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                      ") is below the warp width (", kWarpWidth,
                      "); one warp's misses must start together");
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
-
-    // Scheduler ids encode (block slot, warp index); size the round
-    // robin over the full encoded space.
-    setScheduler(std::make_unique<LooseRoundRobin>(
-        static_cast<unsigned>(blocks_.size()) * kSchedStride));
 
     // CPM learning: every TLB hit reports the entry's recent original
     // warps; saturating counters track which warps share PTEs.
@@ -57,21 +54,6 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                 }
             }
         }
-    });
-}
-
-void
-TbcCore::setScheduler(std::unique_ptr<WarpScheduler> sched)
-{
-    sched_ = std::move(sched);
-    memStage_.setScheduler(sched_.get());
-    l1_.setEvictionListener([this](PhysAddr line, int warp) {
-        if (sched_)
-            sched_->onL1Eviction(line, warp);
-    });
-    mmu_.tlb().setEvictionListener([this](Vpn vpn, int warp) {
-        if (sched_)
-            sched_->onTlbEviction(vpn, warp);
     });
 }
 
@@ -372,7 +354,6 @@ TbcCore::tick(Cycle now)
 {
     if (liveBlocks_ == 0)
         return;
-    sched_->tick(now);
     cpm_.tick(now);
 
     const bool mem_available = mmu_.memAvailable();
@@ -410,50 +391,32 @@ TbcCore::tick(Cycle now)
                 continue;
             }
             const Instruction *in = currentInstr(blk, w);
-            const bool is_mem = in->op == Opcode::Load ||
-                                in->op == Opcode::Store;
-            if (is_mem) {
-                if (!mem_available) {
-                    // The blocking TLB's gate: walks outstanding.
-                    stalls_.attribute(slot, StallReason::TlbMiss);
-                    continue;
-                }
-                if (!sched_->mayIssueMem(w.originRep))
-                    continue;
+            if (!mem_available && (in->op == Opcode::Load ||
+                                   in->op == Opcode::Store)) {
+                // The blocking TLB's gate: walks outstanding.
+                stalls_.attribute(slot, StallReason::TlbMiss);
+                continue;
             }
             issuable.push_back(static_cast<int>(b) * kStride +
                                static_cast<int>(i));
         }
     }
 
-    unsigned issued = 0;
-    bool mem_issued = false;
-    while (issued < cfg_.issueWidth && !issuable.empty()) {
-        // LooseRoundRobin over encoded ids approximates the paper's
-        // age-based dynamic warp issue.
-        const int id = sched_->pick(now, issuable);
-        if (id < 0)
-            break;
-        issuable.erase(std::remove(issuable.begin(), issuable.end(),
-                                   id),
-                       issuable.end());
-        const int b = id / kStride;
-        const int i = id % kStride;
-        TbcBlock &blk = blocks_[static_cast<std::size_t>(b)];
-        if (!blk.valid ||
-            i >= static_cast<int>(blk.warps.size()))
-            continue;
-        const Instruction *in =
-            currentInstr(blk, blk.warps[static_cast<std::size_t>(i)]);
-        const bool is_mem =
-            in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem && mem_issued)
-            continue;
-        issueWarp(b, i, now);
-        if (is_mem)
-            mem_issued = true;
-        ++issued;
-    }
+    // Loose round robin over encoded ids approximates the paper's
+    // age-based dynamic warp issue. A dynamic warp ends at its
+    // terminator, so none is ever out of instructions here.
+    const unsigned issued = issuePass(
+        sched_, issuable, cfg_.issueWidth,
+        [this](int id) {
+            const TbcBlock &blk =
+                blocks_[static_cast<std::size_t>(id / kStride)];
+            return currentInstr(
+                blk, blk.warps[static_cast<std::size_t>(id % kStride)]);
+        },
+        [](int) {},
+        [this, now](int id) {
+            issueWarp(id / kStride, id % kStride, now);
+        });
 
     if (issued == 0 && liveBlocks_ > 0) {
         idleCycles_.inc();

@@ -15,7 +15,6 @@
 #ifndef TBC_TBC_CORE_HH
 #define TBC_TBC_CORE_HH
 
-#include <memory>
 #include <vector>
 
 #include "gpu/memory_stage.hh"
@@ -53,8 +52,6 @@ class TbcCore : public ShaderCore
 
     TbcCore(const TbcCore &) = delete;
     TbcCore &operator=(const TbcCore &) = delete;
-
-    void setScheduler(std::unique_ptr<WarpScheduler> sched);
 
     unsigned warpsPerBlock() const;
     bool canAcceptBlock() const override;
@@ -164,7 +161,8 @@ class TbcCore : public ShaderCore
     Mmu mmu_;
     MemoryStage memStage_;
     CommonPageMatrix cpm_;
-    std::unique_ptr<WarpScheduler> sched_;
+    /** Issue order over encoded (block slot, warp index) ids. */
+    LooseRoundRobin sched_;
 
     std::vector<TbcBlock> blocks_;
     unsigned liveBlocks_ = 0;

@@ -392,6 +392,16 @@ TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
          "out of physical memory: physFrames \\(16\\)"},
         {[](SystemConfig &c) { c.physFrames = 0; },
          "physFrames \\(0\\) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::tbc(c);
+             c.sched = SchedulerKind::Ccws;
+         },
+         "TBC cores issue in loose round robin order; sched must be "
+         "LooseRoundRobin"},
+        {[](SystemConfig &c) { c = presets::tlbAwareTbc(c, 0); },
+         "tbc.cpm.counterBits \\(0\\) must be 1-8"},
+        {[](SystemConfig &c) { c = presets::tlbAwareTbc(c, 9); },
+         "tbc.cpm.counterBits \\(9\\) must be 1-8"},
     };
     WorkloadParams p;
     p.scale = 0.03;

@@ -19,12 +19,8 @@ namespace {
 
 struct RecordingScheduler : public WarpScheduler
 {
-    std::string name() const override { return "recorder"; }
-    int
-    pick(Cycle, const std::vector<int> &issuable) override
-    {
-        return issuable.front();
-    }
+    void order(std::vector<int> &) override {}
+    void consumed(int) override {}
     void
     onTlbHit(int w, Vpn, unsigned) override
     {

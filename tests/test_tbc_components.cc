@@ -14,11 +14,17 @@ using namespace gpummu;
 
 // ------------------------------------------------------------- CPM
 
+namespace {
+
+constexpr unsigned kWarpSlots = 48;
+
+} // namespace
+
 TEST(Cpm, SaturatesAtCounterMax)
 {
     CpmConfig cfg;
     cfg.counterBits = 2;
-    CommonPageMatrix cpm(cfg);
+    CommonPageMatrix cpm(cfg, kWarpSlots);
     EXPECT_EQ(cpm.maxCount(), 3u);
     for (int i = 0; i < 10; ++i)
         cpm.bump(1, 2);
@@ -30,7 +36,7 @@ TEST(Cpm, AffinityRequiresSaturation)
 {
     CpmConfig cfg;
     cfg.counterBits = 3;
-    CommonPageMatrix cpm(cfg);
+    CommonPageMatrix cpm(cfg, kWarpSlots);
     EXPECT_FALSE(cpm.isAffine(1, 2));
     for (int i = 0; i < 6; ++i)
         cpm.bump(1, 2);
@@ -41,7 +47,7 @@ TEST(Cpm, AffinityRequiresSaturation)
 
 TEST(Cpm, SameWarpAlwaysAffine)
 {
-    CommonPageMatrix cpm(CpmConfig{});
+    CommonPageMatrix cpm(CpmConfig{}, kWarpSlots);
     EXPECT_TRUE(cpm.isAffine(5, 5));
 }
 
@@ -49,7 +55,7 @@ TEST(Cpm, PeriodicFlushClearsCounters)
 {
     CpmConfig cfg;
     cfg.flushInterval = 100;
-    CommonPageMatrix cpm(cfg);
+    CommonPageMatrix cpm(cfg, kWarpSlots);
     for (int i = 0; i < 10; ++i)
         cpm.bump(0, 1);
     EXPECT_TRUE(cpm.isAffine(0, 1));
@@ -61,7 +67,7 @@ TEST(Cpm, PeriodicFlushClearsCounters)
 
 TEST(Cpm, OutOfRangeWarpsIgnored)
 {
-    CommonPageMatrix cpm(CpmConfig{});
+    CommonPageMatrix cpm(CpmConfig{}, kWarpSlots);
     cpm.bump(-1, 3);
     cpm.bump(3, 1000);
     EXPECT_FALSE(cpm.isAffine(3, 1000));
@@ -127,7 +133,7 @@ TEST(Compactor, TlbAwareSplitsNonAffineWarps)
 {
     CpmConfig cfg;
     cfg.counterBits = 1;
-    CommonPageMatrix cpm(cfg);
+    CommonPageMatrix cpm(cfg, kWarpSlots);
     // Warps 0 and 1 are affine; warp 2 is a stranger.
     cpm.bump(0, 1);
     // Threads from warps 0, 1, 2 all at lane 0.
@@ -146,7 +152,7 @@ TEST(Compactor, TlbAwareSplitsNonAffineWarps)
 
 TEST(Compactor, TlbAgnosticPacksRegardlessOfAffinity)
 {
-    CommonPageMatrix cpm(CpmConfig{}); // all counters zero
+    CommonPageMatrix cpm(CpmConfig{}, kWarpSlots); // all counters zero
     auto warps = compactThreads(maskOf({0, 33, 66}), 96, nullptr, 0);
     EXPECT_EQ(warps.size(), 1u);
     EXPECT_EQ(warps[0].activeLanes(), 3u);
@@ -155,7 +161,7 @@ TEST(Compactor, TlbAgnosticPacksRegardlessOfAffinity)
 
 TEST(Compactor, ProgressWithNoAffinityAtAll)
 {
-    CommonPageMatrix cpm(CpmConfig{});
+    CommonPageMatrix cpm(CpmConfig{}, kWarpSlots);
     // 8 threads, all lane 0, from 8 different warps, none affine.
     BlockMask m;
     for (int w = 0; w < 8; ++w)
