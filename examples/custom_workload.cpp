@@ -11,7 +11,6 @@
  */
 
 #include <iostream>
-#include <memory>
 
 #include "core/experiment.hh"
 #include "core/presets.hh"
@@ -108,16 +107,7 @@ RunStats
 run(const SystemConfig &cfg, const WorkloadParams &params)
 {
     HashJoinWorkload wl(params);
-    GpuTop gpu(cfg.numCores, cfg.mem, wl,
-               [&cfg](int id, const LaunchParams &l, AddressSpace &as,
-                      MemorySystem &m,
-                      EventQueue &e) -> std::unique_ptr<ShaderCore> {
-                   auto core = std::make_unique<SimtCore>(
-                       id, cfg.core, l, as, m, e);
-                   return core;
-               },
-               cfg.largePages, cfg.physFrames);
-    return gpu.run(cfg.maxCycles);
+    return runWorkloadFull(wl, cfg).stats;
 }
 
 } // namespace

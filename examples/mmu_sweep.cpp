@@ -47,6 +47,7 @@
  * section.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -167,11 +168,18 @@ main(int argc, char **argv)
         return 2;
     }
 
-    BenchmarkId bench = BenchmarkId::Bfs;
-    for (BenchmarkId id : allBenchmarks()) {
-        if (benchmarkName(id) == name)
-            bench = id;
+    const std::vector<BenchmarkId> benches = allBenchmarks();
+    const auto found = std::find_if(
+        benches.begin(), benches.end(),
+        [&](BenchmarkId id) { return benchmarkName(id) == name; });
+    if (found == benches.end()) {
+        std::cerr << "unknown benchmark '" << name << "'; one of:";
+        for (BenchmarkId id : benches)
+            std::cerr << " " << benchmarkName(id);
+        std::cerr << "\n";
+        return 1;
     }
+    const BenchmarkId bench = *found;
 
     Experiment exp(params);
     const SystemConfig base = presets::noTlb();

@@ -1,6 +1,7 @@
 #include "gpu/gpu_top.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "gpu/memory_stage.hh"
 #include "mem/l1_cache.hh"
@@ -134,22 +135,48 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
              unsigned end_block, Cycle start, Cycle max_cycles,
              std::uint64_t &fast_forwarded)
 {
-    // Per-core sleep: after a quiescent tick a core is not ticked
-    // again until its live wakeHint() arrives or a block is launched
-    // onto it. Its skipped cycles repeat the quiescent tick's
-    // charges, settled lazily through chargeSkipped() from `last`,
-    // the last cycle accounted for it.
-    struct Sleep
-    {
-        bool asleep = false;
-        Cycle last = 0;
+    // Core sets are bitsets over core ids, 64 to a word, walked in
+    // ascending id order. `awake` holds the cores ticked every cycle;
+    // `candidates` the cores dispatch() may poll for a block.
+    const std::size_t n = cores.size();
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> awake(words, ~std::uint64_t(0));
+    if (n % 64 != 0)
+        awake.back() = (std::uint64_t(1) << (n % 64)) - 1;
+    std::vector<std::uint64_t> candidates = awake;
+    auto has = [](const std::vector<std::uint64_t> &set, std::size_t i) {
+        return (set[i / 64] >> (i % 64) & 1) != 0;
     };
-    std::vector<Sleep> sleep(cores.size());
+    auto put = [](std::vector<std::uint64_t> &set, std::size_t i,
+                  bool on) {
+        const std::uint64_t bit = std::uint64_t(1) << (i % 64);
+        set[i / 64] = on ? set[i / 64] | bit : set[i / 64] & ~bit;
+    };
+    // Calls f(i) for each member of @p set in id order; f may remove
+    // i from any set.
+    auto forEach = [words](const std::vector<std::uint64_t> &set,
+                           auto f) {
+        for (std::size_t w = 0; w < words; ++w)
+            for (std::uint64_t m = set[w]; m != 0; m &= m - 1)
+                f(w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
+    };
+
+    // Per-core sleep: after a quiescent tick a core is not ticked
+    // again until its wakeHint() arrives or a block is launched onto
+    // it. `hint` caches a sleeper's wakeHint() from when it fell
+    // asleep (kCycleNever while awake) and is read again only in a
+    // cycle where an event fired: only event callbacks and launches
+    // lower it. `alarm` is the earliest cached hint. Skipped cycles
+    // repeat the quiescent tick's charges, settled lazily through
+    // chargeSkipped() from `last`, the last cycle accounted for the
+    // core.
+    std::vector<Cycle> hint(n, kCycleNever);
+    std::vector<Cycle> last(n, 0);
+    Cycle alarm = kCycleNever;
     auto settle = [&](std::size_t i, Cycle upto) {
-        Sleep &s = sleep[i];
-        if (s.asleep && upto > s.last) {
-            cores[i]->chargeSkipped(s.last, upto - s.last);
-            s.last = upto;
+        if (!has(awake, i) && upto > last[i]) {
+            cores[i]->chargeSkipped(last[i], upto - last[i]);
+            last[i] = upto;
         }
     };
 
@@ -157,38 +184,63 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
     unsigned next_block = first_block;
     // Place blocks breadth-first: one block per core per round, so
     // occupancy spreads across the machine the way GPGPU-Sim
-    // dispatches. True if any core accepted one.
+    // dispatches. Only a core's own tick can free a slot, so a core
+    // that refused is not polled again until it ticks. True if any
+    // core accepted one.
     auto dispatch = [&]() {
         const unsigned first = next_block;
         for (bool placed = true; placed && next_block < end_block;) {
             placed = false;
-            for (std::size_t i = 0;
-                 i < cores.size() && next_block < end_block; ++i) {
-                if (cores[i]->canAcceptBlock()) {
-                    settle(i, cycle);
-                    sleep[i].asleep = false;
-                    cores[i]->launchBlock(next_block++);
-                    placed = true;
+            forEach(candidates, [&](std::size_t i) {
+                if (next_block >= end_block)
+                    return;
+                if (!cores[i]->canAcceptBlock()) {
+                    put(candidates, i, false);
+                    return;
                 }
-            }
+                if (!has(awake, i)) {
+                    settle(i, cycle);
+                    put(awake, i, true);
+                    hint[i] = kCycleNever;
+                }
+                cores[i]->launchBlock(next_block++);
+                placed = true;
+            });
         }
+        // The clock may jump to the alarm: keep it exact.
+        if (next_block != first)
+            alarm = *std::min_element(hint.begin(), hint.end());
         return next_block != first;
     };
     dispatch();
 
     while (true) {
+        const std::uint64_t fired = eq.eventsFired();
         eq.runUntil(cycle);
-        bool all_asleep = true;
-        for (std::size_t i = 0; i < cores.size(); ++i) {
-            Sleep &s = sleep[i];
-            if (!s.asleep || cycle >= cores[i]->wakeHint()) {
-                settle(i, cycle - 1);
-                cores[i]->tick(cycle);
-                s.last = cycle;
-                s.asleep = cores[i]->lastTickQuiescent();
+        const bool reread = eq.eventsFired() != fired;
+        if (reread || cycle >= alarm) {
+            alarm = kCycleNever;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (reread && !has(awake, i))
+                    hint[i] = cores[i]->wakeHint();
+                if (cycle >= hint[i]) {
+                    settle(i, cycle - 1);
+                    put(awake, i, true);
+                    hint[i] = kCycleNever;
+                }
+                alarm = std::min(alarm, hint[i]);
             }
-            all_asleep = all_asleep && s.asleep;
         }
+        forEach(awake, [&](std::size_t i) {
+            cores[i]->tick(cycle);
+            last[i] = cycle;
+            put(candidates, i, true);
+            if (cores[i]->lastTickQuiescent()) {
+                put(awake, i, false);
+                hint[i] = cores[i]->wakeHint();
+                alarm = std::min(alarm, hint[i]);
+            }
+        });
         // Blocks placed this cycle have yet to run, even on a machine
         // that was idle with an empty queue.
         const bool placed = dispatch();
@@ -202,7 +254,7 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
             // sleepers and every open stall interval first so the
             // sampled values match the per-cycle loop exactly.
             if (cycle + 1 >= telemetry->nextBoundary()) {
-                for (std::size_t i = 0; i < cores.size(); ++i) {
+                for (std::size_t i = 0; i < n; ++i) {
                     settle(i, cycle);
                     cores[i]->flushDeferredCharges();
                 }
@@ -214,10 +266,11 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
         // fires or the earliest wake arrives, so the clock jumps
         // there. Telemetry caps the jump at its next interval
         // boundary so sampled counters see every charge in order.
+        const bool all_asleep =
+            std::all_of(awake.begin(), awake.end(),
+                        [](std::uint64_t w) { return w == 0; });
         if (all_asleep && !placed) {
-            Cycle target = eq.nextEventCycle();
-            for (const auto &core : cores)
-                target = std::min(target, core->wakeHint());
+            Cycle target = std::min(eq.nextEventCycle(), alarm);
             if (target == kCycleNever) {
                 GPUMMU_FATAL("deadlock at cycle ", cycle,
                              ": every core sleeps with nothing pending"
@@ -229,9 +282,9 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
                 target = nb == 0 ? cycle : std::min(target, nb - 1);
             }
             if (target > cycle + 1) {
-                const Cycle n = target - (cycle + 1);
-                cycle += n;
-                fast_forwarded += n;
+                const Cycle skip = target - (cycle + 1);
+                cycle += skip;
+                fast_forwarded += skip;
             }
         }
         ++cycle;
@@ -243,7 +296,7 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
 
     // Settle the sleepers and every open stall interval before
     // anything below reads counters or folds ledgers.
-    for (std::size_t i = 0; i < cores.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         settle(i, cycle);
         cores[i]->flushDeferredCharges();
     }

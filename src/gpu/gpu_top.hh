@@ -126,12 +126,15 @@ void dumpRunStatsJson(std::ostream &os, const RunStats &s);
 /**
  * The cycle loop of GpuTop::run and every multi-tenant slice. From
  * cycle @p start, dispatches blocks [@p first_block, @p end_block)
- * breadth-first as slots free up and, after the events due, ticks
- * every awake core. A quiescent core sleeps until the cycle its
- * wakeHint() names, read live each cycle, or a block launch; when
- * every core sleeps the clock jumps to the next event or the
- * earliest hint (adding to @p fast_forwarded). Drives @p telemetry's
- * boundaries. When all is idle, drains the cores (deferred charges,
+ * breadth-first as slots free up, polling only cores that ticked or
+ * took a block since they last refused, and, after the events due,
+ * ticks the awake cores in id order. A quiescent core sleeps until
+ * the cycle its wakeHint() names or a block launch; the hint is
+ * cached when it falls asleep and read again only in a cycle where
+ * an event fired, so a cycle costs time per awake core, not per
+ * core. When every core sleeps the clock jumps to the next event or
+ * the earliest hint (adding to @p fast_forwarded). Drives
+ * @p telemetry's boundaries. When all is idle, drains the cores (deferred charges,
  * then mmu().endKernel(), then finalizeRun()) and returns the end
  * cycle. Fatal once the clock passes @p max_cycles, or at once when
  * every core sleeps with nothing pending.

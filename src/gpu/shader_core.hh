@@ -42,9 +42,15 @@ class ShaderCore
      */
     virtual bool lastTickQuiescent() const { return false; }
 
-    /** The next cycle this core must be ticked, read live while it
-     *  sleeps: every callback that changes its state lowers it, so an
-     *  event touching only shared structures wakes no core. */
+    /**
+     * The next cycle this core must be ticked while it sleeps. Only
+     * an event callback that changes this core's state, or
+     * launchBlock(), may lower it; neither its own skipped cycles nor
+     * another core's tick may. runCycleLoop() caches it when the core
+     * falls asleep and reads it again only in a cycle where an event
+     * fired, so an event touching only shared structures wakes no
+     * core.
+     */
     virtual Cycle wakeHint() const { return kCycleNever; }
 
     /** Apply the charges of the @p n cycles a sleeping core skipped
@@ -66,6 +72,9 @@ class ShaderCore
      */
     virtual void flushDeferredCharges() {}
 
+    /** Whether a block fits now. Only this core's own tick may turn
+     *  a refusal into room: runCycleLoop() does not poll a core that
+     *  refused again until it has ticked. */
     virtual bool canAcceptBlock() const = 0;
     virtual void launchBlock(unsigned global_block_id) = 0;
     /** No resident work left. */

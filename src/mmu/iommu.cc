@@ -47,11 +47,10 @@ Iommu::issueWalk(Vpn key, Cycle at, Cycle started)
     AddressSpace &as = spaceFor(asid);
     walkers_.requestBatchFor(
         as.pageTable(), asid, {keyLocal(key)}, at,
-        [this, key, started, &as](Vpn walked, Cycle finish) {
-            auto path = as.pageTable().walk(walked);
-            const std::uint64_t frame = path.result.ppn;
-            tlb_.fill(asidKey(keyAsid(key), walked),
-                      Translation{frame, path.result.isLarge});
+        [this, key, started](Vpn walked, const Translation &t,
+                             Cycle finish) {
+            const std::uint64_t frame = t.ppn;
+            tlb_.fill(asidKey(keyAsid(key), walked), t);
             missLatency_.sample(finish - started);
             // The owning span and every request merged behind it
             // fill and retire at the same completion cycle.

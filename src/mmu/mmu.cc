@@ -116,10 +116,8 @@ Mmu::setL2Tlb(L2Tlb *l2)
 }
 
 std::pair<std::uint64_t, bool>
-Mmu::resolveWalk(Vpn vpn4k)
+Mmu::resolveWalk(const Translation &t) const
 {
-    auto path = as_.pageTable().walk(vpn4k);
-    Translation t = path.result;
     const std::uint64_t frame_base =
         t.isLarge ? (t.ppn >> (kPageShift2M - kPageShift4K)) : t.ppn;
     GPUMMU_ASSERT(t.isLarge == as_.usesLargePages(),
@@ -225,9 +223,10 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
 
     walkers_.requestBatchFor(
         as_.pageTable(), asid_, walk_vpns, walk_at,
-        [this, expand](Vpn vpn4k, Cycle finish) {
+        [this, expand](Vpn vpn4k, const Translation &walked,
+                       Cycle finish) {
             const Vpn tag = vpn4k >> expand;
-            auto [frame_base, is_large] = resolveWalk(vpn4k);
+            auto [frame_base, is_large] = resolveWalk(walked);
             const Translation t{frame_base, is_large};
             if (l2_ == nullptr) {
                 finishWalk(tag, frame_base, is_large, finish);

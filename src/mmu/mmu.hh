@@ -278,9 +278,9 @@ class Mmu
     void finishWalk(Vpn tag, std::uint64_t frame_base, bool is_large,
                     Cycle finish);
 
-    /** Functional walk of @p vpn4k -> (frame base in page units,
-     *  large flag), asserting granularity agreement. */
-    std::pair<std::uint64_t, bool> resolveWalk(Vpn vpn4k);
+    /** A walk's translation -> (frame base in page units, large
+     *  flag), asserting granularity agreement. */
+    std::pair<std::uint64_t, bool> resolveWalk(const Translation &t) const;
 
     /** The in-flight miss batch: one warp's coalesced misses, started
      *  together and retired tag by tag. */

@@ -83,9 +83,13 @@ PageWalkers::walkRef(PhysAddr line_addr, unsigned level, Cycle at)
 
 void
 PageWalkers::requestBatch(const std::vector<Vpn> &vpns, Cycle now,
-                          DoneFn done)
+                          TimingDoneFn done)
 {
-    requestBatchFor(pt_, 0, vpns, now, std::move(done));
+    requestBatchFor(pt_, 0, vpns, now,
+                    [done = std::move(done)](Vpn vpn, const Translation &,
+                                             Cycle finish) {
+                        done(vpn, finish);
+                    });
 }
 
 void
@@ -102,7 +106,7 @@ PageWalkers::requestBatchFor(const PageTable &pt, Asid asid,
         if (spans_)
             spans_->stageAt(asidKey(asid, vpn >> spanKeyShift_),
                             SpanStage::WalkEnqueue, now);
-        queue_.push_back(PendingWalk{vpn, now, done, &pt, asid});
+        queue_.push_back(PendingWalk{vpn, now, done, &pt, asid, {}});
     }
     pump(now);
 }
@@ -143,10 +147,11 @@ PageWalkers::startBatch(Walker &w, Cycle now)
     // Naive walkers take the oldest walk; the scheduler snapshots the
     // whole queue into one batch (the MSHR scan).
     do {
-        const PendingWalk &walk = w.walks.emplace_back(
+        PendingWalk &walk = w.walks.emplace_back(
             std::move(queue_.front()));
         queue_.pop_front();
         const WalkPath path = walk.pt->walk(walk.vpn);
+        walk.result = path.result;
         const auto idx = static_cast<std::uint32_t>(w.walks.size() - 1);
         for (unsigned level = 0; level < path.levels; ++level)
             w.refs.push_back(Ref{path.entryAddrs[level], idx,
@@ -207,7 +212,7 @@ PageWalkers::completeWalk(Walker &w, std::uint32_t idx)
         checker_->onWalkCompleted(asidKey(walk.asid, walk.vpn));
     // The slot stays busy until its last level event, so done() may
     // start new walks on other walkers or queue them, never here.
-    walk.done(walk.vpn, now);
+    walk.done(walk.vpn, walk.result, now);
 }
 
 void

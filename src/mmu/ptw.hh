@@ -75,18 +75,23 @@ struct PtwConfig
 class PageWalkers
 {
   public:
-    /** Completion callback: (vpn4k, finish cycle). */
-    using DoneFn = std::function<void(Vpn, Cycle)>;
+    /** Completion callback: (vpn4k, the walk's translation, finish
+     *  cycle). */
+    using DoneFn = std::function<void(Vpn, const Translation &, Cycle)>;
+    /** Timing-only completion callback: (vpn4k, finish cycle). */
+    using TimingDoneFn = std::function<void(Vpn, Cycle)>;
 
     PageWalkers(const PtwConfig &cfg, const PageTable &pt,
                 MemorySystem &mem, EventQueue &eq);
 
     /**
      * Request walks for one warp's batch of missing 4KB-granularity
-     * VPNs. The callback fires once per VPN at its completion cycle.
+     * VPNs through the constructor's page table (asid 0). The
+     * callback fires once per VPN at its completion cycle; it hears
+     * no translation, so timing-only callers stay simple.
      */
     void requestBatch(const std::vector<Vpn> &vpns, Cycle now,
-                      DoneFn done);
+                      TimingDoneFn done);
 
     /**
      * Multi-process variant: walk @p vpns through an explicit page
@@ -96,7 +101,8 @@ class PageWalkers
      * (pt constructor-bound, asid 0) special case. Walks from
      * different spaces coalesce in one scheduled batch only when
      * their paging-structure lines physically coincide — they never
-     * do, as each table owns its frames.
+     * do, as each table owns its frames. The callback receives the
+     * translation the walk read, so callers need not walk again.
      */
     void requestBatchFor(const PageTable &pt, Asid asid,
                          const std::vector<Vpn> &vpns, Cycle now,
@@ -196,6 +202,8 @@ class PageWalkers
         /** Radix this walk traverses (multi-process: per-walk). */
         const PageTable *pt = nullptr;
         Asid asid = 0;
+        /** What the walk reads, set when its batch starts. */
+        Translation result{};
     };
 
     /** One walk's reference at one radix level. */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the top-level GPU: breadth-first block dispatch, wave
- * draining, and RunStats aggregation.
+ * draining, RunStats aggregation, and the cycle loop's sleep, wake
+ * and dispatch-polling rules.
  */
 
 #include <gtest/gtest.h>
@@ -103,37 +104,18 @@ runCompute(ComputeWorkload &wl, unsigned cores, CoreConfig cfg,
     return gpu.run(max_cycles);
 }
 
-/**
- * Forwards every call to the wrapped core and counts its ticks. With
- * @p wake_on_any_event its wakeHint() is 0 once any event fired since
- * its last tick: the cycle loop then ticks a sleeping core in every
- * cycle an event fires, the wake rule from before cores were woken
- * only by their own state changes.
- */
-class WakeRuleCore final : public ShaderCore
+/** Forwards every call to the wrapped core; the test decorators
+ *  below override what they observe or script. */
+class ForwardingCore : public ShaderCore
 {
   public:
-    WakeRuleCore(std::unique_ptr<ShaderCore> inner, const EventQueue &eq,
-                 bool wake_on_any_event, std::uint64_t &tick_calls)
-        : inner_(std::move(inner)), eq_(eq),
-          wakeOnAnyEvent_(wake_on_any_event), tickCalls_(tick_calls)
+    explicit ForwardingCore(std::unique_ptr<ShaderCore> inner)
+        : inner_(std::move(inner))
     {
     }
 
-    void
-    tick(Cycle now) override
-    {
-        seen_ = eq_.eventsFired();
-        ++tickCalls_;
-        inner_->tick(now);
-    }
-    Cycle
-    wakeHint() const override
-    {
-        return wakeOnAnyEvent_ && eq_.eventsFired() != seen_
-                   ? 0
-                   : inner_->wakeHint();
-    }
+    void tick(Cycle now) override { inner_->tick(now); }
+    Cycle wakeHint() const override { return inner_->wakeHint(); }
     bool lastTickQuiescent() const override
     {
         return inner_->lastTickQuiescent();
@@ -173,29 +155,131 @@ class WakeRuleCore final : public ShaderCore
         inner_->regStats(reg, prefix);
     }
 
-  private:
+  protected:
     std::unique_ptr<ShaderCore> inner_;
+};
+
+/**
+ * Counts the wrapped core's ticks. With @p wake_on_any_event its
+ * wakeHint() is 0 once any event fired since its last tick: the cycle
+ * loop then ticks a sleeping core in every cycle an event fires, the
+ * wake rule from before cores were woken only by their own state
+ * changes.
+ */
+class WakeRuleCore final : public ForwardingCore
+{
+  public:
+    WakeRuleCore(std::unique_ptr<ShaderCore> inner, const EventQueue &eq,
+                 bool wake_on_any_event, std::uint64_t &tick_calls)
+        : ForwardingCore(std::move(inner)), eq_(eq),
+          wakeOnAnyEvent_(wake_on_any_event), tickCalls_(tick_calls)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        seen_ = eq_.eventsFired();
+        ++tickCalls_;
+        inner_->tick(now);
+    }
+    Cycle
+    wakeHint() const override
+    {
+        return wakeOnAnyEvent_ && eq_.eventsFired() != seen_
+                   ? 0
+                   : inner_->wakeHint();
+    }
+
+  private:
     const EventQueue &eq_;
     bool wakeOnAnyEvent_;
     std::uint64_t &tickCalls_;
     std::uint64_t seen_ = 0;
 };
 
+/**
+ * Records the cycles it is ticked in and its block polls. A test
+ * lowers its hint through wakeAt(), as an event callback lowers a
+ * real core's; the next tick clears it.
+ */
+class ProbeCore final : public ForwardingCore
+{
+  public:
+    using ForwardingCore::ForwardingCore;
+
+    void
+    tick(Cycle now) override
+    {
+        ticks.push_back(now);
+        forced_ = kCycleNever;
+        refused_ = false;
+        inner_->tick(now);
+    }
+    Cycle
+    wakeHint() const override
+    {
+        return std::min(forced_, inner_->wakeHint());
+    }
+    bool
+    canAcceptBlock() const override
+    {
+        if (refused_)
+            ++pollsAfterRefusal;
+        const bool ok = inner_->canAcceptBlock();
+        refusals += !ok;
+        refused_ = !ok;
+        return ok;
+    }
+
+    void wakeAt(Cycle c) { forced_ = std::min(forced_, c); }
+
+    std::vector<Cycle> ticks;
+    mutable unsigned refusals = 0;
+    /** canAcceptBlock() calls after a refusal, before the next tick. */
+    mutable unsigned pollsAfterRefusal = 0;
+
+  private:
+    Cycle forced_ = kCycleNever;
+    mutable bool refused_ = false;
+};
+
+/** A GpuTop over @p n compute-only SimtCores of @p cfg, each wrapped
+ *  in a ProbeCore that @p probes collects. */
+std::unique_ptr<GpuTop>
+probedGpu(Workload &wl, unsigned n, CoreConfig cfg,
+          std::vector<ProbeCore *> &probes)
+{
+    cfg.mmu.enabled = false;
+    return std::make_unique<GpuTop>(
+        n, MemorySystemConfig{}, wl,
+        [cfg, &probes](int id, const LaunchParams &l, AddressSpace &as,
+                       MemorySystem &m,
+                       EventQueue &e) -> std::unique_ptr<ShaderCore> {
+            auto core = std::make_unique<ProbeCore>(
+                std::make_unique<SimtCore>(id, cfg, l, as, m, e));
+            probes.push_back(core.get());
+            return core;
+        });
+}
+
 struct WakeRun
 {
     RunStats stats;
     std::string json;
     std::uint64_t tickCalls = 0;
+    /** Instructions the highest-numbered core issued. */
+    std::uint64_t lastCoreInstrs = 0;
 };
 
 /** Run @p bench on @p cfg the way runWorkloadFull() wires it, each
  *  core wrapped in a WakeRuleCore. */
 WakeRun
 runWakeRule(BenchmarkId bench, const SystemConfig &cfg,
-            bool wake_on_any_event)
+            bool wake_on_any_event, double scale = 0.02)
 {
     WorkloadParams params;
-    params.scale = 0.02;
+    params.scale = scale;
     params.seed = 7;
     auto workload = makeWorkload(bench, params);
     SharedTranslation unit(cfg);
@@ -213,6 +297,8 @@ runWakeRule(BenchmarkId bench, const SystemConfig &cfg,
     unit.regStats(gpu.stats());
     out.stats = gpu.run(cfg.maxCycles);
     unit.checkEndOfKernel();
+    out.lastCoreInstrs =
+        gpu.core(gpu.numCores() - 1).instructionsIssued();
     std::ostringstream os;
     dumpRunStatsJson(os, out.stats);
     gpu.stats().dumpJson(os);
@@ -462,5 +548,67 @@ TEST(GpuTop, WakingOnOwnStateMatchesWakingOnAnyEvent)
             else
                 EXPECT_LE(own.tickCalls, any.tickCalls) << what;
         }
+    }
+}
+
+TEST(GpuTop, SeventyCoresWakeOnOwnStateAsOnAnyEvent)
+{
+    // 70 cores span two words of the loop's core bitsets; cores past
+    // the first word must sleep, wake and take blocks like the rest.
+    // Scale 0.3 gives kmeans 72 blocks, so every core gets one.
+    SystemConfig cfg = presets::augmentedTlb();
+    cfg.numCores = 70;
+    cfg.checkInvariants = true;
+    const WakeRun own =
+        runWakeRule(BenchmarkId::Kmeans, cfg, false, 0.3);
+    const WakeRun any = runWakeRule(BenchmarkId::Kmeans, cfg, true, 0.3);
+    EXPECT_TRUE(own.stats == any.stats);
+    EXPECT_EQ(own.stats.cyclesFastForwarded,
+              any.stats.cyclesFastForwarded);
+    EXPECT_EQ(own.json, any.json);
+    EXPECT_LT(own.tickCalls, any.tickCalls);
+    EXPECT_GT(own.lastCoreInstrs, 0u);
+    EXPECT_EQ(own.lastCoreInstrs, any.lastCoreInstrs);
+}
+
+TEST(GpuTop, EventLoweringASleepersHintTicksItThatCycle)
+{
+    // One block on two cores: core 1 gets none, so its first tick is
+    // quiescent and it sleeps with no wake cycle. An event at cycle 5
+    // lowers its hint to 5, one at 9 to 12; it is ticked in exactly
+    // those cycles.
+    ComputeWorkload wl(1);
+    std::vector<ProbeCore *> probes;
+    auto gpu = probedGpu(wl, 2, CoreConfig{}, probes);
+    ProbeCore &sleeper = *probes.at(1);
+    EventQueue &eq = gpu->eventQueue();
+    eq.schedule(5, [&] { sleeper.wakeAt(eq.now()); });
+    eq.schedule(9, [&] { sleeper.wakeAt(12); });
+    const RunStats stats = gpu->run(1'000'000);
+    ASSERT_GT(stats.cycles, 12u);
+    EXPECT_EQ(sleeper.ticks, (std::vector<Cycle>{0, 5, 12}));
+}
+
+TEST(GpuTop, RefusingCoreIsNotPolledAgainUntilItTicks)
+{
+    // One block fits a 2-slot core, so with 40 blocks on 3 cores
+    // every core refuses many times while blocks wait, and the long
+    // ALU latency puts a full core to sleep between issues. An empty
+    // event in every early cycle keeps the loop from jumping over
+    // those sleeps. Only a core's own tick frees a slot: a refusal
+    // holds until that tick.
+    ComputeWorkload wl(40);
+    CoreConfig one_block;
+    one_block.numWarpSlots = 2;
+    one_block.aluLatency = 20;
+    std::vector<ProbeCore *> probes;
+    auto gpu = probedGpu(wl, 3, one_block, probes);
+    for (Cycle c = 1; c < 2000; ++c)
+        gpu->eventQueue().schedule(c, [] {});
+    const RunStats stats = gpu->run(1'000'000);
+    EXPECT_EQ(stats.instructions, 40u * 2u * 10u);
+    for (const ProbeCore *core : probes) {
+        EXPECT_GT(core->refusals, 0u);
+        EXPECT_EQ(core->pollsAfterRefusal, 0u);
     }
 }

@@ -294,15 +294,20 @@ TEST(CrossAsid, HeatProfilerAttributesWalksPerProcess)
     HeatProfiler heat;
     w.setHeatProfiler(&heat, -1);
 
+    // Each walk hands back its own process's translation.
     unsigned done = 0;
     w.requestBatchFor(a.as.pageTable(), a.asid, {v}, 0,
-                      [&](Vpn lv, Cycle) {
+                      [&](Vpn lv, const Translation &t, Cycle) {
                           EXPECT_EQ(lv, v);
+                          EXPECT_EQ(t.ppn,
+                                    a.as.pageTable().translate(v)->ppn);
                           ++done;
                       });
     w.requestBatchFor(b.as.pageTable(), b.asid, {v}, 0,
-                      [&](Vpn lv, Cycle) {
+                      [&](Vpn lv, const Translation &t, Cycle) {
                           EXPECT_EQ(lv, v);
+                          EXPECT_EQ(t.ppn,
+                                    b.as.pageTable().translate(v)->ppn);
                           ++done;
                       });
     eq.runUntil(1'000'000);
@@ -443,7 +448,7 @@ TEST(Shootdown, WalkCachesDropOnlyTheDyingProcessesLines)
          ++v)
         vb.push_back(v);
     unsigned done = 0;
-    auto count = [&](Vpn, Cycle) { ++done; };
+    auto count = [&](Vpn, const Translation &, Cycle) { ++done; };
     w.requestBatchFor(a.as.pageTable(), a.asid, va, 0, count);
     w.requestBatchFor(b.as.pageTable(), b.asid, vb, 0, count);
     eq.runUntil(10'000'000);

@@ -515,6 +515,37 @@ TEST_F(PtwFixture, MixedPageSizeBatchRetiresEachWalkAtItsLeaf)
     w.checkDrained();
 }
 
+TEST_F(PtwFixture, WalkHandsItsTranslationToTheCallback)
+{
+    // The callback hears what the walk read: a 2MB and two 4KB
+    // mappings in one scheduled batch, each the table's own result.
+    const std::uint64_t per_large = kPageSize2M / kPageSize4K;
+    pt.map2M(5, 4 * per_large);
+    const Vpn big = 5 * per_large + 17;
+    const Vpn a = vpnOf(0, 0, 6, 1);
+    const Vpn b = vpnOf(0, 0, 6, 2);
+    pt.map4K(a, 1);
+    pt.map4K(b, 2);
+    PtwConfig cfg;
+    cfg.scheduling = true;
+    auto w = make(cfg);
+    std::map<Vpn, Translation> got;
+    w.requestBatchFor(pt, 0, {a, big, b}, 0,
+                      [&](Vpn v, const Translation &t, Cycle) {
+                          got[v] = t;
+                      });
+    eq.runUntil(1'000'000);
+    ASSERT_EQ(got.size(), 3u);
+    for (Vpn v : {big, a, b}) {
+        const Translation want = pt.walk(v).result;
+        EXPECT_EQ(got[v].ppn, want.ppn) << "vpn " << v;
+        EXPECT_EQ(got[v].isLarge, want.isLarge) << "vpn " << v;
+    }
+    EXPECT_TRUE(got[big].isLarge);
+    EXPECT_EQ(got[a].ppn, 1u);
+    EXPECT_EQ(got[b].ppn, 2u);
+}
+
 TEST_F(PtwFixture, CompletionCallbackNeverRefillsItsBusyWalker)
 {
     // A 2MB walk retires at the PD level while its 4KB batch-mates
