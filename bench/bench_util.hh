@@ -192,15 +192,13 @@ tryParse(int argc, char **argv, Options &opt, std::string &err,
                 return false;
             }
         } else if (const char *v = value("--bench")) {
-            opt.benchmarks.clear();
-            for (BenchmarkId id : allBenchmarks()) {
-                if (benchmarkName(id) == v)
-                    opt.benchmarks.push_back(id);
-            }
-            if (opt.benchmarks.empty()) {
-                err = "unknown benchmark: " + std::string(v);
+            const auto id = benchmarkByName(v);
+            if (!id) {
+                err = "unknown benchmark '" + std::string(v) +
+                      "'; one of: " + benchmarkNames();
                 return false;
             }
+            opt.benchmarks = {*id};
         } else {
             err = "unknown option: " + arg;
             return false;

@@ -72,16 +72,12 @@ main(int argc, char **argv)
         if (const char *v = value("--grid")) {
             grid_arg = v;
         } else if (const char *v = value("--bench")) {
-            bool found = false;
-            for (BenchmarkId id : allBenchmarks()) {
-                if (benchmarkName(id) == v) {
-                    opt.bench = id;
-                    found = true;
-                }
+            const auto id = benchmarkByName(v);
+            if (!id) {
+                return usage("unknown benchmark '" + std::string(v) +
+                             "'; one of: " + benchmarkNames());
             }
-            if (!found)
-                return usage("unknown benchmark: " +
-                             std::string(v));
+            opt.bench = *id;
         } else if (const char *v = value("--scale")) {
             if (!parseDouble(v, opt.params.scale) ||
                 opt.params.scale <= 0) {

@@ -52,11 +52,10 @@ namespace {
 BenchmarkId
 benchByName(const char *name)
 {
-    for (BenchmarkId id : allBenchmarks()) {
-        if (benchmarkName(id) == name)
-            return id;
-    }
-    std::cerr << "unknown benchmark: " << name << "\n";
+    if (const auto id = benchmarkByName(name))
+        return *id;
+    std::cerr << "unknown benchmark '" << name
+              << "'; one of: " << benchmarkNames() << "\n";
     std::exit(1);
 }
 

@@ -176,16 +176,11 @@ main(int argc, char **argv)
     RunOutput out;
     SystemConfig cfg;
     if (capturing) {
-        BenchmarkId bench = BenchmarkId::Bfs;
-        bool found = false;
-        for (BenchmarkId id : allBenchmarks()) {
-            if (benchmarkName(id) == capture_bench) {
-                bench = id;
-                found = true;
-            }
+        const auto bench = benchmarkByName(capture_bench);
+        if (!bench) {
+            return usage("unknown benchmark '" + capture_bench +
+                         "'; one of: " + benchmarkNames());
         }
-        if (!found)
-            return usage("unknown benchmark: " + capture_bench);
         if (config_name.empty())
             config_name = "augmented-tlb";
         if (!configByName(config_name, cfg))
@@ -195,7 +190,7 @@ main(int argc, char **argv)
         cfg.checkInvariants = check;
 
         MemTraceWriter writer(trace_path);
-        out = runConfigFull(bench, cfg, params, {.memtrace = &writer});
+        out = runConfigFull(*bench, cfg, params, {.memtrace = &writer});
         std::cout << "captured " << writer.accessesRecorded()
                   << " accesses, " << writer.branchesRecorded()
                   << " branches -> " << trace_path << " ["

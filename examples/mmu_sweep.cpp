@@ -47,7 +47,6 @@
  * section.
  */
 
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -168,15 +167,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const std::vector<BenchmarkId> benches = allBenchmarks();
-    const auto found = std::find_if(
-        benches.begin(), benches.end(),
-        [&](BenchmarkId id) { return benchmarkName(id) == name; });
-    if (found == benches.end()) {
-        std::cerr << "unknown benchmark '" << name << "'; one of:";
-        for (BenchmarkId id : benches)
-            std::cerr << " " << benchmarkName(id);
-        std::cerr << "\n";
+    const auto found = benchmarkByName(name);
+    if (!found) {
+        std::cerr << "unknown benchmark '" << name
+                  << "'; one of: " << benchmarkNames() << "\n";
         return 1;
     }
     const BenchmarkId bench = *found;

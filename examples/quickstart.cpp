@@ -25,11 +25,10 @@ namespace {
 BenchmarkId
 parseBenchmark(const std::string &name)
 {
-    for (BenchmarkId id : allBenchmarks()) {
-        if (benchmarkName(id) == name)
-            return id;
-    }
-    std::cerr << "unknown benchmark '" << name << "'\n";
+    if (const auto id = benchmarkByName(name))
+        return *id;
+    std::cerr << "unknown benchmark '" << name
+              << "'; one of: " << benchmarkNames() << "\n";
     std::exit(1);
 }
 

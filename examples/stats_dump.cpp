@@ -23,20 +23,6 @@ using namespace gpummu;
 
 namespace {
 
-BenchmarkId
-benchmarkByName(const std::string &name)
-{
-    for (BenchmarkId id : allBenchmarks()) {
-        if (benchmarkName(id) == name)
-            return id;
-    }
-    std::cerr << "unknown benchmark '" << name << "'; one of:";
-    for (BenchmarkId id : allBenchmarks())
-        std::cerr << " " << benchmarkName(id);
-    std::cerr << "\n";
-    std::exit(1);
-}
-
 SystemConfig
 presetByName(const std::string &name)
 {
@@ -64,8 +50,13 @@ presetByName(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    const BenchmarkId bench =
-        benchmarkByName(argc > 1 ? argv[1] : "bfs");
+    const char *bench_name = argc > 1 ? argv[1] : "bfs";
+    const auto bench = benchmarkByName(bench_name);
+    if (!bench) {
+        std::cerr << "unknown benchmark '" << bench_name
+                  << "'; one of: " << benchmarkNames() << "\n";
+        return 1;
+    }
     const SystemConfig cfg =
         presetByName(argc > 2 ? argv[2] : "augmented");
     WorkloadParams params;
@@ -78,14 +69,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    auto workload = makeWorkload(bench, params);
+    auto workload = makeWorkload(*bench, params);
     SharedTranslation unit(cfg);
     GpuTop gpu(cfg.numCores, cfg.mem, *workload, unit.coreFactory(),
                cfg.largePages, cfg.physFrames);
     unit.regStats(gpu.stats());
 
     const RunStats stats = gpu.run(cfg.maxCycles);
-    std::cout << "# " << benchmarkName(bench) << " / " << cfg.name
+    std::cout << "# " << benchmarkName(*bench) << " / " << cfg.name
               << " scale=" << params.scale << "\n";
     std::cout << "run.cycles " << stats.cycles << "\n";
     std::cout << "run.ipc " << stats.ipc() << "\n";

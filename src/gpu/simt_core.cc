@@ -146,6 +146,7 @@ SimtCore::launchBlock(unsigned global_block_id)
                 static_cast<int>(assigned * kWarpWidth + lane);
         }
         w.stack.reset(0, full);
+        w.next.reset();
         w.readyAt = 0;
         due_ |= std::uint64_t(1) << wid;
         blk.warpIds.push_back(static_cast<int>(wid));
@@ -158,13 +159,18 @@ SimtCore::launchBlock(unsigned global_block_id)
 const Instruction *
 SimtCore::nextInstr(Warp &w)
 {
+    if (w.next)
+        return *w.next;
     w.stack.reconverge();
-    if (w.stack.empty())
-        return nullptr;
-    const auto &top = w.stack.top();
-    const auto &bb = launch_.program->block(top.block);
-    GPUMMU_ASSERT(top.instIdx < static_cast<int>(bb.instrs.size()));
-    return &bb.instrs[static_cast<std::size_t>(top.instIdx)];
+    if (w.stack.empty()) {
+        w.next = nullptr;
+    } else {
+        const auto &top = w.stack.top();
+        const auto &bb = launch_.program->block(top.block);
+        GPUMMU_ASSERT(top.instIdx < static_cast<int>(bb.instrs.size()));
+        w.next = &bb.instrs[static_cast<std::size_t>(top.instIdx)];
+    }
+    return *w.next;
 }
 
 void
@@ -220,8 +226,7 @@ SimtCore::executeExit(int wid, Warp &w)
     GPUMMU_ASSERT(blk.threadsLive >= exiting);
     blk.threadsLive -= exiting;
     w.stack.clearLanes(mask);
-    w.stack.reconverge();
-    if (w.stack.empty())
+    if (nextInstr(w) == nullptr)
         retireWarp(wid, w);
     if (blk.threadsLive == 0) {
         blocksCompleted_.inc();
@@ -247,6 +252,8 @@ SimtCore::issueWarp(int wid, Cycle now)
     Warp &w = warps_[static_cast<std::size_t>(wid)];
     const Instruction *in = nextInstr(w);
     GPUMMU_ASSERT(in != nullptr);
+    // Every case below may move the PC; a bounce merely recomputes.
+    w.next.reset();
     noteBlockEntry(w);
     // ALU latency and branch pipelining are execution, not stalls.
     w.stallReason = StallReason::None;

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,14 @@ class SimtCore : public ShaderCore
         /** Per-lane index into the block's thread array; -1 empty. */
         std::array<int, kWarpWidth> laneThread{};
         SimtStack stack;
+        /**
+         * nextInstr()'s answer (nullptr: no instruction left), so the
+         * per-cycle scan and the issue pass reconverge the stack and
+         * look the instruction up once per PC. It points into the
+         * program's instruction vectors. Cleared only where the PC can
+         * move: on entry to issueWarp() and in launchBlock().
+         */
+        std::optional<const Instruction *> next;
         Cycle readyAt = 0;
         /**
          * Lane addresses generated for the current memory
@@ -158,7 +167,8 @@ class SimtCore : public ShaderCore
         std::vector<int> warpIds;
     };
 
-    /** The instruction the warp would execute next, or nullptr. */
+    /** The instruction the warp would execute next, or nullptr;
+     *  cached in Warp::next. */
     const Instruction *nextInstr(Warp &w);
 
     /** Execute one instruction for warp @p wid. */

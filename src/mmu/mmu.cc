@@ -192,8 +192,8 @@ Mmu::requestWalks(const std::vector<Vpn> &vpns, int warp_id, Cycle now,
     // The walkers operate on 4KB-granularity VPNs; in large-page mode
     // the TLB tag is the 2MB VPN, so expand before walking.
     const unsigned expand = pageShift_ - kPageShift4K;
-    std::vector<Vpn> walk_vpns;
-    walk_vpns.reserve(vpns.size());
+    std::vector<Vpn> &walk_vpns = walkVpnScratch_;
+    walk_vpns.clear();
     Cycle walk_at = now;
 
     // Shared L2 TLB on the miss path: hits and merges into other

@@ -316,6 +316,9 @@ class Mmu
     SpanTracker *spans_ = nullptr;
 
     MissBatch batch_;
+    /** requestWalks() scratch: the batch's 4K walk VPNs, reused so
+     *  the miss path does not allocate (the walkers copy them). */
+    std::vector<Vpn> walkVpnScratch_;
     std::function<void()> drainListener_;
 
     Counter mergedWalks_;

@@ -150,13 +150,7 @@ PageWalkers::startBatch(Walker &w, Cycle now)
         PendingWalk &walk = w.walks.emplace_back(
             std::move(queue_.front()));
         queue_.pop_front();
-        const WalkPath path = walk.pt->walk(walk.vpn);
-        walk.result = path.result;
-        const auto idx = static_cast<std::uint32_t>(w.walks.size() - 1);
-        for (unsigned level = 0; level < path.levels; ++level)
-            w.refs.push_back(Ref{path.entryAddrs[level], idx,
-                                 static_cast<std::uint8_t>(level),
-                                 level + 1 == path.levels});
+        walk.path = walk.pt->walk(walk.vpn);
     } while (cfg_.scheduling && !queue_.empty());
     inFlight_ += static_cast<unsigned>(w.walks.size());
     if (trace_) {
@@ -178,16 +172,29 @@ PageWalkers::startBatch(Walker &w, Cycle now)
     // Comparator tree: within a level, exact repeats become adjacent
     // and are issued once, and same-line entries are issued back to
     // back so the later ones hit the walk cache or the L2 line just
-    // fetched (Figs. 8-9).
-    std::sort(w.refs.begin(), w.refs.end(),
-              [](const Ref &a, const Ref &b) {
-                  return std::tie(a.level, a.entry, a.walk) <
-                         std::tie(b.level, b.entry, b.walk);
-              });
+    // fetched (Figs. 8-9). Each level's run is appended in walk order,
+    // so it is sorted by (entry, walk) only when its entries are not
+    // already ascending.
+    const auto by_entry = [](const Ref &a, const Ref &b) {
+        return std::tie(a.entry, a.walk) < std::tie(b.entry, b.walk);
+    };
     std::uint64_t repeats = 0;
-    for (std::size_t i = 1; i < w.refs.size(); ++i)
-        repeats += w.refs[i].level == w.refs[i - 1].level &&
-                   w.refs[i].entry == w.refs[i - 1].entry;
+    for (unsigned level = 0; level < kWalkLevels4K; ++level) {
+        const std::size_t first = w.refs.size();
+        for (std::uint32_t idx = 0; idx < w.walks.size(); ++idx) {
+            const WalkPath &path = w.walks[idx].path;
+            if (level < path.levels)
+                w.refs.push_back(Ref{path.entryAddrs[level], idx,
+                                     static_cast<std::uint8_t>(level),
+                                     level + 1 == path.levels});
+        }
+        const auto run = w.refs.begin() +
+                         static_cast<std::ptrdiff_t>(first);
+        if (!std::is_sorted(run, w.refs.end(), by_entry))
+            std::sort(run, w.refs.end(), by_entry);
+        for (std::size_t i = first + 1; i < w.refs.size(); ++i)
+            repeats += w.refs[i].entry == w.refs[i - 1].entry;
+    }
     refsEliminated_.inc(repeats);
 
     w.busy = true;
@@ -212,7 +219,7 @@ PageWalkers::completeWalk(Walker &w, std::uint32_t idx)
         checker_->onWalkCompleted(asidKey(walk.asid, walk.vpn));
     // The slot stays busy until its last level event, so done() may
     // start new walks on other walkers or queue them, never here.
-    walk.done(walk.vpn, walk.result, now);
+    walk.done(walk.vpn, walk.path.result, now);
 }
 
 void

@@ -16,8 +16,9 @@
  *
  * Both modes run through one engine: each walker slot holds its batch
  * (one walk when naive, the whole queue when scheduled) as a flat
- * array of (level, entry, walk) references sorted in that order. A
- * line is entry >> 7, so the sort is the comparator tree's
+ * array of references in (level, entry, walk) order, built level by
+ * level so only a level whose entries arrive out of order is sorted.
+ * A line is entry >> 7, so that order is the comparator tree's
  * by-level, by-line, by-entry issue order.
  */
 
@@ -202,8 +203,9 @@ class PageWalkers
         /** Radix this walk traverses (multi-process: per-walk). */
         const PageTable *pt = nullptr;
         Asid asid = 0;
-        /** What the walk reads, set when its batch starts. */
-        Translation result{};
+        /** What the walk reads (entries and translation), set when
+         *  its batch starts. */
+        WalkPath path{};
     };
 
     /** One walk's reference at one radix level. */
@@ -218,8 +220,8 @@ class PageWalkers
     };
 
     /**
-     * One walker slot and its in-flight batch. References are sorted
-     * by (level, entry, walk): a level may start only when the
+     * One walker slot and its in-flight batch. References are in
+     * (level, entry, walk) order: a level may start only when the
      * previous one finished (the pointer chase), but within a level
      * references pipeline at the port rate - the comparator tree
      * issues them successively (Fig. 9). The level event refers to

@@ -41,6 +41,25 @@ benchmarkName(BenchmarkId id)
     GPUMMU_PANIC("unknown benchmark id");
 }
 
+std::optional<BenchmarkId>
+benchmarkByName(std::string_view name)
+{
+    for (BenchmarkId id : allBenchmarks()) {
+        if (benchmarkName(id) == name)
+            return id;
+    }
+    return std::nullopt;
+}
+
+std::string
+benchmarkNames()
+{
+    std::string names;
+    for (BenchmarkId id : allBenchmarks())
+        names += (names.empty() ? "" : " ") + benchmarkName(id);
+    return names;
+}
+
 std::vector<BenchmarkId>
 defaultTenantPair()
 {

@@ -16,7 +16,9 @@
 #define WORKLOADS_WORKLOAD_HH
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/kernel.hh"
@@ -82,6 +84,13 @@ std::vector<BenchmarkId> allBenchmarks();
 std::vector<BenchmarkId> defaultTenantPair();
 
 std::string benchmarkName(BenchmarkId id);
+
+/** The benchmark benchmarkName() spells @p name, or nullopt. */
+std::optional<BenchmarkId> benchmarkByName(std::string_view name);
+
+/** Every benchmark name in allBenchmarks() order, space-separated,
+ *  for the error that rejects an unknown one. */
+std::string benchmarkNames();
 
 /** Instantiate one benchmark model. */
 std::unique_ptr<Workload> makeWorkload(BenchmarkId id,

@@ -9,12 +9,16 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <random>
 #include <regex>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "check/invariant_checker.hh"
 #include "mem/request.hh"
+#include "mem/set_assoc.hh"
 #include "mmu/ptw.hh"
 #include "sim/event_queue.hh"
 #include "trace/trace.hh"
@@ -58,6 +62,84 @@ linesOf(const std::vector<std::pair<Cycle, PhysAddr>> &refs)
     for (const auto &[ts, line] : refs)
         lines.push_back(line);
     return lines;
+}
+
+/** What one scheduled batch does: its walk_ref lines in issue order,
+ *  its reference counts and its (vpn, completion cycle) pairs. */
+struct BatchSchedule
+{
+    std::vector<PhysAddr> lines;
+    std::uint64_t issued = 0;
+    std::uint64_t eliminated = 0;
+    std::vector<std::pair<Vpn, Cycle>> done;
+};
+
+/**
+ * Reference model of one scheduled batch of @p vpns started at cycle
+ * @p at on an idle pool with a fresh memory system: every reference
+ * of the batch in one global (level, entry, walk) sort, then the
+ * walker's timing rule (one shared issue port, walk cache, one level
+ * at a time, a repeated entry issued once).
+ */
+BatchSchedule
+globallySortedSchedule(const PageTable &pt, const std::vector<Vpn> &vpns,
+                       const PtwConfig &cfg, Cycle at)
+{
+    struct Ref
+    {
+        unsigned level;
+        PhysAddr entry;
+        std::size_t walk;
+        bool last;
+    };
+    std::vector<Ref> refs;
+    for (std::size_t i = 0; i < vpns.size(); ++i) {
+        const WalkPath path = pt.walk(vpns[i]);
+        for (unsigned level = 0; level < path.levels; ++level)
+            refs.push_back({level, path.entryAddrs[level], i,
+                            level + 1 == path.levels});
+    }
+    std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
+        return std::tie(a.level, a.entry, a.walk) <
+               std::tie(b.level, b.entry, b.walk);
+    });
+
+    MemorySystem mem{MemorySystemConfig{}};
+    SetAssocArray<Cycle> pwc(cfg.pwcLines, cfg.pwcWays);
+    Cycle port_free = 0;
+    Cycle now = at;
+    Cycle ready = at;
+    BatchSchedule out;
+    for (std::size_t i = 0; i < refs.size();) {
+        const unsigned level = refs[i].level;
+        Cycle level_end = now;
+        for (; i < refs.size() && refs[i].level == level; ++i) {
+            if (i > 0 && refs[i - 1].level == level &&
+                refs[i - 1].entry == refs[i].entry) {
+                ++out.eliminated;
+            } else {
+                const PhysAddr line = lineAddrOf(refs[i].entry);
+                const Cycle issue = std::max(now, port_free);
+                port_free = issue + cfg.portInterval;
+                out.lines.push_back(line);
+                if (const Cycle *filled = pwc.lookup(line).payload) {
+                    ready = std::max(issue + cfg.pwcHitLatency, *filled);
+                } else {
+                    ready = mem.access(line, false, issue,
+                                       AccessSource::PageWalk)
+                                .readyAt;
+                    pwc.insert(line, ready);
+                }
+                level_end = std::max(level_end, ready);
+            }
+            if (refs[i].last)
+                out.done.emplace_back(vpns[refs[i].walk], ready);
+        }
+        now = level_end;
+    }
+    out.issued = out.lines.size();
+    std::sort(out.done.begin(), out.done.end());
+    return out;
 }
 
 struct PtwFixture : public ::testing::Test
@@ -618,6 +700,76 @@ TEST_F(PtwFixture, NaiveWalkMatchesOneWalkScheduledBatch)
     EXPECT_EQ(naive.first, sched.first);
     EXPECT_GT(naive.second, 3u);
     EXPECT_EQ(naive.second, sched.second);
+}
+
+TEST_F(PtwFixture, ScheduledBatchesMatchOneGlobalSort)
+{
+    // Random scheduled batches against the reference model's single
+    // (level, entry, walk) sort: 2MB and 4KB walks mixed, repeated
+    // VPNs, requests in random order and more than 16 references per
+    // level, so every level needs sorting and the sort leaves its
+    // insertion-sort path.
+    std::mt19937_64 rng(7);
+    auto pick = [&rng](unsigned n) {
+        return static_cast<unsigned>(rng() % n);
+    };
+    const std::uint64_t per_large = kPageSize2M / kPageSize4K;
+    std::vector<Vpn> pool;
+    std::vector<Vpn> large;
+    std::set<Vpn> mapped;
+    while (pool.size() < 200) {
+        const unsigned pml4 = pick(3), pdp = pick(3), pd = pick(6);
+        const Vpn v = vpnOf(pml4, pdp, pd, pick(512));
+        if (!mapped.insert(v).second)
+            continue;
+        pt.map4K(v, static_cast<Ppn>(pool.size() + 1));
+        pool.push_back(v);
+    }
+    // 2MB pages at PD entries 8..11, beside the 4KB tables' entries.
+    for (unsigned pml4 = 0; pml4 < 3; ++pml4) {
+        for (unsigned pd = 8; pd < 12; ++pd) {
+            const std::uint64_t vpn2m = vpnOf(pml4, 1, pd, 0) >> 9;
+            pt.map2M(vpn2m, (pml4 * 4 + pd + 1) * per_large);
+            for (int k = 0; k < 4; ++k)
+                large.push_back(vpn2m * per_large + pick(512));
+        }
+    }
+
+    PtwConfig cfg;
+    cfg.scheduling = true;
+    auto any_of = [&pick](const std::vector<Vpn> &from) {
+        return from[pick(static_cast<unsigned>(from.size()))];
+    };
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<Vpn> vpns;
+        for (unsigned n = 20 + pick(40); vpns.size() < n;)
+            vpns.push_back(any_of(pick(4) == 0 ? large : pool));
+        vpns.push_back(any_of(large));
+        for (int k = 0; k < 4; ++k)
+            vpns.push_back(any_of(vpns));
+        std::shuffle(vpns.begin(), vpns.end(), rng);
+        const Cycle at = 3 + trial;
+
+        EventQueue q;
+        MemorySystem m{MemorySystemConfig{}};
+        TraceSink sink;
+        PageWalkers w(cfg, pt, m, q);
+        w.setTraceSink(&sink, 0);
+        std::vector<std::pair<Vpn, Cycle>> done;
+        w.requestBatch(vpns, at,
+                       [&](Vpn v, Cycle c) { done.emplace_back(v, c); });
+        q.runUntil(at + 10'000'000);
+        std::sort(done.begin(), done.end());
+
+        const BatchSchedule want =
+            globallySortedSchedule(pt, vpns, cfg, at);
+        EXPECT_EQ(linesOf(walkRefEvents(sink)), want.lines)
+            << "trial " << trial;
+        EXPECT_EQ(w.refsIssued(), want.issued) << "trial " << trial;
+        EXPECT_EQ(w.refsEliminated(), want.eliminated)
+            << "trial " << trial;
+        EXPECT_EQ(done, want.done) << "trial " << trial;
+    }
 }
 
 TEST(PtwConfigDeath, RejectsUnmodellableConfigs)

@@ -105,6 +105,58 @@ class SamePageLoadWorkload : public Workload
     VmRegion region_;
 };
 
+/**
+ * Each warp diverges once on lane parity: the taken path exits at
+ * once, the other path loads again first. Every lane loads its own
+ * page, so misses are plentiful. Ten instructions per warp.
+ */
+class ExitingPathWorkload : public Workload
+{
+  public:
+    explicit ExitingPathWorkload(unsigned blocks)
+        : Workload(WorkloadParams{}), prog_("exiting"), blocks_(blocks)
+    {
+    }
+
+    std::string name() const override { return "exiting"; }
+    const KernelProgram &program() const override { return prog_; }
+    unsigned threadsPerBlock() const override { return 64; }
+    unsigned numBlocks() const override { return blocks_; }
+
+    void
+    build(AddressSpace &as) override
+    {
+        region_ = as.mmap("exiting.data", 256 * kPageSize4K);
+        const int addr = prog_.addAddrGen([this](ThreadCtx &c) {
+            const auto page = (static_cast<VirtAddr>(c.globalTid) * 37 +
+                               c.visits(2) * 101) %
+                              256;
+            return region_.base + page * kPageSize4K;
+        });
+        const int odd = prog_.addCondGen(
+            [](ThreadCtx &c) { return c.laneId % 2 == 1; });
+        const int b0 = prog_.addBlock();
+        const int b1 = prog_.addBlock(); // taken: exits
+        const int b2 = prog_.addBlock(); // fall: loads again
+        const int b3 = prog_.addBlock(); // join
+        prog_.appendLoad(b0, addr);
+        prog_.appendAlu(b0, 1);
+        prog_.appendBranch(b0, odd, b1, b2, b3);
+        prog_.appendAlu(b1, 1);
+        prog_.appendExit(b1);
+        prog_.appendAlu(b2, 1);
+        prog_.appendLoad(b2, addr);
+        prog_.appendBranch(b2, -1, b3, -1, -1);
+        prog_.appendAlu(b3, 1);
+        prog_.appendExit(b3);
+    }
+
+  private:
+    KernelProgram prog_;
+    unsigned blocks_;
+    VmRegion region_;
+};
+
 /** Records the cycles in which a memory instruction issued. */
 class MemIssueRecordingCore : public SimtCore
 {
@@ -334,6 +386,34 @@ TEST(SimtCore, BlocksDrainAcrossWaves)
     // 48 warp slots -> 24 resident blocks per core; run 60 on 1 core).
     auto stats = runTiny(CoreConfig{}, /*blocks=*/60, 3, 0.4, 1);
     EXPECT_GT(stats.instructions, 0u);
+}
+
+TEST(SimtCore, NextInstructionFollowsExitsBouncesAndSlotReuse)
+{
+    // A warp's next instruction changes under an exit that leaves
+    // lanes behind, stays put across a hit-under-miss bounce and
+    // starts over when a later block reuses the retired warp's slot
+    // (60 two-warp blocks, 24 resident at a time). Each warp runs
+    // exactly 10 instructions, 2 of them loads.
+    CoreConfig cfg;
+    cfg.mmu.hitUnderMiss = true;
+    ExitingPathWorkload wl(/*blocks=*/60);
+    SimtCore *core = nullptr;
+    GpuTop gpu(1, MemorySystemConfig{}, wl,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   auto c = std::make_unique<SimtCore>(id, cfg, l, as,
+                                                       m, e);
+                   core = c.get();
+                   return c;
+               });
+    const RunStats stats = gpu.run(2'000'000);
+    const unsigned warps = 60 * 2;
+    EXPECT_EQ(stats.instructions, warps * 10u);
+    EXPECT_EQ(stats.memInstructions, warps * 2u);
+    EXPECT_EQ(core->blocksCompleted(), 60u);
+    EXPECT_GT(core->memStage().tlbBusyBounces(), 0u);
 }
 
 TEST(SimtCore, CoreTooSmallForOneBlockIsRejected)
