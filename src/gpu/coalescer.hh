@@ -41,6 +41,12 @@ struct CoalescedAccess
  * groups reclaim them, so a warm steady state performs no heap
  * traffic at all. The memory stage calls this once per memory
  * instruction with member scratch; coalesce() wraps it.
+ *
+ * Neighbouring lanes usually share a page and often a line, so each
+ * lane first tests the page group the previous lane used, and searches
+ * the others only when that misses; a group's lines are searched
+ * newest first. Pages and lines keep their first-seen order either
+ * way.
  */
 inline void
 coalesceInto(CoalescedAccess &out,
@@ -54,28 +60,35 @@ coalesceInto(CoalescedAccess &out,
     }
     out.pages.clear();
     out.totalLines = 0;
+    // The page group the previous lane used; valid once one exists.
+    std::size_t cur = 0;
     for (VirtAddr va : lane_addrs) {
         const Vpn vpn = va >> page_shift;
         const std::uint64_t vline = va >> line_shift;
-        auto pg = std::find_if(out.pages.begin(), out.pages.end(),
-                               [vpn](const auto &p) {
-                                   return p.vpn == vpn;
-                               });
-        if (pg == out.pages.end()) {
-            CoalescedAccess::PageGroup g;
-            g.vpn = vpn;
-            if (!spare_lines.empty()) {
-                g.vlines = std::move(spare_lines.back());
-                spare_lines.pop_back();
+        if (out.pages.empty() || out.pages[cur].vpn != vpn) {
+            auto pg = std::find_if(out.pages.begin(), out.pages.end(),
+                                   [vpn](const auto &p) {
+                                       return p.vpn == vpn;
+                                   });
+            if (pg == out.pages.end()) {
+                CoalescedAccess::PageGroup g;
+                g.vpn = vpn;
+                if (!spare_lines.empty()) {
+                    g.vlines = std::move(spare_lines.back());
+                    spare_lines.pop_back();
+                }
+                g.vlines.push_back(vline);
+                cur = out.pages.size();
+                out.pages.push_back(std::move(g));
+                ++out.totalLines;
+                continue;
             }
-            g.vlines.push_back(vline);
-            out.pages.push_back(std::move(g));
-            ++out.totalLines;
-            continue;
+            cur = static_cast<std::size_t>(pg - out.pages.begin());
         }
-        auto &lines = pg->vlines;
-        if (std::find(lines.begin(), lines.end(), vline) ==
-            lines.end()) {
+        // Newest line first: a repeat is most often the last one.
+        auto &lines = out.pages[cur].vlines;
+        if (std::find(lines.rbegin(), lines.rend(), vline) ==
+            lines.rend()) {
             lines.push_back(vline);
             ++out.totalLines;
         }

@@ -44,10 +44,7 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
     // the TLB-idle charge (missOutstanding), so wake now.
     mmu_.setDrainListener([this]() {
         for (std::uint64_t m = drainWaiting_; m != 0; m &= m - 1) {
-            const int wid = std::countr_zero(m);
-            Warp &w = warps_[static_cast<std::size_t>(wid)];
-            w.readyAt = eq_.now() + 1;
-            makeTimed(wid, w);
+            makeTimed(std::countr_zero(m), eq_.now() + 1);
         }
         drainWaiting_ = 0;
         nextWake_ = std::min(nextWake_, eq_.now());
@@ -147,7 +144,6 @@ SimtCore::launchBlock(unsigned global_block_id)
         }
         w.stack.reset(0, full);
         w.next.reset();
-        w.readyAt = 0;
         due_ |= std::uint64_t(1) << wid;
         blk.warpIds.push_back(static_cast<int>(wid));
         ++assigned;
@@ -265,15 +261,13 @@ SimtCore::issueWarp(int wid, Cycle now)
         instrs_.inc();
         aluInstrs_.inc();
         ++top.instIdx;
-        w.readyAt = now + cfg_.aluLatency;
-        makeTimed(wid, w);
+        makeTimed(wid, now + cfg_.aluLatency);
         return;
 
       case Opcode::Branch:
         instrs_.inc();
         executeBranch(w, *in);
-        w.readyAt = now + 1;
-        makeTimed(wid, w);
+        makeTimed(wid, now + 1);
         return;
 
       case Opcode::Exit:
@@ -313,11 +307,7 @@ SimtCore::issueWarp(int wid, Cycle now)
         due_ &= ~(std::uint64_t(1) << wid);
         auto result = memStage_.issue(
             wid, is_store, w.pendingAddrs, now,
-            [this, wid](Cycle ready) {
-                Warp &ww = warps_[static_cast<std::size_t>(wid)];
-                ww.readyAt = ready;
-                makeTimed(wid, ww);
-            });
+            [this, wid](Cycle ready) { makeTimed(wid, ready); });
         if (result == MemIssueResult::BlockedTlbBusy) {
             // Swapped out: retry this instruction after the MMU
             // drains. The PC was not advanced.
@@ -339,12 +329,13 @@ SimtCore::issueWarp(int wid, Cycle now)
 }
 
 void
-SimtCore::makeTimed(int wid, const Warp &w)
+SimtCore::makeTimed(int wid, Cycle ready)
 {
     const std::uint64_t bit = std::uint64_t(1) << wid;
     due_ &= ~bit;
     timed_ |= bit;
-    nextWake_ = std::min(nextWake_, w.readyAt);
+    readyAt_[static_cast<std::size_t>(wid)] = ready;
+    nextWake_ = std::min(nextWake_, ready);
 }
 
 void
@@ -359,19 +350,23 @@ SimtCore::chargeWait(int wid, Warp &w, Cycle end)
 void
 SimtCore::promoteTimed(Cycle now)
 {
-    nextWake_ = kCycleNever;
+    std::uint64_t promoted = 0;
+    Cycle wake = kCycleNever;
     for (std::uint64_t m = timed_; m != 0; m &= m - 1) {
         const int wid = std::countr_zero(m);
-        Warp &w = warps_[static_cast<std::size_t>(wid)];
-        if (w.readyAt > now) {
-            nextWake_ = std::min(nextWake_, w.readyAt);
-            continue;
-        }
-        // Every cycle from the issue to now stalled on the same cause.
-        chargeWait(wid, w, now);
-        const std::uint64_t bit = std::uint64_t(1) << wid;
-        timed_ &= ~bit;
-        due_ |= bit;
+        const Cycle ready = readyAt_[static_cast<std::size_t>(wid)];
+        if (ready > now)
+            wake = std::min(wake, ready);
+        else
+            promoted |= std::uint64_t(1) << wid;
+    }
+    nextWake_ = wake;
+    timed_ &= ~promoted;
+    due_ |= promoted;
+    // Every cycle from the issue to now stalled on the same cause.
+    for (std::uint64_t m = promoted; m != 0; m &= m - 1) {
+        const int wid = std::countr_zero(m);
+        chargeWait(wid, warps_[static_cast<std::size_t>(wid)], now);
     }
 }
 

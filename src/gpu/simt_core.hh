@@ -143,7 +143,6 @@ class SimtCore : public ShaderCore
          * move: on entry to issueWarp() and in launchBlock().
          */
         std::optional<const Instruction *> next;
-        Cycle readyAt = 0;
         /**
          * Lane addresses generated for the current memory
          * instruction, kept across hit-under-miss bounces so the
@@ -181,9 +180,9 @@ class SimtCore : public ShaderCore
     /** Bump block-entry visit counters when entering a block. */
     void noteBlockEntry(Warp &w);
 
-    /** Warp @p wid turned Ready at w.readyAt: park it in timed_. */
-    void makeTimed(int wid, const Warp &w);
-    /** Move timed warps whose readyAt has passed into due_. */
+    /** Warp @p wid turns Ready at @p ready: park it in timed_. */
+    void makeTimed(int wid, Cycle ready);
+    /** Move timed warps whose readyAt_ has passed into due_. */
     void promoteTimed(Cycle now);
     /** Charge warp @p wid's open wait up to (excluding) @p end. */
     void chargeWait(int wid, Warp &w, Cycle end);
@@ -219,8 +218,11 @@ class SimtCore : public ShaderCore
 
     /**
      * Warp readiness as masks over warp slots (so at most 64). A
-     * Ready warp is *due* once its readyAt has passed and *timed*
-     * before that; nextWake_ is the earliest readyAt in timed_. A
+     * Ready warp is *due* once its readyAt_ cycle has passed and
+     * *timed* before that; nextWake_ is the earliest readyAt_ in
+     * timed_. readyAt_ is one array per core, indexed by warp slot
+     * and valid for timed warps, so promoteTimed() reads contiguous
+     * cycles and touches a Warp only to charge one it promotes. A
      * completion callback moves a waiting warp into timed_. tick()
      * visits only due warps and scans timed_ once nextWake_ arrives.
      * A wait is charged as one interval, [Warp::chargeFrom, due), to
@@ -232,6 +234,7 @@ class SimtCore : public ShaderCore
      */
     std::uint64_t due_ = 0;
     std::uint64_t timed_ = 0;
+    std::array<Cycle, 64> readyAt_{};
     Cycle nextWake_ = kCycleNever;
     std::uint64_t drainWaiting_ = 0;
     std::uint64_t tlbGated_ = 0;

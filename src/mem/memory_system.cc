@@ -11,6 +11,17 @@ MemorySystem::MemorySystem(const MemorySystemConfig &cfg) : cfg_(cfg)
     if (cfg.numPartitions == 0)
         GPUMMU_FATAL("memory system: mem.numPartitions (0) must be at "
                      "least 1");
+    // SetAssocArray makes ways above the line count fully associative.
+    const std::size_t lines = cfg.l2BytesPerPartition / kLineSize;
+    if (lines == 0)
+        GPUMMU_FATAL("memory system: mem.l2BytesPerPartition (",
+                     cfg.l2BytesPerPartition, ") must hold at least one ",
+                     kLineSize, "-byte line");
+    if (cfg.l2Ways != 0 && cfg.l2Ways <= lines && lines % cfg.l2Ways != 0)
+        GPUMMU_FATAL("memory system: mem.l2BytesPerPartition (",
+                     cfg.l2BytesPerPartition, ", ", lines,
+                     " lines) does not divide into mem.l2Ways (",
+                     cfg.l2Ways, ")");
     partitions_.reserve(cfg.numPartitions);
     for (unsigned i = 0; i < cfg.numPartitions; ++i)
         partitions_.emplace_back(cfg);

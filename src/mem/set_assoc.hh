@@ -6,11 +6,17 @@
  * arrays. The payload type is a template parameter; lookups report
  * the LRU depth of the hit (depth 0 = MRU), which TCWS uses to weight
  * lost-locality scores.
+ *
+ * Layout: one contiguous vector of numSets x ways entries, each set a
+ * fixed slice of `ways` slots whose first fill-count entries are valid
+ * and kept in MRU -> LRU order. A hit, insert or invalidate shifts
+ * entries within the slice; nothing is allocated after construction.
  */
 
 #ifndef MEM_SET_ASSOC_HH
 #define MEM_SET_ASSOC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -51,9 +57,9 @@ class SetAssocArray
                       ways);
         ways_ = ways;
         numSets_ = num_entries / ways;
-        sets_.resize(numSets_);
-        for (auto &set : sets_)
-            set.reserve(ways_);
+        setMask_ = numSets_ - 1;
+        entries_.resize(num_entries);
+        fill_.assign(numSets_, 0);
     }
 
     std::size_t numEntries() const { return numSets_ * ways_; }
@@ -64,33 +70,27 @@ class SetAssocArray
     LookupResult
     lookup(std::uint64_t tag)
     {
-        auto &set = setFor(tag);
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i].tag == tag) {
-                LookupResult res;
-                res.hit = true;
-                res.depth = static_cast<unsigned>(i);
-                // Move to MRU position (front).
-                Entry e = std::move(set[i]);
-                set.erase(set.begin() + static_cast<long>(i));
-                set.insert(set.begin(), std::move(e));
-                res.payload = &set.front().payload;
-                return res;
-            }
-        }
-        return LookupResult{};
+        const std::size_t s = setIndex(tag);
+        Entry *set = slice(s);
+        const std::size_t i = find(set, fill_[s], tag);
+        if (i == fill_[s])
+            return LookupResult{};
+        LookupResult res;
+        res.hit = true;
+        res.depth = static_cast<unsigned>(i);
+        promote(set, i);
+        res.payload = &set[0].payload;
+        return res;
     }
 
     /** Look up without touching LRU state (for inspection/tests). */
     const Payload *
     peek(std::uint64_t tag) const
     {
-        const auto &set = setFor(tag);
-        for (const auto &e : set) {
-            if (e.tag == tag)
-                return &e.payload;
-        }
-        return nullptr;
+        const std::size_t s = setIndex(tag);
+        const Entry *set = slice(s);
+        const std::size_t i = find(set, fill_[s], tag);
+        return i == fill_[s] ? nullptr : &set[i].payload;
     }
 
     /**
@@ -102,19 +102,21 @@ class SetAssocArray
     std::optional<Victim>
     insert(std::uint64_t tag, Payload payload)
     {
-        auto &set = setFor(tag);
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i].tag == tag) {
-                set.erase(set.begin() + static_cast<long>(i));
-                break;
+        const std::size_t s = setIndex(tag);
+        Entry *set = slice(s);
+        std::uint32_t &n = fill_[s];
+        std::size_t i = find(set, n, tag);
+        std::optional<Victim> victim;
+        if (i == n) {
+            if (n == ways_) {
+                i = n - 1;
+                victim = Victim{set[i].tag, std::move(set[i].payload)};
+            } else {
+                i = n++;
             }
         }
-        std::optional<Victim> victim;
-        if (set.size() == ways_) {
-            victim = Victim{set.back().tag, std::move(set.back().payload)};
-            set.pop_back();
-        }
-        set.insert(set.begin(), Entry{tag, std::move(payload)});
+        promote(set, i);
+        set[0] = Entry{tag, std::move(payload)};
         return victim;
     }
 
@@ -122,23 +124,19 @@ class SetAssocArray
     bool
     invalidate(std::uint64_t tag)
     {
-        auto &set = setFor(tag);
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i].tag == tag) {
-                set.erase(set.begin() + static_cast<long>(i));
-                return true;
-            }
-        }
-        return false;
+        const std::size_t s = setIndex(tag);
+        Entry *set = slice(s);
+        std::uint32_t &n = fill_[s];
+        const std::size_t i = find(set, n, tag);
+        if (i == n)
+            return false;
+        std::move(set + i + 1, set + n, set + i);
+        --n;
+        return true;
     }
 
     /** Drop every entry (TLB shootdown / kernel switch). */
-    void
-    flush()
-    {
-        for (auto &set : sets_)
-            set.clear();
-    }
+    void flush() { std::fill(fill_.begin(), fill_.end(), 0); }
 
     /**
      * Remove every entry matching pred(tag, payload) — a targeted
@@ -151,16 +149,20 @@ class SetAssocArray
     removeIf(Pred &&pred)
     {
         std::vector<Victim> victims;
-        for (auto &set : sets_) {
-            for (std::size_t i = 0; i < set.size();) {
+        for (std::size_t s = 0; s < numSets_; ++s) {
+            Entry *set = slice(s);
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < fill_[s]; ++i) {
                 if (pred(set[i].tag, set[i].payload)) {
                     victims.push_back(Victim{
                         set[i].tag, std::move(set[i].payload)});
-                    set.erase(set.begin() + static_cast<long>(i));
                 } else {
-                    ++i;
+                    if (kept != i)
+                        set[kept] = std::move(set[i]);
+                    ++kept;
                 }
             }
+            fill_[s] = static_cast<std::uint32_t>(kept);
         }
         return victims;
     }
@@ -170,8 +172,8 @@ class SetAssocArray
     occupancy() const
     {
         std::size_t n = 0;
-        for (const auto &set : sets_)
-            n += set.size();
+        for (const std::uint32_t f : fill_)
+            n += f;
         return n;
     }
 
@@ -184,30 +186,61 @@ class SetAssocArray
     void
     forEach(Fn &&fn) const
     {
-        for (std::size_t s = 0; s < sets_.size(); ++s) {
-            for (const Entry &e : sets_[s])
-                fn(s, e.tag, e.payload);
+        for (std::size_t s = 0; s < numSets_; ++s) {
+            const Entry *set = slice(s);
+            for (std::size_t i = 0; i < fill_[s]; ++i)
+                fn(s, set[i].tag, set[i].payload);
         }
     }
 
   private:
     struct Entry
     {
-        std::uint64_t tag;
-        Payload payload;
+        std::uint64_t tag = 0;
+        Payload payload{};
     };
 
-    using Set = std::vector<Entry>;
-
-    Set &setFor(std::uint64_t tag) { return sets_[tag % numSets_]; }
-    const Set &setFor(std::uint64_t tag) const
+    std::size_t
+    setIndex(std::uint64_t tag) const
     {
-        return sets_[tag % numSets_];
+        // Both give the same set when numSets_ is a power of two.
+        return (numSets_ & setMask_) == 0 ? tag & setMask_
+                                          : tag % numSets_;
+    }
+    Entry *slice(std::size_t s) { return &entries_[s * ways_]; }
+    const Entry *slice(std::size_t s) const
+    {
+        return &entries_[s * ways_];
+    }
+
+    /** Position of @p tag among a set's @p n valid entries, or n. */
+    static std::size_t
+    find(const Entry *set, std::size_t n, std::uint64_t tag)
+    {
+        std::size_t i = 0;
+        while (i < n && set[i].tag != tag)
+            ++i;
+        return i;
+    }
+
+    /** Rotate set[0..i] right by one: set[i] becomes the MRU. */
+    static void
+    promote(Entry *set, std::size_t i)
+    {
+        if (i == 0)
+            return;
+        Entry e = std::move(set[i]);
+        std::move_backward(set, set + i, set + i + 1);
+        set[0] = std::move(e);
     }
 
     std::size_t ways_;
     std::size_t numSets_;
-    std::vector<Set> sets_;
+    std::uint64_t setMask_; ///< numSets_ - 1
+    /** numSets_ x ways_ entries; set s is [s * ways_, (s+1) * ways_),
+     *  its fill_[s] valid entries first, MRU -> LRU. */
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> fill_;
 };
 
 } // namespace gpummu

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gpu/coalescer.hh"
 #include "mem/request.hh"
+#include "sim/rng.hh"
 #include "sim/types.hh"
 
 using namespace gpummu;
@@ -107,6 +111,95 @@ TEST(Coalescer, ReusedScratchMatchesFreshResult)
         for (std::size_t i = 0; i < acc.pages.size(); ++i) {
             EXPECT_EQ(acc.pages[i].vpn, fresh.pages[i].vpn);
             EXPECT_EQ(acc.pages[i].vlines, fresh.pages[i].vlines);
+        }
+    }
+}
+
+namespace {
+
+/** The plain two-search coalescer: every lane searches the page groups
+ *  from the first, then the group's lines from the first. */
+CoalescedAccess
+searchEveryLane(const std::vector<VirtAddr> &lane_addrs)
+{
+    CoalescedAccess out;
+    for (VirtAddr va : lane_addrs) {
+        const Vpn vpn = va >> kPageShift4K;
+        const std::uint64_t vline = va >> kLineShift;
+        auto pg = std::find_if(out.pages.begin(), out.pages.end(),
+                               [vpn](const auto &p) {
+                                   return p.vpn == vpn;
+                               });
+        if (pg == out.pages.end()) {
+            out.pages.push_back({vpn, {vline}});
+            ++out.totalLines;
+            continue;
+        }
+        if (std::find(pg->vlines.begin(), pg->vlines.end(), vline) ==
+            pg->vlines.end()) {
+            pg->vlines.push_back(vline);
+            ++out.totalLines;
+        }
+    }
+    return out;
+}
+
+std::vector<VirtAddr>
+laneVector(Rng &rng, unsigned shape)
+{
+    const unsigned lanes = 1 + static_cast<unsigned>(rng.below(32));
+    const VirtAddr base = rng.below(1u << 20) << kPageShift4K;
+    std::vector<VirtAddr> addrs;
+    switch (shape) {
+      case 0: { // strided: words, lines, pages, odd strides
+        const VirtAddr strides[] = {4, 8, 12, 64, kLineSize, 200,
+                                    kPageSize4K, kPageSize4K + 4};
+        const VirtAddr stride = strides[rng.below(8)];
+        for (unsigned l = 0; l < lanes; ++l)
+            addrs.push_back(base + l * stride);
+        break;
+      }
+      case 1: // clustered: a few pages, a few lines each
+        for (unsigned l = 0; l < lanes; ++l)
+            addrs.push_back(base + rng.below(3) * kPageSize4K +
+                            rng.below(4) * kLineSize + rng.below(16));
+        break;
+      case 2: // fully random
+        for (unsigned l = 0; l < lanes; ++l)
+            addrs.push_back(rng.below(std::uint64_t(1) << 40));
+        break;
+      default: // page ping-pong A, B, A, ... over repeated lines
+        for (unsigned l = 0; l < lanes; ++l)
+            addrs.push_back(base + (l % 2) * 7 * kPageSize4K +
+                            (l / 4 % 3) * kLineSize);
+        break;
+    }
+    if (rng.chance(0.3)) // repeat a line from earlier in the warp
+        addrs.push_back(addrs[rng.below(addrs.size())]);
+    return addrs;
+}
+
+} // namespace
+
+TEST(Coalescer, MatchesSearchingEveryLane)
+{
+    // One out and one spare pool across all calls, as the memory
+    // stage keeps them.
+    Rng rng(0xC0A1E5CE);
+    CoalescedAccess acc;
+    std::vector<std::vector<std::uint64_t>> spare;
+    for (int call = 0; call < 4000; ++call) {
+        const auto addrs =
+            laneVector(rng, static_cast<unsigned>(call % 4));
+        coalesceInto(acc, spare, addrs, kLineShift, kPageShift4K);
+        const CoalescedAccess want = searchEveryLane(addrs);
+        ASSERT_EQ(acc.totalLines, want.totalLines) << "call " << call;
+        ASSERT_EQ(acc.pages.size(), want.pages.size()) << "call " << call;
+        for (std::size_t i = 0; i < want.pages.size(); ++i) {
+            ASSERT_EQ(acc.pages[i].vpn, want.pages[i].vpn)
+                << "call " << call;
+            ASSERT_EQ(acc.pages[i].vlines, want.pages[i].vlines)
+                << "call " << call;
         }
     }
 }

@@ -458,6 +458,12 @@ TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
          "numCores \\(0\\) must be at least 1"},
         {[](SystemConfig &c) { c.mem.numPartitions = 0; },
          "mem.numPartitions \\(0\\) must be at least 1"},
+        {[](SystemConfig &c) { c.mem.l2BytesPerPartition = 64; },
+         "mem.l2BytesPerPartition \\(64\\) must hold at least one "
+         "128-byte line"},
+        {[](SystemConfig &c) { c.mem.l2Ways = 3; },
+         "mem.l2BytesPerPartition \\(131072, 1024 lines\\) does not "
+         "divide into mem.l2Ways \\(3\\)"},
         {[](SystemConfig &c) {
              c = presets::ccws(c);
              c.ccws.vtaEntriesPerWarp = 0;
