@@ -113,8 +113,7 @@ tryParse(int argc, char **argv, Options &opt, std::string &err,
                                         : nullptr;
         };
         if (const char *v = value("--scale")) {
-            if (!parseDouble(v, opt.params.scale) ||
-                opt.params.scale <= 0.0) {
+            if (!parseScale(v, opt.params.scale)) {
                 err = "--scale wants a positive number, got '" +
                       std::string(v) + "'";
                 return false;

@@ -79,10 +79,8 @@ main(int argc, char **argv)
             }
             opt.bench = *id;
         } else if (const char *v = value("--scale")) {
-            if (!parseDouble(v, opt.params.scale) ||
-                opt.params.scale <= 0) {
+            if (!parseScale(v, opt.params.scale))
                 return usage("--scale wants a positive number");
-            }
         } else if (const char *v = value("--seed")) {
             if (!parseNum(v, opt.params.seed))
                 return usage("--seed wants an unsigned integer");

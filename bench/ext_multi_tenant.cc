@@ -86,10 +86,8 @@ main(int argc, char **argv)
             return 1;
         };
         if (const char *v = value("--scale")) {
-            if (!parseDouble(v, cfg.params.scale) ||
-                cfg.params.scale <= 0.0) {
+            if (!parseScale(v, cfg.params.scale))
                 return bad("a positive number");
-            }
         } else if (const char *v = value("--seed")) {
             if (!parseNum(v, cfg.params.seed))
                 return bad("a non-negative int");

@@ -138,7 +138,7 @@ main(int argc, char **argv)
         } else if (const char *v = value("--config")) {
             config_name = v;
         } else if (const char *v = value("--scale")) {
-            if (!parseDouble(v, params.scale) || params.scale <= 0) {
+            if (!parseScale(v, params.scale)) {
                 return usage("--scale wants a positive number, got '" +
                              std::string(v) + "'");
             }

@@ -154,8 +154,7 @@ main(int argc, char **argv)
     WorkloadParams params;
     params.scale = 0.25;
     params.seed = 42;
-    if (pos.size() > 1 &&
-        (!parseDouble(pos[1], params.scale) || params.scale <= 0.0)) {
+    if (pos.size() > 1 && !parseScale(pos[1], params.scale)) {
         std::cerr << "bad scale '" << pos[1]
                   << "': wants a positive number\n";
         return 2;

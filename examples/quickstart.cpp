@@ -42,8 +42,7 @@ main(int argc, char **argv)
     WorkloadParams params;
     params.scale = 0.25;
     params.seed = 42;
-    if (argc > 2 && (!parseDouble(argv[2], params.scale) ||
-                     params.scale <= 0.0)) {
+    if (argc > 2 && !parseScale(argv[2], params.scale)) {
         std::cerr << "bad scale '" << argv[2]
                   << "': wants a positive number\n";
         return 1;

@@ -62,8 +62,7 @@ main(int argc, char **argv)
     WorkloadParams params;
     params.scale = 0.1;
     params.seed = 42;
-    if (argc > 3 && (!parseDouble(argv[3], params.scale) ||
-                     params.scale <= 0.0)) {
+    if (argc > 3 && !parseScale(argv[3], params.scale)) {
         std::cerr << "bad scale '" << argv[3]
                   << "': wants a positive number\n";
         return 1;

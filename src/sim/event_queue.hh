@@ -4,38 +4,55 @@
  *
  * Cores tick cycle by cycle; latency through the memory system is
  * modelled with completion events. Events scheduled for the same
- * cycle fire in scheduling order (a monotonic sequence number breaks
- * ties) so simulation stays deterministic.
+ * cycle fire in scheduling order, so simulation stays deterministic:
+ * firing order is exactly (when, seq), seq being the order of the
+ * schedule() calls.
  *
- * Same-cycle batch drain keeps dispatch cheap: runUntil() pulls
- * every event of the front cycle into a drain buffer in one pass
- * (pop_heap yields them in seq order, so the buffer needs no sort)
- * and fires from the buffer. Events a callback schedules for the
- * *current* cycle append straight onto the buffer - O(1) instead of
- * a heap push/pop round trip - which is exactly the common case of
- * completion cascades. Drained events hold every seq smaller than
- * any event scheduled during dispatch, so firing order is plain
- * (when, seq).
+ * The queue is a calendar: a wheel of kWheelSpan one-cycle buckets.
+ * An event due fewer than kWheelSpan cycles ahead goes to bucket
+ * `when % kWheelSpan`. Pending wheel events always lie in
+ * [now, now + kWheelSpan), so each bucket holds one cycle's events,
+ * a FIFO list in seq order. Scheduling appends to a bucket's tail and
+ * dispatch pops its head, both O(1). A callback that schedules for
+ * the current cycle appends to the bucket being drained, which is
+ * exactly the common case of completion cascades. A bitmap with one
+ * bit per bucket finds the next occupied bucket, and the earliest
+ * pending cycle is cached, so nextEventCycle() and a runUntil() with
+ * nothing due are O(1).
+ *
+ * An event due kWheelSpan or more cycles ahead (demand-paging faults,
+ * 4,000 cycles by default) goes to a small far heap ordered by
+ * (when, seq) and fires from there; it never moves to the wheel. For
+ * each cycle t the far events fire before t's bucket, and that keeps
+ * (when, seq) order exactly: a far event for t was scheduled while
+ * now <= t - kWheelSpan, and a bucket entry for t while
+ * now > t - kWheelSpan, so since now only grows the far event was
+ * scheduled first. No far event for t can be scheduled once t's
+ * bucket has entries.
+ *
+ * All buckets share one slot pool: a slot holds a callback and the
+ * index of the next slot in its bucket, and freed slots go on a LIFO
+ * free list. The pool grows to the most events ever pending on the
+ * wheel at once and is then reused; a vector per bucket would hold
+ * kWheelSpan separate allocations, each sized by its own peak.
  *
  * There is one event kind, a std::function. Simulation components
  * keep each in-flight record with the component that bounds it, so
  * the hot-path events (walk levels and completions, shared L2 TLB
  * hits) capture one pointer plus at most one index: at most 16
  * trivially copyable bytes, which libstdc++ stores inline with no
- * allocation.
- *
- * The heap is managed directly with std::push_heap / std::pop_heap
- * rather than std::priority_queue: priority_queue::top() returns a
- * const reference, which forces a deep copy of the std::function
- * callback for every fired event. pop_heap moves the top element to
- * the back of the vector, from where the event (and its callback)
- * can genuinely be moved out before dispatch.
+ * allocation. Dispatch moves each callback out of its slot (or off
+ * the back of the far heap after pop_heap) before calling it, so no
+ * callback is copied and a callback may schedule into the slot it
+ * just left.
  */
 
 #ifndef SIM_EVENT_QUEUE_HH
 #define SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -51,46 +68,48 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
+    EventQueue() { head_.fill(kNil); }
+
     /** Schedule cb to run at cycle when (must not be in the past). */
     void
     schedule(Cycle when, Callback cb)
     {
         GPUMMU_ASSERT(when >= now_, "scheduling into the past");
-        if (draining_ && when == now_) {
-            // Same-cycle fast path: the drain loop below is still
-            // consuming the buffer in index order, and every drained
-            // event carries a smaller seq, so appending preserves
-            // the (when, seq) firing order exactly.
-            drain_.push_back(Event{when, nextSeq_++, std::move(cb)});
+        ++size_;
+        next_ = std::min(next_, when);
+        if (when - now_ >= kWheelSpan) {
+            far_.push_back(FarEvent{when, farSeq_++, std::move(cb)});
+            std::push_heap(far_.begin(), far_.end(), FarEvent::Later{});
             return;
         }
-        heap_.push_back(Event{when, nextSeq_++, std::move(cb)});
-        std::push_heap(heap_.begin(), heap_.end(), Event::Later{});
+        std::uint32_t s = freeHead_;
+        if (s != kNil) {
+            freeHead_ = slots_[s].next;
+            slots_[s].cb = std::move(cb);
+            slots_[s].next = kNil;
+        } else {
+            s = static_cast<std::uint32_t>(slots_.size());
+            slots_.push_back(Slot{std::move(cb), kNil});
+        }
+        const std::uint32_t b = bucketOf(when);
+        if (head_[b] == kNil) {
+            head_[b] = s;
+            occupied_[b / 64] |= std::uint64_t(1) << (b % 64);
+        } else {
+            slots_[tail_[b]].next = s;
+        }
+        tail_[b] = s;
     }
 
     /** Current simulated cycle (last serviced time). */
     Cycle now() const { return now_; }
 
-    bool
-    empty() const
-    {
-        return heap_.empty() && drainPos_ >= drain_.size();
-    }
+    bool empty() const { return size_ == 0; }
 
-    std::size_t
-    size() const
-    {
-        return heap_.size() + (drain_.size() - drainPos_);
-    }
+    std::size_t size() const { return size_; }
 
     /** Cycle of the earliest pending event; kCycleNever when empty. */
-    Cycle
-    nextEventCycle() const
-    {
-        if (drainPos_ < drain_.size())
-            return now_;
-        return heap_.empty() ? kCycleNever : heap_.front().when;
-    }
+    Cycle nextEventCycle() const { return next_; }
 
     /** Events dispatched over this queue's lifetime (deterministic:
      *  RunStats::eventsFired, so the replay determinism contract and
@@ -108,37 +127,61 @@ class EventQueue
         GPUMMU_ASSERT(upto >= now_);
         GPUMMU_ASSERT(!draining_,
                       "runUntil re-entered from a callback");
-        while (!heap_.empty() && heap_.front().when <= upto) {
-            const Cycle t = heap_.front().when;
-            // Pull the whole cycle into the drain buffer; pop_heap
-            // pops in ascending (when, seq), so it lands sorted.
-            drain_.clear();
-            drainPos_ = 0;
-            while (!heap_.empty() && heap_.front().when == t) {
-                std::pop_heap(heap_.begin(), heap_.end(),
-                              Event::Later{});
-                drain_.push_back(std::move(heap_.back()));
-                heap_.pop_back();
-            }
+        draining_ = true;
+        while (next_ <= upto) {
+            const Cycle t = next_;
             now_ = t;
-            draining_ = true;
-            // Index loop: callbacks may append same-cycle events and
-            // reallocate the buffer, so move each event out first.
-            for (std::size_t i = 0; i < drain_.size(); ++i) {
-                Event ev = std::move(drain_[i]);
-                drainPos_ = i + 1;
+            // Far events for t precede every bucket entry for t, and
+            // none can be added while t runs.
+            while (!far_.empty() && far_.front().when == t) {
+                std::pop_heap(far_.begin(), far_.end(),
+                              FarEvent::Later{});
+                Callback cb = std::move(far_.back().cb);
+                far_.pop_back();
+                --size_;
+                if ((far_.empty() || far_.front().when != t) &&
+                    head_[bucketOf(t)] == kNil)
+                    next_ = findNext();
                 ++eventsFired_;
-                ev.cb();
+                cb();
             }
-            draining_ = false;
-            drain_.clear();
-            drainPos_ = 0;
+            // Callbacks may append to this bucket and grow the pool,
+            // so each callback leaves its slot before it runs.
+            const std::uint32_t b = bucketOf(t);
+            while (head_[b] != kNil) {
+                const std::uint32_t s = head_[b];
+                Callback cb = std::move(slots_[s].cb);
+                head_[b] = slots_[s].next;
+                slots_[s].next = freeHead_;
+                freeHead_ = s;
+                --size_;
+                if (head_[b] == kNil) {
+                    occupied_[b / 64] &= ~(std::uint64_t(1) << (b % 64));
+                    next_ = findNext();
+                }
+                ++eventsFired_;
+                cb();
+            }
         }
+        draining_ = false;
         now_ = upto;
     }
 
   private:
-    struct Event
+    /** Wheel size in cycles; a power of two, so a bucket index is a
+     *  mask of the cycle. */
+    static constexpr std::uint32_t kWheelSpan = 1024;
+    static constexpr std::uint32_t kWords = kWheelSpan / 64;
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    struct Slot
+    {
+        Callback cb;
+        /** Next slot in this bucket, or in the free list. */
+        std::uint32_t next;
+    };
+
+    struct FarEvent
     {
         Cycle when;
         std::uint64_t seq;
@@ -148,7 +191,7 @@ class EventQueue
         struct Later
         {
             bool
-            operator()(const Event &a, const Event &b) const
+            operator()(const FarEvent &a, const FarEvent &b) const
             {
                 if (a.when != b.when)
                     return a.when > b.when;
@@ -157,14 +200,54 @@ class EventQueue
         };
     };
 
-    std::vector<Event> heap_;
-    /** Current cycle's events, in seq order; drainPos_ is the index
-     *  of the next event to fire. */
-    std::vector<Event> drain_;
-    std::size_t drainPos_ = 0;
+    static std::uint32_t
+    bucketOf(Cycle when)
+    {
+        return static_cast<std::uint32_t>(when) & (kWheelSpan - 1);
+    }
+
+    /** Earliest pending cycle once now()'s bucket and its far events
+     *  are empty: the first occupied bucket after now(), in wheel
+     *  order, against the far heap's top. */
+    Cycle
+    findNext() const
+    {
+        const Cycle far = far_.empty() ? kCycleNever : far_.front().when;
+        if (size_ == far_.size())
+            return far; // the wheel is empty
+        const std::uint32_t start = bucketOf(now_ + 1);
+        std::uint32_t w = start / 64;
+        std::uint64_t bits = occupied_[w] & (~std::uint64_t(0) << (start % 64));
+        // kWords + 1 words: the start word comes round again for the
+        // buckets below start.
+        for (std::uint32_t n = 0; n <= kWords; ++n) {
+            if (bits != 0) {
+                const std::uint32_t b =
+                    w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+                return std::min(far,
+                                now_ + 1 + ((b - start) & (kWheelSpan - 1)));
+            }
+            w = (w + 1) % kWords;
+            bits = occupied_[w];
+        }
+        return far;
+    }
+
+    /** The wheel: one slot pool, each bucket a FIFO list through it. */
+    std::vector<Slot> slots_;
+    std::uint32_t freeHead_ = kNil;
+    std::array<std::uint32_t, kWheelSpan> head_;
+    std::array<std::uint32_t, kWheelSpan> tail_{};
+    std::array<std::uint64_t, kWords> occupied_{};
+    /** Events due kWheelSpan or more cycles ahead, a (when, seq)
+     *  min-heap. */
+    std::vector<FarEvent> far_;
+    std::uint64_t farSeq_ = 0;
+    /** Earliest pending cycle, kCycleNever when empty. */
+    Cycle next_ = kCycleNever;
+    std::size_t size_ = 0;
     bool draining_ = false;
     Cycle now_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t eventsFired_ = 0;
 };
 

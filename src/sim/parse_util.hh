@@ -22,6 +22,7 @@
 #define SIM_PARSE_UTIL_HH
 
 #include <charconv>
+#include <cmath>
 #include <string_view>
 #include <type_traits>
 
@@ -65,6 +66,21 @@ parseDouble(std::string_view s, double &out)
 #error "parseDouble needs std::from_chars(double); GCC >= 11 / " \
        "Clang >= 14 provide it"
 #endif
+    out = v;
+    return true;
+}
+
+/**
+ * Parse @p s as a workload scale: a finite number above zero.
+ * parseDouble alone lets through "nan" and "inf", which would size a
+ * run by NaN (clamped to one unit) or map an unbounded region.
+ */
+inline bool
+parseScale(std::string_view s, double &out)
+{
+    double v{};
+    if (!parseDouble(s, v) || !std::isfinite(v) || v <= 0.0)
+        return false;
     out = v;
     return true;
 }

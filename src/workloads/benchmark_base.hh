@@ -9,6 +9,7 @@
 #include <cmath>
 #include <string>
 
+#include "sim/logging.hh"
 #include "workloads/patterns.hh"
 #include "workloads/workload.hh"
 
@@ -29,6 +30,10 @@ class BenchmarkBase : public Workload
     BenchmarkBase(const WorkloadParams &p, std::string name)
         : Workload(p), name_(name), prog_(std::move(name))
     {
+        if (!std::isfinite(p.scale) || p.scale <= 0.0) {
+            GPUMMU_FATAL("WorkloadParams.scale (", p.scale,
+                         ") must be a finite number above 0");
+        }
     }
 
     /** Scale a nominal count by params().scale, keeping at least 1. */

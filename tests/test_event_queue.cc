@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -114,10 +116,11 @@ struct CopyCounter
 } // namespace
 
 // Regression for the runUntil copy bug: priority_queue::top() only
-// exposes a const reference, so the old implementation deep-copied
+// exposes a const reference, so an early implementation deep-copied
 // every Event (std::function included) before dispatching it. The
-// heap is now popped with pop_heap + move-from-back; dispatch must
-// perform zero copies of the stored callable.
+// queue now moves each callback out of its wheel slot (or off the
+// back of the far heap) before calling it; dispatch must perform zero
+// copies of the stored callable.
 TEST(EventQueue, DispatchMovesCallbacksWithoutCopying)
 {
     EventQueue eq;
@@ -166,6 +169,182 @@ TEST(EventQueue, EventsFiredCountsDispatchedEvents)
     EXPECT_EQ(eq.eventsFired(), 3u) << "the cycle-9 event is pending";
     eq.runUntil(9);
     EXPECT_EQ(eq.eventsFired(), 4u);
+}
+
+TEST(EventQueue, FarEventPrecedesLaterNearEventForItsCycle)
+{
+    // A is due 2000 cycles ahead, past the 1024-cycle wheel, so it
+    // waits in the far heap. B is scheduled for the same cycle once it
+    // is near, C by A's callback: order is scheduling order.
+    EventQueue eq;
+    std::vector<char> order;
+    eq.schedule(2000, [&] {
+        order.push_back('A');
+        eq.schedule(2000, [&] { order.push_back('C'); });
+    });
+    eq.schedule(1024, [&] { order.push_back('x'); });
+    eq.schedule(1023, [&] { order.push_back('w'); });
+    eq.runUntil(1000);
+    EXPECT_EQ(eq.nextEventCycle(), 1023u);
+    eq.schedule(2000, [&] { order.push_back('B'); });
+    eq.runUntil(1999);
+    EXPECT_EQ(order, (std::vector<char>{'w', 'x'}));
+    EXPECT_EQ(eq.nextEventCycle(), 2000u);
+    EXPECT_EQ(eq.size(), 2u);
+    eq.runUntil(2000);
+    EXPECT_EQ(order, (std::vector<char>{'w', 'x', 'A', 'B', 'C'}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.nextEventCycle(), kCycleNever);
+}
+
+namespace {
+
+/**
+ * Differential model: a (when, seq) binary heap of event ids, the
+ * queue's contract written the obvious way. Every event is scheduled
+ * on both; the queue's callbacks pop the model in lockstep, so firing
+ * order, size(), empty() and nextEventCycle() are compared at every
+ * dispatch as well as after every top-level step.
+ */
+class Lockstep
+{
+  public:
+    explicit Lockstep(std::uint64_t seed) : rng_(seed) {}
+
+    /** A delta from 0 to about five wheel spans (the wheel is 1024
+     *  cycles), weighted toward its edges. */
+    Cycle
+    delta()
+    {
+        switch (pick(8)) {
+        case 0:
+            return 0;
+        case 1:
+            return 1 + pick(8);
+        case 2:
+            return 1020 + pick(8);
+        case 3:
+            return pick(5 * 1024 + 64);
+        case 4:
+            return 2048 + pick(3) - 1;
+        default:
+            return 1 + pick(1023);
+        }
+    }
+
+    void
+    schedule(Cycle when)
+    {
+        const int id = nextId_++;
+        ref_.push_back(Ref{when, refSeq_++, id});
+        std::push_heap(ref_.begin(), ref_.end(), Ref::Later{});
+        eq.schedule(when, [this, id] { fired(id); });
+    }
+
+    /** Compare every observer with the model. */
+    void
+    check(const char *where)
+    {
+        SCOPED_TRACE(where);
+        ASSERT_EQ(eq.size(), ref_.size());
+        ASSERT_EQ(eq.empty(), ref_.empty());
+        ASSERT_EQ(eq.nextEventCycle(),
+                  ref_.empty() ? kCycleNever : ref_.front().when);
+        ASSERT_EQ(eq.eventsFired(), order.size());
+    }
+
+    /** True if no modelled event is due at or before @p upto. */
+    bool
+    drainedTo(Cycle upto) const
+    {
+        return ref_.empty() || ref_.front().when > upto;
+    }
+
+    std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+    EventQueue eq;
+    std::vector<int> order;
+
+  private:
+    struct Ref
+    {
+        Cycle when;
+        std::uint64_t seq;
+        int id;
+
+        struct Later
+        {
+            bool
+            operator()(const Ref &a, const Ref &b) const
+            {
+                if (a.when != b.when)
+                    return a.when > b.when;
+                return a.seq > b.seq;
+            }
+        };
+    };
+
+    void
+    fired(int id)
+    {
+        ASSERT_FALSE(ref_.empty()) << "event " << id << " not modelled";
+        std::pop_heap(ref_.begin(), ref_.end(), Ref::Later{});
+        const Ref want = ref_.back();
+        ref_.pop_back();
+        ASSERT_EQ(id, want.id) << "out of (when, seq) order";
+        ASSERT_EQ(eq.now(), want.when);
+        order.push_back(id);
+        check("in a callback");
+        // Spawn 0, 0, 1 or 2 events (0.75 on average, so cascades
+        // die out): same-cycle, near and far ones alike.
+        const std::uint64_t spawn = pick(4) * 2 / 3;
+        for (std::uint64_t i = 0; i < spawn; ++i)
+            schedule(eq.now() + delta());
+    }
+
+    std::mt19937_64 rng_;
+    std::vector<Ref> ref_;
+    std::uint64_t refSeq_ = 0;
+    int nextId_ = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesReferenceHeap)
+{
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        SCOPED_TRACE(seed);
+        Lockstep ls(seed);
+        for (int step = 0; step < 400; ++step) {
+            EventQueue &eq = ls.eq;
+            const std::uint64_t op = ls.pick(10);
+            if (op < 5) {
+                ls.schedule(eq.now() + ls.delta());
+            } else {
+                // Short steps, steps to the next event, and steps
+                // longer than the whole wheel.
+                Cycle upto = eq.now() + ls.pick(40);
+                if (op == 8 && !eq.empty())
+                    upto = eq.nextEventCycle();
+                else if (op == 9)
+                    upto = eq.now() + 1024 + ls.pick(4 * 1024);
+                eq.runUntil(upto);
+                ASSERT_EQ(eq.now(), upto);
+                ASSERT_TRUE(ls.drainedTo(upto));
+            }
+            ls.check("after a step");
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        // Drain whatever is left, every event exactly once.
+        while (!ls.eq.empty())
+            ls.eq.runUntil(ls.eq.nextEventCycle());
+        ls.check("after the drain");
+        std::vector<int> ids = ls.order;
+        std::sort(ids.begin(), ids.end());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            ASSERT_EQ(ids[i], static_cast<int>(i));
+    }
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)

@@ -201,7 +201,8 @@ class WakeRuleCore final : public ForwardingCore
 /**
  * Records the cycles it is ticked in and its block polls. A test
  * lowers its hint through wakeAt(), as an event callback lowers a
- * real core's; the next tick clears it.
+ * real core's; the next tick clears it. holdHint() lowers it until
+ * the next block launch instead, and `open` false refuses blocks.
  */
 class ProbeCore final : public ForwardingCore
 {
@@ -219,21 +220,29 @@ class ProbeCore final : public ForwardingCore
     Cycle
     wakeHint() const override
     {
-        return std::min(forced_, inner_->wakeHint());
+        return std::min({forced_, held_, inner_->wakeHint()});
     }
     bool
     canAcceptBlock() const override
     {
         if (refused_)
             ++pollsAfterRefusal;
-        const bool ok = inner_->canAcceptBlock();
+        const bool ok = open && inner_->canAcceptBlock();
         refusals += !ok;
         refused_ = !ok;
         return ok;
     }
+    void
+    launchBlock(unsigned id) override
+    {
+        held_ = kCycleNever;
+        inner_->launchBlock(id);
+    }
 
     void wakeAt(Cycle c) { forced_ = std::min(forced_, c); }
+    void holdHint(Cycle c) { held_ = c; }
 
+    bool open = true;
     std::vector<Cycle> ticks;
     mutable unsigned refusals = 0;
     /** canAcceptBlock() calls after a refusal, before the next tick. */
@@ -241,6 +250,7 @@ class ProbeCore final : public ForwardingCore
 
   private:
     Cycle forced_ = kCycleNever;
+    Cycle held_ = kCycleNever;
     mutable bool refused_ = false;
 };
 
@@ -617,4 +627,100 @@ TEST(GpuTop, RefusingCoreIsNotPolledAgainUntilItTicks)
         EXPECT_GT(core->refusals, 0u);
         EXPECT_EQ(core->pollsAfterRefusal, 0u);
     }
+}
+
+namespace {
+
+/** The ticks and stats of @p wl on one ProbeCore, run after
+ *  @p script has set the core up and scheduled its events. */
+struct ProbedRun
+{
+    RunStats stats;
+    std::vector<Cycle> ticks;
+};
+
+ProbedRun
+runProbed(Workload &wl, const CoreConfig &cfg,
+          const std::function<void(EventQueue &, ProbeCore &)> &script)
+{
+    std::vector<ProbeCore *> probes;
+    auto gpu = probedGpu(wl, 1, cfg, probes);
+    ProbeCore &core = *probes.at(0);
+    script(gpu->eventQueue(), core);
+    ProbedRun out;
+    out.stats = gpu->run(1'000'000);
+    out.ticks = core.ticks;
+    return out;
+}
+
+} // namespace
+
+TEST(GpuTop, AllAsleepJumpLandsOnTheEarlierOfEventAndWake)
+{
+    // One core, closed to blocks until cycle 260, sleeps with no
+    // wake of its own: the loop jumps to min(next event, alarm). At
+    // 70 an event comes before the cycle-80 wake; at 80 the two
+    // coincide; at 120 an event wakes the core at once; at 230 the
+    // wake comes before the cycle-260 event, which opens the core.
+    ComputeWorkload wl(1);
+    const ProbedRun solo =
+        runProbed(wl, CoreConfig{}, [](EventQueue &, ProbeCore &) {});
+    const ProbedRun run = runProbed(
+        wl, CoreConfig{}, [](EventQueue &eq, ProbeCore &core) {
+            core.open = false;
+            eq.schedule(50, [&core] { core.wakeAt(80); });
+            eq.schedule(70, [] {});
+            eq.schedule(80, [] {});
+            eq.schedule(120, [&] { core.wakeAt(eq.now()); });
+            eq.schedule(200, [&core] { core.wakeAt(230); });
+            eq.schedule(260, [&] {
+                core.open = true;
+                core.wakeAt(eq.now());
+            });
+        });
+    // The block is placed after the cycle-260 tick and first ticked
+    // at 261: from there the run is the solo run shifted by 261.
+    std::vector<Cycle> want = {0, 80, 120, 230, 260};
+    for (const Cycle c : solo.ticks)
+        want.push_back(261 + c);
+    EXPECT_EQ(run.ticks, want);
+    EXPECT_EQ(run.stats.cycles, 261 + solo.stats.cycles);
+    // Cycles 0-260 run only at 0, 50, 70, 80, 120, 200, 230 and 260.
+    EXPECT_EQ(run.stats.cyclesFastForwarded,
+              261 - 8 + solo.stats.cyclesFastForwarded);
+    EXPECT_EQ(run.stats.instructions, solo.stats.instructions);
+}
+
+TEST(GpuTop, BlockLaunchOntoASleeperDropsItsAlarm)
+{
+    // At 50 the core ticks empty and falls asleep with a wake at 400,
+    // then takes a block in the same cycle's dispatch. Its cached
+    // hint, and with it the alarm, must go: once the block is done,
+    // the loop jumps straight to the cycle-1000 event. A stale alarm
+    // would stop the jump at 400. aluLatency 1 keeps the core busy
+    // every cycle of the block, so no other wake recomputes the alarm
+    // first.
+    ComputeWorkload wl(1);
+    CoreConfig busy;
+    busy.aluLatency = 1;
+    const ProbedRun run =
+        runProbed(wl, busy, [](EventQueue &eq, ProbeCore &core) {
+            core.open = false;
+            eq.schedule(50, [&] {
+                core.open = true;
+                core.wakeAt(eq.now());
+                core.holdHint(400);
+            });
+            eq.schedule(1000, [] {});
+        });
+    ASSERT_GE(run.ticks.size(), 4u);
+    const Cycle last = run.ticks.back();
+    ASSERT_LT(last, 400u);
+    std::vector<Cycle> want = {0};
+    for (Cycle c = 50; c <= last; ++c)
+        want.push_back(c);
+    EXPECT_EQ(run.ticks, want);
+    EXPECT_EQ(run.stats.cycles, 1000u);
+    // Cycles 1-49 and last+1 - 999 are skipped.
+    EXPECT_EQ(run.stats.cyclesFastForwarded, 49 + (999 - last));
 }

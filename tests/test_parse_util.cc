@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -136,6 +137,12 @@ TEST(BenchCli, RejectsMalformedNumericFlags)
     EXPECT_FALSE(tryFlags({"--scale=abc"}, opt, err));
     EXPECT_FALSE(tryFlags({"--scale=-1"}, opt, err));
     EXPECT_FALSE(tryFlags({"--scale=0"}, opt, err));
+    // parseDouble takes these, but a NaN scale shrank the run to one
+    // unit and an infinite one mapped an unbounded region.
+    EXPECT_FALSE(tryFlags({"--scale=nan"}, opt, err));
+    EXPECT_NE(err.find("--scale"), std::string::npos);
+    EXPECT_FALSE(tryFlags({"--scale=inf"}, opt, err));
+    EXPECT_FALSE(tryFlags({"--scale=-inf"}, opt, err));
     EXPECT_FALSE(tryFlags({"--jobs=4abc"}, opt, err));
     EXPECT_NE(err.find("--jobs"), std::string::npos);
     EXPECT_FALSE(tryFlags({"--jobs=0"}, opt, err));
@@ -164,6 +171,35 @@ TEST(BenchCli, NewWorkloadsAreSelectable)
             << err;
         ASSERT_EQ(opt.benchmarks.size(), 1u);
         EXPECT_EQ(benchmarkName(opt.benchmarks[0]), name);
+    }
+}
+
+TEST(ParseScale, WantsAFiniteNumberAboveZero)
+{
+    double d = 7.0;
+    EXPECT_TRUE(parseScale("0.25", d));
+    EXPECT_EQ(d, 0.25);
+    for (const char *bad : {"nan", "inf", "-inf", "0", "-0.5", "1e999",
+                            "x"})
+        EXPECT_FALSE(parseScale(bad, d)) << bad;
+    EXPECT_EQ(d, 0.25);
+}
+
+TEST(ParseScaleDeathTest, BenchmarkRejectsANonFiniteScale)
+{
+    // The library checks the scale too, for callers that build
+    // WorkloadParams without a CLI.
+    SystemConfig cfg = presets::augmentedTlb();
+    cfg.numCores = 2;
+    for (const double scale :
+         {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0}) {
+        WorkloadParams p;
+        p.scale = scale;
+        EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
+                    ::testing::ExitedWithCode(1),
+                    "WorkloadParams.scale \\(.*\\) must be a finite "
+                    "number above 0")
+            << scale;
     }
 }
 
