@@ -24,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/experiment.hh"
 #include "dse/autotuner.hh"
@@ -110,6 +111,11 @@ main(int argc, char **argv)
         std::string err;
         if (!parseGridSpec(grid_arg, grid, &err))
             return usage("bad --grid: " + err);
+    }
+    try {
+        expandGrid(grid);
+    } catch (const std::invalid_argument &e) {
+        return usage(std::string("bad --grid: ") + e.what());
     }
 
     std::map<std::string, DsePointMetrics> cache;

@@ -74,7 +74,8 @@ main(int argc, char **argv)
                     exp.speedup(id, cfg, base)));
                 const std::uint64_t r =
                     exp.run(id, cfg).walkRefsIssued;
-                refs += "/" + std::to_string(r);
+                refs += '/';
+                refs += std::to_string(r);
                 // Each L2 hit or merge is a walk that never reaches
                 // the walkers, so refs must not grow with capacity.
                 if (r > prev_refs) {

@@ -173,9 +173,6 @@ withSharedL2Tlb(SystemConfig cfg, std::size_t entries, unsigned ports)
     cfg.l2tlb.enabled = true;
     cfg.l2tlb.entries = entries;
     cfg.l2tlb.ports = ports;
-    // Keep ways a divisor of small sweep sizes.
-    if (entries < cfg.l2tlb.ways)
-        cfg.l2tlb.ways = entries;
     return cfg;
 }
 

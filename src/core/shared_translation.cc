@@ -31,30 +31,15 @@ makeScheduler(const SystemConfig &cfg)
 
 SharedTranslation::SharedTranslation(const SystemConfig &cfg) : cfg_(cfg)
 {
+    std::string violations;
+    for (const std::string &v : cfg_.validate())
+        violations.append("\n  ").append(v);
+    if (!violations.empty())
+        GPUMMU_FATAL("config '", cfg_.name, "' is invalid:", violations);
     if (cfg_.checkInvariants) {
         cfg_.core.mmu.checkInvariants = true;
         cfg_.iommuCfg.checkInvariants = true;
         cfg_.l2tlb.checkInvariants = true;
-    }
-    if (cfg_.l2tlb.enabled && !cfg_.core.mmu.enabled) {
-        GPUMMU_FATAL("config '", cfg_.name,
-                     "': a shared L2 TLB sits behind per-core MMUs, "
-                     "and this config has none to attach it to");
-    }
-    if (cfg_.iommu && cfg_.core.mmu.enabled) {
-        GPUMMU_FATAL("config '", cfg_.name,
-                     "': IOMMU mode requires per-core MMUs disabled");
-    }
-    if (cfg_.iommu && cfg_.coreKind == CoreKind::Tbc) {
-        GPUMMU_FATAL("config '", cfg_.name,
-                     "': TBC cores have no IOMMU path; IOMMU mode "
-                     "runs SIMT cores only");
-    }
-    if (cfg_.coreKind == CoreKind::Tbc &&
-        cfg_.sched != SchedulerKind::LooseRoundRobin) {
-        GPUMMU_FATAL("config '", cfg_.name,
-                     "': TBC cores issue in loose round robin order; "
-                     "sched must be LooseRoundRobin");
     }
 }
 

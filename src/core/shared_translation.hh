@@ -26,9 +26,8 @@ class SharedTranslation
 {
   public:
     /** Fans cfg.checkInvariants out to every translation unit. Fatal,
-     *  naming the config, for what no core can run: an L2 TLB without
-     *  per-core MMUs, an IOMMU with them, TBC cores on an IOMMU or
-     *  under a scheduler other than loose round robin. */
+     *  naming the config and listing every violation, when
+     *  cfg.validate() rejects it. */
     explicit SharedTranslation(const SystemConfig &cfg);
 
     SharedTranslation(const SharedTranslation &) = delete;

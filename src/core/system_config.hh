@@ -12,6 +12,7 @@
 #define CORE_SYSTEM_CONFIG_HH
 
 #include <string>
+#include <vector>
 
 #include "gpu/simt_core.hh"
 #include "mmu/iommu.hh"
@@ -53,13 +54,15 @@ struct SystemConfig
     CcwsConfig ccws;
     TcwsConfig tcws;
 
+    /** Tbc requires sched LooseRoundRobin (see validate()). */
     CoreKind coreKind = CoreKind::Simt;
     TbcConfig tbc;
 
     /**
      * Use the Section 2.2 IOMMU organisation instead of per-core
      * MMUs: GPU caches virtually addressed, one big TLB + walkers at
-     * the memory controller. Requires core.mmu.enabled == false.
+     * the memory controller. Requires core.mmu.enabled == false
+     * and SIMT cores (see validate()).
      */
     bool iommu = false;
     IommuConfig iommuCfg;
@@ -68,8 +71,8 @@ struct SystemConfig
      * Shared second-level TLB between every core's L1 TLB miss path
      * and its page walkers, with per-VPN translation MSHRs merging
      * concurrent cross-core misses into one walk. Off by default
-     * (l2tlb.enabled); requires per-core MMUs and excludes IOMMU
-     * mode.
+     * (l2tlb.enabled); requires per-core MMUs, so it excludes IOMMU
+     * mode (see validate()).
      */
     L2TlbConfig l2tlb;
 
@@ -90,6 +93,15 @@ struct SystemConfig
     std::uint64_t physFrames = 1ULL << 22; // 16GB
 
     Cycle maxCycles = 400'000'000;
+
+    /**
+     * Every rule that needs only this config, each stated once, over
+     * the parts it builds: one "<dotted field> (<value>) <rule>" line
+     * per violation, empty when every component accepts it. Rules
+     * that need the workload (a block's warps, frames) stay with the
+     * components.
+     */
+    std::vector<std::string> validate() const;
 };
 
 } // namespace gpummu

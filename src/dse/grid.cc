@@ -223,38 +223,28 @@ expandGrid(const DseGrid &grid)
 
     std::vector<DseKnobs> pts;
     pts.reserve(grid.numPoints());
-    for (std::size_t entries : grid.tlbEntries) {
-        for (std::size_t ways : grid.tlbWays) {
-            if (ways > entries || entries % ways != 0) {
-                bad("tlb_entries " + std::to_string(entries) +
-                    " not divisible by tlb_ways " +
-                    std::to_string(ways));
-            }
+    for (std::size_t entries : grid.tlbEntries)
+        for (std::size_t ways : grid.tlbWays)
             for (unsigned ports : grid.tlbPorts)
                 for (std::size_t pwc : grid.pwcLines)
-                    for (std::size_t l2e : grid.l2tlbEntries) {
-                        if (l2e != 0 && l2e % 8 != 0) {
-                            bad("l2tlb_entries " +
-                                std::to_string(l2e) +
-                                " not divisible by its 8 ways");
-                        }
+                    for (std::size_t l2e : grid.l2tlbEntries)
                         for (unsigned l2p : grid.l2tlbPorts)
                             for (const auto &[wn, ws] : grid.walkers)
-                                for (bool lp : grid.largePages) {
-                                    DseKnobs k;
-                                    k.tlbEntries = entries;
-                                    k.tlbWays = ways;
-                                    k.tlbPorts = ports;
-                                    k.pwcLines = pwc;
-                                    k.l2tlbEntries = l2e;
-                                    k.l2tlbPorts = l2p;
-                                    k.walkers = wn;
-                                    k.walkSched = ws;
-                                    k.largePages = lp;
-                                    pts.push_back(k);
-                                }
-                    }
-        }
+                                for (bool lp : grid.largePages)
+                                    pts.push_back({entries, ways, ports,
+                                                   pwc, l2e, l2p, wn,
+                                                   ws, lp});
+
+    for (const DseKnobs &k : pts) {
+        const SystemConfig cfg = makeDseConfig(k, 1);
+        std::vector<std::string> why = cfg.validate();
+        // The grid sweeps set-associative geometries: more ways than
+        // entries would run fully associative under a set-assoc name.
+        if (cfg.core.mmu.tlb.ways > cfg.core.mmu.tlb.entries ||
+            (cfg.l2tlb.enabled && cfg.l2tlb.ways > cfg.l2tlb.entries))
+            why.push_back("more ways than entries");
+        if (!why.empty())
+            bad(knobSpec(k) + ": " + why.front());
     }
     return pts;
 }
@@ -296,8 +286,6 @@ makeDseConfig(const DseKnobs &k, unsigned num_cores)
         cfg.l2tlb.enabled = true;
         cfg.l2tlb.entries = k.l2tlbEntries;
         cfg.l2tlb.ports = k.l2tlbPorts;
-        if (k.l2tlbEntries < cfg.l2tlb.ways)
-            cfg.l2tlb.ways = k.l2tlbEntries;
     }
     cfg.largePages = k.largePages;
     return cfg;

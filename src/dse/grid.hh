@@ -88,10 +88,10 @@ bool namedGrid(const std::string &name, DseGrid &out);
 std::string gridSpecString(const DseGrid &grid);
 
 /**
- * Expand the cross product in deterministic axis-major order,
- * validating geometry (entries divisible by ways, ways/ports > 0,
- * L2 sizes divisible by their fixed 8-way associativity). Throws
- * std::invalid_argument naming the offending knob.
+ * Expand the cross product in deterministic axis-major order. Each
+ * point's makeDseConfig must pass SystemConfig::validate() and have
+ * no more ways than entries in either TLB; otherwise throws
+ * std::invalid_argument naming the point and its first violation.
  */
 std::vector<DseKnobs> expandGrid(const DseGrid &grid);
 

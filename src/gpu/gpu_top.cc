@@ -41,8 +41,7 @@ GpuTop::GpuTop(unsigned num_cores, const MemorySystemConfig &mem_cfg,
     : phys_(phys_frames), as_(phys_, large_pages), mem_(mem_cfg),
       workload_(workload)
 {
-    if (num_cores == 0)
-        GPUMMU_FATAL("numCores (0) must be at least 1");
+    GPUMMU_ASSERT(num_cores > 0);
     workload_.build(as_);
     workload_.program().validate();
 

@@ -19,20 +19,13 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
     GPUMMU_ASSERT(launch.program != nullptr);
     GPUMMU_ASSERT(launch.threadsPerBlock % kWarpWidth == 0,
                   "threadsPerBlock must be a warp multiple");
-    if (cfg.numWarpSlots < warpsPerBlock() || cfg.numWarpSlots > 64) {
+    GPUMMU_ASSERT(cfg.numWarpSlots <= 64 && cfg.issueWidth > 0);
+    if (cfg.numWarpSlots < warpsPerBlock()) {
         GPUMMU_FATAL("SimtCore: numWarpSlots (", cfg.numWarpSlots,
                      ") must hold the ", warpsPerBlock(),
                      " warps of one block (threadsPerBlock ",
-                     launch.threadsPerBlock,
-                     ") and fit the 64-bit warp-set masks");
+                     launch.threadsPerBlock, ")");
     }
-    if (cfg.issueWidth == 0)
-        GPUMMU_FATAL("SimtCore: issueWidth (0) must be at least 1");
-    // A warp's miss set is never split, and it can span every lane.
-    if (cfg.mmu.enabled && cfg.mmu.mshrs < kWarpWidth)
-        GPUMMU_FATAL("SimtCore: core.mmu.mshrs (", cfg.mmu.mshrs,
-                     ") is below the warp width (", kWarpWidth,
-                     "); one warp's misses must start together");
     warps_.resize(cfg.numWarpSlots);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 

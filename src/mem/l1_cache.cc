@@ -7,31 +7,14 @@
 
 namespace gpummu {
 
-namespace {
-
-/** Lines in @p cfg, after rejecting a geometry or MSHR count the
- *  cache cannot model (numMshrs = 0 would retry forever). */
-std::size_t
-checkedLines(const L1CacheConfig &cfg)
-{
-    const std::size_t lines = cfg.bytes / kLineSize;
-    // SetAssocArray makes ways above the line count fully associative.
-    if (lines == 0 ||
-        (cfg.ways != 0 && cfg.ways <= lines && lines % cfg.ways != 0))
-        GPUMMU_FATAL("L1 of ", cfg.bytes, " bytes (", lines,
-                     " lines) does not divide into ", cfg.ways, " ways");
-    if (cfg.numMshrs == 0)
-        GPUMMU_FATAL("L1 numMshrs must be at least 1");
-    return lines;
-}
-
-} // namespace
-
 L1Cache::L1Cache(const L1CacheConfig &cfg, MemorySystem &mem)
-    : cfg_(cfg), mem_(mem), array_(checkedLines(cfg), cfg.ways),
+    : cfg_(cfg), mem_(mem), array_(cfg.bytes / kLineSize, cfg.ways),
       mshrLine_(2 * cfg.numMshrs), mshrReady_(2 * cfg.numMshrs),
-      mshrFilter_(std::size_t{8} << std::bit_width(cfg.numMshrs - 1))
+      mshrFilter_(std::size_t{8}
+                  << std::bit_width(std::max(cfg.numMshrs, 1u) - 1))
 {
+    // numMshrs = 0 would retry forever.
+    GPUMMU_ASSERT(cfg.numMshrs > 0);
 }
 
 std::size_t

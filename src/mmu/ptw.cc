@@ -12,32 +12,13 @@
 
 namespace gpummu {
 
-namespace {
-
-/** @p cfg, after rejecting a walker count or walk-cache geometry the
- *  pool cannot model. */
-const PtwConfig &
-checkedConfig(const PtwConfig &cfg)
-{
-    if (cfg.numWalkers == 0)
-        GPUMMU_FATAL("PTW numWalkers must be at least 1");
-    // SetAssocArray makes ways above the line count fully associative.
-    if (cfg.pwcLines > 0 && cfg.pwcWays != 0 &&
-        cfg.pwcWays <= cfg.pwcLines && cfg.pwcLines % cfg.pwcWays != 0)
-        GPUMMU_FATAL("walk cache of ", cfg.pwcLines,
-                     " lines does not divide into ", cfg.pwcWays,
-                     " ways");
-    return cfg;
-}
-
-} // namespace
-
 PageWalkers::PageWalkers(const PtwConfig &cfg, const PageTable &pt,
                          MemorySystem &mem, EventQueue &eq)
-    : cfg_(checkedConfig(cfg)), pt_(pt), mem_(mem), eq_(eq),
+    : cfg_(cfg), pt_(pt), mem_(mem), eq_(eq),
       walkers_(cfg.scheduling ? 1 : cfg.numWalkers),
       pwc_(std::max<std::size_t>(cfg.pwcLines, 1), cfg.pwcWays)
 {
+    GPUMMU_ASSERT(cfg.numWalkers > 0);
     for (Walker &w : walkers_)
         w.pool = this;
 }

@@ -6,33 +6,9 @@
 
 namespace gpummu {
 
-namespace {
-
-/** Entries in @p cfg, after rejecting a geometry, port count or
- *  history length the TLB cannot model. */
-std::size_t
-checkedEntries(const TlbConfig &cfg)
+Tlb::Tlb(const TlbConfig &cfg) : cfg_(cfg), array_(cfg.entries, cfg.ways)
 {
-    if (cfg.entries == 0)
-        GPUMMU_FATAL("TLB: tlb.entries (0) must be at least 1");
-    // SetAssocArray makes ways above the entry count fully associative.
-    if (cfg.ways != 0 && cfg.ways <= cfg.entries &&
-        cfg.entries % cfg.ways != 0)
-        GPUMMU_FATAL("TLB: tlb.entries (", cfg.entries,
-                     ") does not divide into tlb.ways (", cfg.ways, ")");
-    if (cfg.ports == 0)
-        GPUMMU_FATAL("TLB: tlb.ports (0) must be at least 1");
-    if (cfg.historyLength > 4)
-        GPUMMU_FATAL("TLB: tlb.historyLength (", cfg.historyLength,
-                     ") exceeds the 4-entry warp history");
-    return cfg.entries;
-}
-
-} // namespace
-
-Tlb::Tlb(const TlbConfig &cfg)
-    : cfg_(cfg), array_(checkedEntries(cfg), cfg.ways)
-{
+    GPUMMU_ASSERT(cfg.ports > 0);
 }
 
 Tlb::LookupResult

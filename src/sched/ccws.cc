@@ -65,30 +65,14 @@ computeAllowed(const std::vector<std::uint64_t> &scores,
     return true;
 }
 
-/** Reject a per-warp victim tag array geometry the tag array cannot
- *  model; @p sched names the config field (ccws or tcws). */
-void
-checkVta(const char *sched, unsigned entries, unsigned ways)
-{
-    if (entries == 0)
-        GPUMMU_FATAL(sched, ".vtaEntriesPerWarp (0) must be at least 1");
-    // SetAssocArray makes ways above the entry count fully associative.
-    if (ways != 0 && ways <= entries && entries % ways != 0)
-        GPUMMU_FATAL(sched, ".vtaEntriesPerWarp (", entries,
-                     ") does not divide into ", sched, ".vtaWays (",
-                     ways, ")");
-}
-
 } // namespace
 
 // --------------------------------------------------------- VtaThrottle
 
-VtaThrottle::VtaThrottle(const char *field, const ThrottleConfig &cfg,
-                         unsigned num_warps)
+VtaThrottle::VtaThrottle(const ThrottleConfig &cfg, unsigned num_warps)
     : cfg_(cfg), rr_(num_warps), scores_(num_warps, 0),
       allowed_(num_warps, true)
 {
-    checkVta(field, cfg.vtaEntriesPerWarp, cfg.vtaWays);
     vtas_.reserve(num_warps);
     for (unsigned i = 0; i < num_warps; ++i) {
         vtas_.push_back(std::make_unique<SetAssocArray<char>>(
@@ -179,7 +163,7 @@ VtaThrottle::regStats(StatRegistry &reg, const std::string &prefix)
 // ---------------------------------------------------------------- Ccws
 
 Ccws::Ccws(const CcwsConfig &cfg, unsigned num_warps)
-    : VtaThrottle("ccws", cfg, num_warps),
+    : VtaThrottle(cfg, num_warps),
       tlbMissWeight_(cfg.tlbMissWeight)
 {
 }
@@ -202,7 +186,7 @@ Ccws::onL1Eviction(PhysAddr line_addr, int alloc_warp)
 // ---------------------------------------------------------------- Tcws
 
 Tcws::Tcws(const TcwsConfig &cfg, unsigned num_warps)
-    : VtaThrottle("tcws", cfg, num_warps), lruWeights_(cfg.lruWeights)
+    : VtaThrottle(cfg, num_warps), lruWeights_(cfg.lruWeights)
 {
 }
 

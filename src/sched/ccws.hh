@@ -103,9 +103,7 @@ class VtaThrottle : public WarpScheduler
     std::uint64_t totalScore() const;
 
   protected:
-    /** @p field names the config in fatal messages (ccws or tcws). */
-    VtaThrottle(const char *field, const ThrottleConfig &cfg,
-                unsigned num_warps);
+    VtaThrottle(const ThrottleConfig &cfg, unsigned num_warps);
 
     /** Does @p warp_id's VTA hold @p tag? A hit is counted. */
     bool lostLocality(int warp_id, std::uint64_t tag);

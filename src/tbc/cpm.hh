@@ -40,10 +40,7 @@ class CommonPageMatrix
         : cfg_(cfg), numWarps_(num_warps),
           counters_(static_cast<std::size_t>(num_warps) * num_warps, 0)
     {
-        if (cfg.counterBits < 1 || cfg.counterBits > 8) {
-            GPUMMU_FATAL("tbc.cpm.counterBits (", cfg.counterBits,
-                         ") must be 1-8");
-        }
+        GPUMMU_ASSERT(cfg.counterBits >= 1 && cfg.counterBits <= 8);
         max_ = static_cast<std::uint8_t>((1u << cfg.counterBits) - 1);
     }
 

@@ -24,13 +24,7 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                      " warps of one block (threadsPerBlock ",
                      launch.threadsPerBlock, "); no block fits");
     }
-    if (cfg.issueWidth == 0)
-        GPUMMU_FATAL("TbcCore: issueWidth (0) must be at least 1");
-    // A warp's miss set is never split, and it can span every lane.
-    if (cfg.mmu.enabled && cfg.mmu.mshrs < kWarpWidth)
-        GPUMMU_FATAL("TbcCore: core.mmu.mshrs (", cfg.mmu.mshrs,
-                     ") is below the warp width (", kWarpWidth,
-                     "); one warp's misses must start together");
+    GPUMMU_ASSERT(cfg.issueWidth > 0);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
     // CPM learning: every TLB hit reports the entry's recent original

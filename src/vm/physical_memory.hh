@@ -33,8 +33,6 @@ class PhysicalMemory
                             std::uint64_t seed = 0x9e3779b9ULL)
         : numFrames_(num_frames), scramble_(scramble), seed_(seed)
     {
-        if (num_frames == 0)
-            GPUMMU_FATAL("physFrames (0) must be at least 1");
         maskBits_ = 1;
         while ((1ULL << maskBits_) < num_frames)
             ++maskBits_;

@@ -7,6 +7,7 @@
 #define WORKLOADS_BENCHMARK_BASE_HH
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "sim/logging.hh"
@@ -30,20 +31,35 @@ class BenchmarkBase : public Workload
     BenchmarkBase(const WorkloadParams &p, std::string name)
         : Workload(p), name_(name), prog_(std::move(name))
     {
-        if (!std::isfinite(p.scale) || p.scale <= 0.0) {
-            GPUMMU_FATAL("WorkloadParams.scale (", p.scale,
-                         ") must be a finite number above 0");
-        }
+        if (!std::isfinite(p.scale) || p.scale <= 0.0)
+            badScale("must be a finite number above 0");
     }
 
-    /** Scale a nominal count by params().scale, keeping at least 1. */
-    std::uint64_t
-    scaled(std::uint64_t nominal) const
+    /**
+     * Scale a nominal count by params().scale, keeping at least 1,
+     * and shift it left by @p shift. Fatal, naming the scale, when
+     * the result does not fit T.
+     */
+    template <typename T = std::uint64_t>
+    T
+    scaled(std::uint64_t nominal, unsigned shift = 0) const
     {
         const double v =
             std::max(1.0, std::floor(static_cast<double>(nominal) *
                                      params_.scale));
-        return static_cast<std::uint64_t>(v);
+        if (v >= std::ldexp(1.0, std::numeric_limits<T>::digits -
+                                     static_cast<int>(shift)))
+            badScale("is too large: a scaled size overflows");
+        return static_cast<T>(static_cast<std::uint64_t>(v) << shift);
+    }
+
+    /** A region of @p n MiB, scaled, in bytes. */
+    std::uint64_t scaledMiB(std::uint64_t n) const { return scaled(n, 20); }
+
+    [[noreturn]] void
+    badScale(const char *rule) const
+    {
+        GPUMMU_FATAL("WorkloadParams.scale (", params_.scale, ") ", rule);
     }
 
     std::string name_;

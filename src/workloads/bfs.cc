@@ -24,15 +24,15 @@ class BfsWorkload : public BenchmarkBase
     explicit BfsWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "bfs")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(240));
+        numBlocks_ = scaled<unsigned>(240);
     }
 
     void
     build(AddressSpace &as) override
     {
-        adj_ = as.mmap("bfs.adj", scaled(64) << 20);
-        frontier_ = as.mmap("bfs.frontier", scaled(8) << 20);
-        visited_ = as.mmap("bfs.visited", scaled(16) << 20);
+        adj_ = as.mmap("bfs.adj", scaledMiB(64));
+        frontier_ = as.mmap("bfs.frontier", scaledMiB(8));
+        visited_ = as.mmap("bfs.visited", scaledMiB(16));
 
         // Mixture: 40% shared hub pages (hot), per-warp 2-page
         // frontier neighbourhoods rotated every 8 iterations, 6%
@@ -81,8 +81,7 @@ class BfsWorkload : public BenchmarkBase
         // counts are data dependent (1-4 typical).
         const int neigh_cond = prog_.addCondGen(
             [](ThreadCtx &c) { return c.rng.chance(0.55); });
-        const int outer_iters =
-            static_cast<int>(std::max<std::uint64_t>(4, scaled(24)));
+        const int outer_iters = std::max(4, scaled<int>(24));
         const int loop_cond = prog_.addCondGen(
             [outer_iters](ThreadCtx &c) {
                 return c.visits(1) < static_cast<unsigned>(outer_iters);

@@ -26,15 +26,15 @@ class HashprobeWorkload : public BenchmarkBase
     explicit HashprobeWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "hashprobe")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(200));
+        numBlocks_ = scaled<unsigned>(200);
     }
 
     void
     build(AddressSpace &as) override
     {
-        keys_ = as.mmap("hp.keys", scaled(8) << 20);
-        buckets_ = as.mmap("hp.buckets", scaled(64) << 20);
-        nodes_ = as.mmap("hp.nodes", scaled(192) << 20);
+        keys_ = as.mmap("hp.keys", scaledMiB(8));
+        buckets_ = as.mmap("hp.buckets", scaledMiB(64));
+        nodes_ = as.mmap("hp.nodes", scaledMiB(192));
 
         const unsigned tpb = threadsPerBlock_;
         const int key_ld = prog_.addAddrGen([this, tpb](ThreadCtx &c) {
@@ -85,8 +85,7 @@ class HashprobeWorkload : public BenchmarkBase
         // ~45% of nodes collide and the chain walks on (divergent).
         const int chain_cond = prog_.addCondGen(
             [](ThreadCtx &c) { return c.rng.chance(0.45); });
-        const int reqs = static_cast<int>(
-            std::max<std::uint64_t>(3, scaled(16)));
+        const int reqs = std::max(3, scaled<int>(16));
         const int loop_cond = prog_.addCondGen([reqs](ThreadCtx &c) {
             return c.visits(1) < static_cast<unsigned>(reqs);
         });

@@ -24,15 +24,15 @@ class KmeansWorkload : public BenchmarkBase
     explicit KmeansWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "kmeans")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(240));
+        numBlocks_ = scaled<unsigned>(240);
     }
 
     void
     build(AddressSpace &as) override
     {
-        points_ = as.mmap("kmeans.points", scaled(128) << 20);
-        centroids_ = as.mmap("kmeans.centroids", scaled(8) << 20);
-        assign_ = as.mmap("kmeans.assign", scaled(8) << 20);
+        points_ = as.mmap("kmeans.points", scaledMiB(128));
+        centroids_ = as.mmap("kmeans.centroids", scaledMiB(8));
+        assign_ = as.mmap("kmeans.assign", scaledMiB(8));
 
         const unsigned tpb = threadsPerBlock_;
         const int point_ld = prog_.addAddrGen([this, tpb](ThreadCtx &c) {
@@ -67,10 +67,8 @@ class KmeansWorkload : public BenchmarkBase
             return streamAddr(assign_, idx, 4);
         });
 
-        const int inner_iters =
-            static_cast<int>(std::max<std::uint64_t>(4, scaled(16)));
-        const int outer_iters =
-            static_cast<int>(std::max<std::uint64_t>(2, scaled(8)));
+        const int inner_iters = std::max(4, scaled<int>(16));
+        const int outer_iters = std::max(2, scaled<int>(8));
         // Uniform loops: every thread runs the same trip counts.
         const int inner_cond = prog_.addCondGen(
             [inner_iters](ThreadCtx &c) {

@@ -25,15 +25,15 @@ class MemcachedWorkload : public BenchmarkBase
     explicit MemcachedWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "memcached")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(240));
+        numBlocks_ = scaled<unsigned>(240);
     }
 
     void
     build(AddressSpace &as) override
     {
-        table_ = as.mmap("mc.hashtable", scaled(48) << 20);
-        values_ = as.mmap("mc.values", scaled(160) << 20);
-        requests_ = as.mmap("mc.requests", scaled(16) << 20);
+        table_ = as.mmap("mc.hashtable", scaledMiB(48));
+        values_ = as.mmap("mc.values", scaledMiB(160));
+        requests_ = as.mmap("mc.requests", scaledMiB(16));
 
         tableZipf_ = std::make_unique<ZipfSampler>(
             std::min<std::uint64_t>(768, regionPages(table_)), 0.6);
@@ -88,8 +88,7 @@ class MemcachedWorkload : public BenchmarkBase
         // SET fraction of requests.
         const int set_cond = prog_.addCondGen(
             [](ThreadCtx &c) { return c.rng.chance(0.1); });
-        const int reqs = static_cast<int>(
-            std::max<std::uint64_t>(4, scaled(20)));
+        const int reqs = std::max(4, scaled<int>(20));
         const int loop_cond = prog_.addCondGen([reqs](ThreadCtx &c) {
             return c.visits(1) < static_cast<unsigned>(reqs);
         });

@@ -23,15 +23,15 @@ class MummergpuWorkload : public BenchmarkBase
     explicit MummergpuWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "mummergpu")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(240));
+        numBlocks_ = scaled<unsigned>(240);
     }
 
     void
     build(AddressSpace &as) override
     {
-        tree_ = as.mmap("mummer.tree", scaled(128) << 20);
-        queries_ = as.mmap("mummer.queries", scaled(16) << 20);
-        output_ = as.mmap("mummer.output", scaled(16) << 20);
+        tree_ = as.mmap("mummer.tree", scaledMiB(128));
+        queries_ = as.mmap("mummer.queries", scaledMiB(16));
+        output_ = as.mmap("mummer.output", scaledMiB(16));
 
         const unsigned tpb = threadsPerBlock_;
         const int query_ld = prog_.addAddrGen([this, tpb](ThreadCtx &c) {
@@ -71,8 +71,7 @@ class MummergpuWorkload : public BenchmarkBase
         // tail), giving heavy intra-warp trip-count divergence.
         const int match_cond = prog_.addCondGen(
             [](ThreadCtx &c) { return c.rng.chance(0.70); });
-        const int outer_iters =
-            static_cast<int>(std::max<std::uint64_t>(3, scaled(12)));
+        const int outer_iters = std::max(3, scaled<int>(12));
         const int loop_cond = prog_.addCondGen(
             [outer_iters](ThreadCtx &c) {
                 return c.visits(1) < static_cast<unsigned>(outer_iters);

@@ -22,14 +22,14 @@ class PathfinderWorkload : public BenchmarkBase
     explicit PathfinderWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "pathfinder")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(240));
+        numBlocks_ = scaled<unsigned>(240);
     }
 
     void
     build(AddressSpace &as) override
     {
-        grid_ = as.mmap("pf.grid", scaled(256) << 20);
-        out_ = as.mmap("pf.out", scaled(32) << 20);
+        grid_ = as.mmap("pf.grid", scaledMiB(256));
+        out_ = as.mmap("pf.out", scaledMiB(32));
 
         const unsigned tpb = threadsPerBlock_;
         // Row base: each block works a separate horizontal strip;
@@ -64,8 +64,7 @@ class PathfinderWorkload : public BenchmarkBase
             return streamAddr(out_, idx, 4);
         });
 
-        const int rows = static_cast<int>(
-            std::max<std::uint64_t>(8, scaled(64)));
+        const int rows = std::max(8, scaled<int>(64));
         const int loop_cond = prog_.addCondGen([rows](ThreadCtx &c) {
             return c.visits(1) < static_cast<unsigned>(rows);
         });

@@ -26,16 +26,16 @@ class ServiceWorkload : public BenchmarkBase
     explicit ServiceWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "service")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(180));
+        numBlocks_ = scaled<unsigned>(180);
     }
 
     void
     build(AddressSpace &as) override
     {
-        requests_ = as.mmap("sv.requests", scaled(16) << 20);
-        sessions_ = as.mmap("sv.sessions", scaled(48) << 20);
-        database_ = as.mmap("sv.database", scaled(224) << 20);
-        log_ = as.mmap("sv.log", scaled(32) << 20);
+        requests_ = as.mmap("sv.requests", scaledMiB(16));
+        sessions_ = as.mmap("sv.sessions", scaledMiB(48));
+        database_ = as.mmap("sv.database", scaledMiB(224));
+        log_ = as.mmap("sv.log", scaledMiB(32));
 
         const unsigned tpb = threadsPerBlock_;
         // Requests per phase before the server's behaviour shifts.
@@ -102,8 +102,7 @@ class ServiceWorkload : public BenchmarkBase
             [](ThreadCtx &c) { return c.rng.chance(0.2); });
         // Long-running: enough requests to cross many phases (and
         // several telemetry intervals).
-        const int reqs = static_cast<int>(
-            std::max<std::uint64_t>(6, scaled(36)));
+        const int reqs = std::max(6, scaled<int>(36));
         const int loop_cond = prog_.addCondGen([reqs](ThreadCtx &c) {
             return c.visits(1) < static_cast<unsigned>(reqs);
         });

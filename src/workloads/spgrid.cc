@@ -27,14 +27,14 @@ class SpgridWorkload : public BenchmarkBase
     explicit SpgridWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "spgrid")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(220));
+        numBlocks_ = scaled<unsigned>(220);
     }
 
     void
     build(AddressSpace &as) override
     {
-        blockTable_ = as.mmap("sg.blocktable", scaled(16) << 20);
-        grid_ = as.mmap("sg.grid", scaled(256) << 20);
+        blockTable_ = as.mmap("sg.blocktable", scaledMiB(16));
+        grid_ = as.mmap("sg.grid", scaledMiB(256));
 
         const unsigned tpb = threadsPerBlock_;
         // One y-row of the tile grid; neighbours in y are this many
@@ -99,8 +99,7 @@ class SpgridWorkload : public BenchmarkBase
             });
         const int center_st = center_ld; // write the updated cell
 
-        const int tiles = static_cast<int>(
-            std::max<std::uint64_t>(3, scaled(14)));
+        const int tiles = std::max(3, scaled<int>(14));
         const int loop_cond = prog_.addCondGen([tiles](ThreadCtx &c) {
             return c.visits(1) < static_cast<unsigned>(tiles);
         });

@@ -24,15 +24,15 @@ class StreamclusterWorkload : public BenchmarkBase
     explicit StreamclusterWorkload(const WorkloadParams &p)
         : BenchmarkBase(p, "streamcluster")
     {
-        numBlocks_ = static_cast<unsigned>(scaled(240));
+        numBlocks_ = scaled<unsigned>(240);
     }
 
     void
     build(AddressSpace &as) override
     {
-        points_ = as.mmap("sc.points", scaled(96) << 20);
-        centers_ = as.mmap("sc.centers", scaled(48) << 20);
-        gains_ = as.mmap("sc.gains", scaled(8) << 20);
+        points_ = as.mmap("sc.points", scaledMiB(96));
+        centers_ = as.mmap("sc.centers", scaledMiB(48));
+        gains_ = as.mmap("sc.gains", scaledMiB(8));
 
         const unsigned tpb = threadsPerBlock_;
         const int point_ld = prog_.addAddrGen([this, tpb](ThreadCtx &c) {
@@ -78,8 +78,7 @@ class StreamclusterWorkload : public BenchmarkBase
                 return mixedAddr(c, gains_, gain_mix, c.visits(1));
             });
 
-        const int outer_iters =
-            static_cast<int>(std::max<std::uint64_t>(6, scaled(48)));
+        const int outer_iters = std::max(6, scaled<int>(48));
         const int loop_cond = prog_.addCondGen(
             [outer_iters](ThreadCtx &c) {
                 return c.visits(1) < static_cast<unsigned>(outer_iters);

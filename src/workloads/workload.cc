@@ -56,7 +56,7 @@ benchmarkNames()
 {
     std::string names;
     for (BenchmarkId id : allBenchmarks())
-        names += (names.empty() ? "" : " ") + benchmarkName(id);
+        names.append(names.empty() ? "" : " ").append(benchmarkName(id));
     return names;
 }
 

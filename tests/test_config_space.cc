@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "core/experiment.hh"
@@ -30,10 +31,11 @@ struct Knobs
 std::string
 knobName(const Knobs &k)
 {
-    return "e" + std::to_string(k.entries) + "p" +
-           std::to_string(k.ports) + (k.hum ? "H" : "") +
-           (k.overlap ? "O" : "") + (k.sched ? "S" : "") + "w" +
-           std::to_string(k.walkers);
+    std::ostringstream os;
+    os << 'e' << k.entries << 'p' << k.ports << (k.hum ? "H" : "")
+       << (k.overlap ? "O" : "") << (k.sched ? "S" : "") << 'w'
+       << k.walkers;
+    return os.str();
 }
 
 } // namespace

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 
 #include "core/experiment.hh"
+#include "core/multi_tenant.hh"
 #include "core/presets.hh"
 #include "core/shared_translation.hh"
+#include "dse/autotuner.hh"
+#include "dse/grid.hh"
 #include "gpu/gpu_top.hh"
 #include "gpu/simt_core.hh"
 #include "workloads/workload.hh"
@@ -454,56 +459,160 @@ TEST(GpuTop, WorkThatCanNeverEndIsFatalAtOnce)
                 "nothing pending \\(next undispatched block 2 of 2\\)");
 }
 
+namespace {
+
+/** @p text as a gtest regex that matches it literally. */
+std::string
+literal(const std::string &text)
+{
+    std::string out;
+    for (char c : text) {
+        if (std::strchr("\\^$.|?*+()[]{}", c) != nullptr)
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+} // namespace
+
 TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
 {
-    // Each of these once hit an assert or panic while the run was set
-    // up; each is now a clean fatal that names the field.
+    // One row per config rule: SystemConfig::validate() names the
+    // field without building anything, and a run of the config is a
+    // fatal (exit 1) that lists the same line before any component
+    // is built.
     struct Case
     {
         std::function<void(SystemConfig &)> edit;
-        const char *message;
+        const char *violation;
     };
     const Case cases[] = {
         {[](SystemConfig &c) { c.numCores = 0; },
-         "numCores \\(0\\) must be at least 1"},
-        {[](SystemConfig &c) { c.mem.numPartitions = 0; },
-         "mem.numPartitions \\(0\\) must be at least 1"},
-        {[](SystemConfig &c) { c.mem.l2BytesPerPartition = 64; },
-         "mem.l2BytesPerPartition \\(64\\) must hold at least one "
-         "128-byte line"},
-        {[](SystemConfig &c) { c.mem.l2Ways = 3; },
-         "mem.l2BytesPerPartition \\(131072, 1024 lines\\) does not "
-         "divide into mem.l2Ways \\(3\\)"},
-        {[](SystemConfig &c) {
-             c = presets::ccws(c);
-             c.ccws.vtaEntriesPerWarp = 0;
-         },
-         "ccws.vtaEntriesPerWarp \\(0\\) must be at least 1"},
-        {[](SystemConfig &c) {
-             c = presets::ccws(c);
-             c.ccws.vtaEntriesPerWarp = 12;
-         },
-         "ccws.vtaEntriesPerWarp \\(12\\) does not divide into "
-         "ccws.vtaWays \\(8\\)"},
-        {[](SystemConfig &c) { c = presets::tcws(c, 0, {}); },
-         "tcws.vtaEntriesPerWarp \\(0\\) must be at least 1"},
-        {[](SystemConfig &c) { c = presets::tcws(c, 12, {}); },
-         "tcws.vtaEntriesPerWarp \\(12\\) does not divide into "
-         "tcws.vtaWays \\(8\\)"},
-        {[](SystemConfig &c) { c.physFrames = 16; },
-         "out of physical memory: physFrames \\(16\\)"},
+         "numCores (0) must be at least 1"},
         {[](SystemConfig &c) { c.physFrames = 0; },
-         "physFrames \\(0\\) must be at least 1"},
+         "physFrames (0) must be at least 1"},
+        {[](SystemConfig &c) { c.mem.numPartitions = 0; },
+         "mem.numPartitions (0) must be at least 1"},
+        {[](SystemConfig &c) { c.mem.l2BytesPerPartition = 64; },
+         "mem.l2BytesPerPartition (64) must hold at least one 128-byte "
+         "line"},
+        {[](SystemConfig &c) { c.mem.l2Ways = 3; },
+         "mem.l2BytesPerPartition (131072, 1024 lines) does not divide "
+         "into mem.l2Ways (3)"},
+        {[](SystemConfig &c) { c.core.issueWidth = 0; },
+         "core.issueWidth (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::tbc(c);
+             c.core.issueWidth = 0;
+         },
+         "core.issueWidth (0) must be at least 1"},
+        {[](SystemConfig &c) { c.core.l1.bytes = kLineSize - 1; },
+         "core.l1.bytes (127) must hold at least one 128-byte line"},
+        {[](SystemConfig &c) { c.core.l1.ways = 3; },
+         "core.l1.bytes (32768, 256 lines) does not divide into "
+         "core.l1.ways (3)"},
+        {[](SystemConfig &c) { c.core.l1.numMshrs = 0; },
+         "core.l1.numMshrs (0) must be at least 1"},
+        {[](SystemConfig &c) { c.core.mmu.tlb.entries = 0; },
+         "core.mmu.tlb.entries (0) must be at least 1"},
+        {[](SystemConfig &c) { c.core.mmu.tlb.ways = 3; },
+         "core.mmu.tlb.entries (128) does not divide into "
+         "core.mmu.tlb.ways (3)"},
+        {[](SystemConfig &c) { c.core.mmu.tlb.ports = 0; },
+         "core.mmu.tlb.ports (0) must be at least 1"},
+        {[](SystemConfig &c) { c.core.mmu.tlb.historyLength = 5; },
+         "core.mmu.tlb.historyLength (5) exceeds the 4-entry warp "
+         "history"},
+        {[](SystemConfig &c) { c.core.mmu.ptw.numWalkers = 0; },
+         "core.mmu.ptw.numWalkers (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c.core.mmu.ptw.pwcLines = 16;
+             c.core.mmu.ptw.pwcWays = 3;
+         },
+         "core.mmu.ptw.pwcLines (16) does not divide into "
+         "core.mmu.ptw.pwcWays (3)"},
+        {[](SystemConfig &c) { c.core.mmu.mshrs = 16; },
+         "core.mmu.mshrs (16) is below the warp width (32); one warp's "
+         "misses must start together"},
+        {[](SystemConfig &c) {
+             c = presets::tbc(c);
+             c.core.mmu.mshrs = 0;
+         },
+         "core.mmu.mshrs (0) is below the warp width (32); one warp's "
+         "misses must start together"},
+        {[](SystemConfig &c) { c.core.numWarpSlots = 65; },
+         "core.numWarpSlots (65) must fit the 64-bit warp-set masks"},
         {[](SystemConfig &c) {
              c = presets::tbc(c);
              c.sched = SchedulerKind::Ccws;
          },
-         "TBC cores issue in loose round robin order; sched must be "
-         "LooseRoundRobin"},
+         "coreKind (Tbc) issues in loose round robin order; sched must "
+         "be LooseRoundRobin"},
         {[](SystemConfig &c) { c = presets::tlbAwareTbc(c, 0); },
-         "tbc.cpm.counterBits \\(0\\) must be 1-8"},
+         "tbc.cpm.counterBits (0) must be 1-8"},
         {[](SystemConfig &c) { c = presets::tlbAwareTbc(c, 9); },
-         "tbc.cpm.counterBits \\(9\\) must be 1-8"},
+         "tbc.cpm.counterBits (9) must be 1-8"},
+        {[](SystemConfig &c) {
+             c = presets::ccws(c);
+             c.ccws.vtaEntriesPerWarp = 0;
+         },
+         "ccws.vtaEntriesPerWarp (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::taCcws(c, 4);
+             c.ccws.vtaEntriesPerWarp = 12;
+         },
+         "ccws.vtaEntriesPerWarp (12) does not divide into "
+         "ccws.vtaWays (8)"},
+        {[](SystemConfig &c) { c = presets::tcws(c, 0, {}); },
+         "tcws.vtaEntriesPerWarp (0) must be at least 1"},
+        {[](SystemConfig &c) { c = presets::tcws(c, 12, {}); },
+         "tcws.vtaEntriesPerWarp (12) does not divide into "
+         "tcws.vtaWays (8)"},
+        {[](SystemConfig &c) {
+             c = presets::iommu();
+             c.core.mmu.enabled = true;
+         },
+         "iommu (true) requires per-core MMUs disabled "
+         "(core.mmu.enabled false)"},
+        {[](SystemConfig &c) { c = presets::tbc(presets::iommu()); },
+         "coreKind (Tbc) has no IOMMU path; IOMMU mode runs SIMT cores "
+         "only"},
+        {[](SystemConfig &c) {
+             c = presets::iommu();
+             c.iommuCfg.tlb.ways = 3;
+         },
+         "iommuCfg.tlb.entries (1024) does not divide into "
+         "iommuCfg.tlb.ways (3)"},
+        {[](SystemConfig &c) {
+             c = presets::iommu();
+             c.iommuCfg.ptw.numWalkers = 0;
+         },
+         "iommuCfg.ptw.numWalkers (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::withSharedL2Tlb(presets::noTlb());
+         },
+         "l2tlb.enabled (true) sits behind per-core MMUs, and "
+         "core.mmu.enabled is false"},
+        {[](SystemConfig &c) { c = presets::withSharedL2Tlb(c, 0); },
+         "l2tlb.entries (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::withSharedL2Tlb(c);
+             c.l2tlb.ways = 3;
+         },
+         "l2tlb.entries (4096) does not divide into l2tlb.ways (3)"},
+        {[](SystemConfig &c) { c = presets::withSharedL2Tlb(c, 4096, 0); },
+         "l2tlb.ports (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::withSharedL2Tlb(c);
+             c.l2tlb.mshrs = 0;
+         },
+         "l2tlb.mshrs (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::withSharedL2Tlb(c);
+             c.l2tlb.lookupInterval = 0;
+         },
+         "l2tlb.lookupInterval (0) must be at least 1"},
     };
     WorkloadParams p;
     p.scale = 0.03;
@@ -511,9 +620,103 @@ TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
         SystemConfig cfg = presets::augmentedTlb();
         cfg.numCores = 4;
         tc.edit(cfg);
+        EXPECT_EQ(cfg.validate(), std::vector<std::string>{tc.violation});
         EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
-                    ::testing::ExitedWithCode(1), tc.message);
+                    ::testing::ExitedWithCode(1),
+                    literal("config '" + cfg.name + "' is invalid:\n  " +
+                            tc.violation));
     }
+
+    // Every violation is listed, not just the first.
+    SystemConfig two = presets::augmentedTlb();
+    two.numCores = 0;
+    two.core.mmu.tlb.ports = 0;
+    EXPECT_EQ(two.validate(),
+              (std::vector<std::string>{
+                  "numCores (0) must be at least 1",
+                  "core.mmu.tlb.ports (0) must be at least 1"}));
+    EXPECT_EXIT(runConfig(BenchmarkId::Bfs, two, p),
+                ::testing::ExitedWithCode(1),
+                "numCores \\(0\\).*\n  core\\.mmu\\.tlb\\.ports \\(0\\)");
+
+    // Running out of frames depends on the workload, so validate()
+    // passes it and the run names the field when it happens.
+    SystemConfig small = presets::augmentedTlb();
+    small.numCores = 4;
+    small.physFrames = 16;
+    EXPECT_TRUE(small.validate().empty());
+    EXPECT_EXIT(runConfig(BenchmarkId::Bfs, small, p),
+                ::testing::ExitedWithCode(1),
+                "out of physical memory: physFrames \\(16\\)");
+}
+
+TEST(GpuTop, EveryShippedConfigPassesValidate)
+{
+    // The presets with the parameter values the fig, ext and example
+    // binaries pass them, and every point of the named DSE grids.
+    const SystemConfig aug = presets::augmentedTlb();
+    std::vector<SystemConfig> cfgs = {
+        presets::noTlb(),           presets::naiveTlb(3),
+        presets::naiveTlb(4),       presets::tlbHitUnderMiss(),
+        presets::tlbCacheOverlap(), aug,
+        presets::idealTlb(),        presets::iommu(),
+        presets::withLargePages(presets::naiveTlb(4)),
+        presets::withLargePages(aug),
+        defaultMultiTenant(0.05).system,
+    };
+    for (unsigned walkers : {1u, 2u, 4u, 8u})
+        cfgs.push_back(presets::naiveTlbMultiPtw(walkers));
+    for (std::size_t size : {64u, 128u, 256u, 512u}) {
+        for (unsigned ports : {3u, 4u, 32u})
+            cfgs.push_back(presets::naiveTlbSized(size, ports));
+        cfgs.push_back(presets::naiveTlbSized(size, 32, true));
+    }
+    for (const SystemConfig &base :
+         {presets::noTlb(), presets::naiveTlb(3), presets::naiveTlb(4),
+          aug}) {
+        cfgs.push_back(presets::ccws(base));
+        cfgs.push_back(presets::tbc(base));
+    }
+    for (unsigned w : {2u, 4u, 8u})
+        cfgs.push_back(presets::taCcws(aug, w));
+    for (unsigned epw : {2u, 4u, 8u, 16u})
+        cfgs.push_back(presets::tcws(aug, epw, {0, 0, 0, 0}));
+    for (const std::array<std::uint64_t, 4> &w :
+         {std::array<std::uint64_t, 4>{1, 2, 3, 4},
+          std::array<std::uint64_t, 4>{1, 2, 4, 8},
+          std::array<std::uint64_t, 4>{1, 3, 6, 9}})
+        cfgs.push_back(presets::tcws(aug, 8, w));
+    for (unsigned bits : {1u, 2u, 3u})
+        cfgs.push_back(presets::tlbAwareTbc(aug, bits));
+    for (unsigned ports : {1u, 4u})
+        for (std::size_t entries : {512u, 2048u, 8192u})
+            cfgs.push_back(presets::withSharedL2Tlb(aug, entries, ports));
+    // ablation_mmu's variants of the augmented design.
+    SystemConfig ablated = aug;
+    for (std::size_t pwc : {0u, 64u}) {
+        ablated.core.mmu.ptw.pwcLines = pwc;
+        cfgs.push_back(ablated);
+    }
+    ablated = aug;
+    ablated.mem.prioritizeWalks = false;
+    ablated.core.mmu.ptw.portInterval = 8;
+    cfgs.push_back(ablated);
+
+    for (const SystemConfig &cfg : cfgs)
+        EXPECT_EQ(cfg.validate(), std::vector<std::string>{}) << cfg.name;
+
+    std::size_t points = 0;
+    for (const char *name : {"tiny", "smoke", "default"}) {
+        DseGrid grid;
+        ASSERT_TRUE(namedGrid(name, grid));
+        for (const DseKnobs &k : expandGrid(grid)) {
+            const SystemConfig cfg = makeDseConfig(k, DseOptions{}.numCores);
+            EXPECT_EQ(cfg.validate(), std::vector<std::string>{})
+                << cfg.name;
+            ++points;
+        }
+    }
+    EXPECT_EQ(points, 8u + 64u + 768u);
 }
 
 TEST(GpuTop, BlocksPlacedOnAnIdleMachineStillRun)

@@ -141,5 +141,6 @@ TEST(IommuSystem, TbcCoresOnTheIommuAreRejected)
     ASSERT_EQ(cfg.name, "iommu+tbc");
     EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
                 ::testing::ExitedWithCode(1),
-                "config 'iommu\\+tbc': TBC cores have no IOMMU path");
+                "config 'iommu\\+tbc' is invalid:\n  coreKind \\(Tbc\\) "
+                "has no IOMMU path");
 }

@@ -133,23 +133,6 @@ TEST_F(L1Fixture, StatsCountHitsAndAccesses)
     EXPECT_EQ(l1.missLatency().count(), 1u);
 }
 
-TEST(L1CacheConfigDeath, RejectsUnmodellableConfigs)
-{
-    MemorySystem mem{MemorySystemConfig{}};
-    L1CacheConfig no_mshrs;
-    no_mshrs.numMshrs = 0;
-    EXPECT_EXIT(L1Cache(no_mshrs, mem), ::testing::ExitedWithCode(1),
-                "numMshrs");
-    L1CacheConfig no_lines;
-    no_lines.bytes = kLineSize - 1;
-    EXPECT_EXIT(L1Cache(no_lines, mem), ::testing::ExitedWithCode(1),
-                "0 lines");
-    L1CacheConfig odd_ways;
-    odd_ways.ways = 3;
-    EXPECT_EXIT(L1Cache(odd_ways, mem), ::testing::ExitedWithCode(1),
-                "3 ways");
-}
-
 TEST(L1CacheConfig, FewerLinesThanWaysIsFullyAssociative)
 {
     // 4 lines, 8 ways: the tag array clamps to one 4-way set.

@@ -201,6 +201,16 @@ TEST(ParseScaleDeathTest, BenchmarkRejectsANonFiniteScale)
                     "number above 0")
             << scale;
     }
+    // A finite scale whose sizes do not fit: 1e300 overflows every
+    // count, and 3e11 would wrap bfs's 64 MiB region past 2^64 bytes.
+    for (const double scale : {1e300, 3e11}) {
+        WorkloadParams p;
+        p.scale = scale;
+        EXPECT_EXIT(runConfig(BenchmarkId::Bfs, cfg, p),
+                    ::testing::ExitedWithCode(1),
+                    "WorkloadParams.scale \\(.*\\) is too large")
+            << scale;
+    }
 }
 
 /** RAII LC_NUMERIC override; skips the test when the locale is not

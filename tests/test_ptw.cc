@@ -771,20 +771,3 @@ TEST_F(PtwFixture, ScheduledBatchesMatchOneGlobalSort)
         EXPECT_EQ(done, want.done) << "trial " << trial;
     }
 }
-
-TEST(PtwConfigDeath, RejectsUnmodellableConfigs)
-{
-    PhysicalMemory phys(1 << 10, false);
-    PageTable pt(phys);
-    MemorySystem mem{MemorySystemConfig{}};
-    EventQueue eq;
-    PtwConfig no_walkers;
-    no_walkers.numWalkers = 0;
-    EXPECT_EXIT(PageWalkers(no_walkers, pt, mem, eq),
-                ::testing::ExitedWithCode(1), "numWalkers");
-    PtwConfig odd_ways;
-    odd_ways.pwcLines = 16;
-    odd_ways.pwcWays = 3;
-    EXPECT_EXIT(PageWalkers(odd_ways, pt, mem, eq),
-                ::testing::ExitedWithCode(1), "16 lines .* 3 ways");
-}

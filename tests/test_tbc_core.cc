@@ -187,22 +187,3 @@ TEST(TbcCore, CoreTooSmallForOneBlockIsRejected)
                 ::testing::ExitedWithCode(1),
                 "TbcCore: numWarpSlots \\(3\\) is below the 4 warps");
 }
-
-TEST(TbcCore, MmuMshrsBelowTheWarpWidthAreRejected)
-{
-    CoreConfig narrow;
-    narrow.mmu.mshrs = 16;
-    EXPECT_EXIT(runDivergent(TbcConfig{}, 0.5, narrow),
-                ::testing::ExitedWithCode(1),
-                "TbcCore: core.mmu.mshrs \\(16\\) is below the warp "
-                "width \\(32\\)");
-}
-
-TEST(TbcCore, ZeroIssueWidthIsRejected)
-{
-    CoreConfig none;
-    none.issueWidth = 0;
-    EXPECT_EXIT(runDivergent(TbcConfig{}, 0.5, none),
-                ::testing::ExitedWithCode(1),
-                "TbcCore: issueWidth \\(0\\) must be at least 1");
-}

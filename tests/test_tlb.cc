@@ -293,27 +293,6 @@ TEST(Tlb, LruOrderAfterHitUnderMiss)
     EXPECT_EQ(tlb.lookup(4, 0).depth, 3u);
 }
 
-TEST(TlbConfigDeath, RejectsUnmodellableConfigs)
-{
-    TlbConfig no_entries;
-    no_entries.entries = 0;
-    EXPECT_EXIT(Tlb{no_entries}, ::testing::ExitedWithCode(1),
-                "tlb.entries \\(0\\) must be at least 1");
-    TlbConfig odd_ways;
-    odd_ways.ways = 3;
-    EXPECT_EXIT(Tlb{odd_ways}, ::testing::ExitedWithCode(1),
-                "tlb.entries \\(128\\) does not divide into "
-                "tlb.ways \\(3\\)");
-    TlbConfig no_ports;
-    no_ports.ports = 0;
-    EXPECT_EXIT(Tlb{no_ports}, ::testing::ExitedWithCode(1),
-                "tlb.ports \\(0\\) must be at least 1");
-    TlbConfig long_history;
-    long_history.historyLength = 5;
-    EXPECT_EXIT(Tlb{long_history}, ::testing::ExitedWithCode(1),
-                "tlb.historyLength \\(5\\) exceeds");
-}
-
 TEST(TlbConfig, MoreWaysThanEntriesIsFullyAssociative)
 {
     TlbConfig cfg;
