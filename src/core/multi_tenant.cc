@@ -80,20 +80,31 @@ runSlice(Tenant &t, const SystemConfig &sys, SharedTranslation &unit,
 
 } // namespace
 
+std::vector<std::string>
+MultiTenantConfig::validate() const
+{
+    std::vector<std::string> out;
+    for (const std::string &v : system.validate())
+        out.push_back("system." + v);
+    if (tenants.empty())
+        out.push_back("tenants (0) must list at least one process");
+    if (!system.iommu)
+        out.push_back("system.iommu (false) must be true: per-core MMUs "
+                      "hold one process's translations, the shared "
+                      "IOMMU (presets::iommu()) holds every tenant's");
+    if (lazyBacking && system.largePages)
+        out.push_back("lazyBacking (true) demand-pages 4KB pages; "
+                      "system.largePages must be false (2MB mappings "
+                      "emerge via coalescing)");
+    if (blocksPerSlice == 0)
+        out.push_back("blocksPerSlice (0) must be at least 1");
+    return out;
+}
+
 MultiTenantResult
 runMultiTenant(const MultiTenantConfig &cfg_in, const RunObservers &obs)
 {
-    GPUMMU_ASSERT(!cfg_in.tenants.empty(),
-                  "multi-tenant run with no tenants");
-    GPUMMU_ASSERT(cfg_in.system.iommu &&
-                      !cfg_in.system.core.mmu.enabled,
-                  "multi-tenant runs require the IOMMU organisation "
-                  "(presets::iommu()): per-core MMUs hold one "
-                  "process's translations");
-    GPUMMU_ASSERT(!(cfg_in.lazyBacking && cfg_in.system.largePages),
-                  "demand paging is 4KB-granular; 2MB mappings emerge "
-                  "via coalescing, not largePages");
-    GPUMMU_ASSERT(cfg_in.blocksPerSlice > 0);
+    requireValid(cfg_in.system.name, cfg_in.validate());
     if (obs.memtrace != nullptr) {
         GPUMMU_FATAL("memory-trace capture is not supported on "
                      "multi-tenant runs (config '",

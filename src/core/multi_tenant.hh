@@ -55,6 +55,10 @@ struct MultiTenantConfig
     /** Demand-page tenant regions (minor faults at the IOMMU)
      *  instead of eagerly backing them. */
     bool lazyBacking = true;
+
+    /** system.validate() under "system.", then the multi-tenant
+     *  rules, in its "<field> (<value>) <rule>" form. */
+    std::vector<std::string> validate() const;
 };
 
 /** Per-tenant slice-accumulated results. */

@@ -97,13 +97,6 @@ iommu()
 }
 
 SystemConfig
-withScheduler(SystemConfig cfg, SchedulerKind kind)
-{
-    cfg.sched = kind;
-    return cfg;
-}
-
-SystemConfig
 ccws(SystemConfig base)
 {
     base.name += "+ccws";

@@ -50,9 +50,6 @@ SystemConfig idealTlb();
  */
 SystemConfig iommu();
 
-/** Attach a scheduler kind to an existing config. */
-SystemConfig withScheduler(SystemConfig cfg, SchedulerKind kind);
-
 /** CCWS on a given MMU config (default tuning). */
 SystemConfig ccws(SystemConfig base);
 

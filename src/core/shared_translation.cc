@@ -31,11 +31,7 @@ makeScheduler(const SystemConfig &cfg)
 
 SharedTranslation::SharedTranslation(const SystemConfig &cfg) : cfg_(cfg)
 {
-    std::string violations;
-    for (const std::string &v : cfg_.validate())
-        violations.append("\n  ").append(v);
-    if (!violations.empty())
-        GPUMMU_FATAL("config '", cfg_.name, "' is invalid:", violations);
+    requireValid(cfg_.name, cfg_.validate());
     if (cfg_.checkInvariants) {
         cfg_.core.mmu.checkInvariants = true;
         cfg_.iommuCfg.checkInvariants = true;

@@ -143,4 +143,15 @@ SystemConfig::validate() const
     return out;
 }
 
+void
+requireValid(const std::string &name,
+             const std::vector<std::string> &violations)
+{
+    std::string lines;
+    for (const std::string &v : violations)
+        lines.append("\n  ").append(v);
+    if (!lines.empty())
+        GPUMMU_FATAL("config '", name, "' is invalid:", lines);
+}
+
 } // namespace gpummu

@@ -104,6 +104,11 @@ struct SystemConfig
     std::vector<std::string> validate() const;
 };
 
+/** Fatal (exit 1) naming config @p name and listing @p violations
+ *  one a line; returns when there are none. */
+void requireValid(const std::string &name,
+                  const std::vector<std::string> &violations);
+
 } // namespace gpummu
 
 #endif // CORE_SYSTEM_CONFIG_HH

@@ -163,9 +163,10 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
     // Per-core sleep: after a quiescent tick a core is not ticked
     // again until its wakeHint() arrives or a block is launched onto
     // it. `hint` caches a sleeper's wakeHint() from when it fell
-    // asleep (kCycleNever while awake) and is read again only in a
-    // cycle where an event fired: only event callbacks and launches
-    // lower it. `alarm` is the earliest cached hint. Skipped cycles
+    // asleep (kCycleNever while awake) and is read again only when
+    // the core's id is on the queue's wake board: only event
+    // callbacks, which post the id, and launches lower it. `alarm` is
+    // the earliest cached hint. Skipped cycles
     // repeat the quiescent tick's charges, settled lazily through
     // chargeSkipped() from `last`, the last cycle accounted for the
     // core.
@@ -214,14 +215,17 @@ runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
     dispatch();
 
     while (true) {
-        const std::uint64_t fired = eq.eventsFired();
         eq.runUntil(cycle);
-        const bool reread = eq.eventsFired() != fired;
-        if (reread || cycle >= alarm) {
+        eq.drainWakes([&](std::size_t i) {
+            GPUMMU_ASSERT(i < n, "wake posted for core ", i, " of ", n);
+            if (!has(awake, i)) {
+                hint[i] = cores[i]->wakeHint();
+                alarm = std::min(alarm, hint[i]);
+            }
+        });
+        if (cycle >= alarm) {
             alarm = kCycleNever;
             for (std::size_t i = 0; i < n; ++i) {
-                if (reread && !has(awake, i))
-                    hint[i] = cores[i]->wakeHint();
                 if (cycle >= hint[i]) {
                     settle(i, cycle - 1);
                     put(awake, i, true);

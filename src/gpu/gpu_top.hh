@@ -130,14 +130,16 @@ void dumpRunStatsJson(std::ostream &os, const RunStats &s);
  * took a block since they last refused, and, after the events due,
  * ticks the awake cores in id order. A quiescent core sleeps until
  * the cycle its wakeHint() names or a block launch; the hint is
- * cached when it falls asleep and read again only in a cycle where
- * an event fired, so a cycle costs time per awake core, not per
- * core. When every core sleeps the clock jumps to the next event or
- * the earliest hint (adding to @p fast_forwarded). Drives
- * @p telemetry's boundaries. When all is idle, drains the cores (deferred charges,
- * then mmu().endKernel(), then finalizeRun()) and returns the end
- * cycle. Fatal once the clock passes @p max_cycles, or at once when
- * every core sleeps with nothing pending.
+ * cached when it falls asleep and read again only once a callback
+ * that lowers it posts the core's id on @p eq's wake board, so a
+ * cycle costs time per awake or posted core, not per core. A core's
+ * id is its index in @p cores. When every core sleeps the clock
+ * jumps to the next event or the earliest hint (adding to
+ * @p fast_forwarded). Drives @p telemetry's boundaries. When all is
+ * idle, drains the cores (deferred charges, then mmu().endKernel(),
+ * then finalizeRun()) and returns the end cycle. Fatal once the
+ * clock passes @p max_cycles, or at once when every core sleeps with
+ * nothing pending.
  */
 Cycle runCycleLoop(const std::vector<std::unique_ptr<ShaderCore>> &cores,
                    EventQueue &eq, Telemetry *telemetry,
@@ -214,7 +216,6 @@ class GpuTop
     unsigned numCores() const { return static_cast<unsigned>(
         cores_.size()); }
     MemorySystem &memorySystem() { return mem_; }
-    AddressSpace &addressSpace() { return as_; }
     EventQueue &eventQueue() { return eq_; }
 
   private:

@@ -46,10 +46,11 @@ class ShaderCore
      * The next cycle this core must be ticked while it sleeps. Only
      * an event callback that changes this core's state, or
      * launchBlock(), may lower it; neither its own skipped cycles nor
-     * another core's tick may. runCycleLoop() caches it when the core
-     * falls asleep and reads it again only in a cycle where an event
-     * fired, so an event touching only shared structures wakes no
-     * core.
+     * another core's tick may. A callback that lowers it posts the
+     * core's id (EventQueue::postWake). runCycleLoop() caches it when
+     * the core falls asleep and reads it again only once the id is
+     * posted, so an event touching only shared structures or another
+     * core costs this core nothing.
      */
     virtual Cycle wakeHint() const { return kCycleNever; }
 

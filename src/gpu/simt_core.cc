@@ -41,6 +41,7 @@ SimtCore::SimtCore(int core_id, const CoreConfig &cfg,
         }
         drainWaiting_ = 0;
         nextWake_ = std::min(nextWake_, eq_.now());
+        eq_.postWake(static_cast<std::uint32_t>(coreId_));
     });
 }
 
@@ -300,7 +301,10 @@ SimtCore::issueWarp(int wid, Cycle now)
         due_ &= ~(std::uint64_t(1) << wid);
         auto result = memStage_.issue(
             wid, is_store, w.pendingAddrs, now,
-            [this, wid](Cycle ready) { makeTimed(wid, ready); });
+            [this, wid](Cycle ready) {
+                makeTimed(wid, ready);
+                eq_.postWake(static_cast<std::uint32_t>(coreId_));
+            });
         if (result == MemIssueResult::BlockedTlbBusy) {
             // Swapped out: retry this instruction after the MMU
             // drains. The PC was not advanced.

@@ -86,7 +86,6 @@ class SimtCore : public ShaderCore
     /** True when no resident warps remain. */
     bool idle() const override { return liveWarps_ == 0; }
 
-    int coreId() const { return coreId_; }
     Mmu &mmu() override { return mmu_; }
     L1Cache &l1() override { return l1_; }
     MemoryStage &memStage() override { return memStage_; }
@@ -117,10 +116,6 @@ class SimtCore : public ShaderCore
     std::uint64_t idleCycles() const override
     {
         return idleCycles_.value();
-    }
-    std::uint64_t tlbIdleCycles() const
-    {
-        return tlbIdleCycles_.value();
     }
     std::uint64_t blocksCompleted() const
     {

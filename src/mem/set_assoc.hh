@@ -62,7 +62,6 @@ class SetAssocArray
         fill_.assign(numSets_, 0);
     }
 
-    std::size_t numEntries() const { return numSets_ * ways_; }
     std::size_t numSets() const { return numSets_; }
     std::size_t ways() const { return ways_; }
 

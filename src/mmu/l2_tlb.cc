@@ -241,13 +241,6 @@ L2Tlb::poisonedMshrs() const
 }
 
 void
-L2Tlb::addCheckedSpace(Asid asid, const PageTable &pt)
-{
-    if (checker_)
-        checker_->addSpace(asid, pt);
-}
-
-void
 L2Tlb::checkEndOfKernel() const
 {
     if (!checker_)

@@ -146,13 +146,6 @@ class L2Tlb
     /** Tags poisoned by a shootdown whose fill has not landed yet. */
     std::size_t poisonedMshrs() const;
 
-    /**
-     * Register another process's page table with the armed checker
-     * (multi-process runs fill with ASID-composed tags). No-op
-     * unarmed.
-     */
-    void addCheckedSpace(Asid asid, const PageTable &pt);
-
     /** (evicted VPN tag, unused) - mirrors Tlb's listener shape. */
     using EvictionListener = std::function<void(Vpn)>;
     void

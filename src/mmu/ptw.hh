@@ -120,8 +120,6 @@ class PageWalkers
     /** True while any walk is in flight or queued. */
     bool busy() const { return inFlight_ > 0 || !queue_.empty(); }
 
-    unsigned inFlight() const { return inFlight_; }
-
     /**
      * Arm invariant checking: walk conservation (every enqueued walk
      * completes exactly once, across batching and coalescing) and
@@ -190,7 +188,6 @@ class PageWalkers
         return refsEliminated_.value();
     }
     std::uint64_t pwcHits() const { return pwcHits_.value(); }
-    const Histogram &walkLatency() const { return walkLatency_; }
 
     const PtwConfig &config() const { return cfg_; }
 

@@ -146,13 +146,6 @@ VtaThrottle::score(int warp_id) const
     return scores_[static_cast<std::size_t>(warp_id)];
 }
 
-std::uint64_t
-VtaThrottle::totalScore() const
-{
-    return std::accumulate(scores_.begin(), scores_.end(),
-                           std::uint64_t{0});
-}
-
 void
 VtaThrottle::regStats(StatRegistry &reg, const std::string &prefix)
 {

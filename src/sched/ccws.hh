@@ -100,7 +100,6 @@ class VtaThrottle : public WarpScheduler
 
     /** Decayed score of one warp (exposed for tests). */
     std::uint64_t score(int warp_id) const;
-    std::uint64_t totalScore() const;
 
   protected:
     VtaThrottle(const ThrottleConfig &cfg, unsigned num_warps);

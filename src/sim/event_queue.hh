@@ -45,6 +45,13 @@
  * the back of the far heap after pop_heap) before calling it, so no
  * callback is copied and a callback may schedule into the slot it
  * just left.
+ *
+ * The queue also keeps the wake board of the cycle loop that runs
+ * it: a callback that lowers a sleeping core's wake hint posts the
+ * core's id with postWake(), and the loop re-reads the hints of the
+ * posted cores only (drainWakes()). A post says only "read me"; the
+ * core's wakeHint() stays the one source of its wake cycle, so a
+ * stale post costs one read and changes nothing.
  */
 
 #ifndef SIM_EVENT_QUEUE_HH
@@ -115,6 +122,36 @@ class EventQueue
      *  RunStats::eventsFired, so the replay determinism contract and
      *  perfbench's sim.events). */
     std::uint64_t eventsFired() const { return eventsFired_; }
+
+    /** Post core @p id on the wake board; an id already posted and
+     *  not yet drained stays one entry. */
+    void
+    postWake(std::uint32_t id)
+    {
+        if (id >= posted_.size())
+            posted_.resize(id + 1, 0);
+        if (!posted_[id]) {
+            posted_[id] = 1;
+            wakes_.push_back(id);
+        }
+    }
+
+    /** Call f(id) for each id posted since the last drain, in post
+     *  order, and empty the board. An id f posts again stays on the
+     *  board for the next drain. */
+    template <typename F>
+    void
+    drainWakes(F &&f)
+    {
+        if (wakes_.empty())
+            return;
+        std::swap(wakes_, drainedWakes_);
+        for (const std::uint32_t id : drainedWakes_) {
+            posted_[id] = 0;
+            f(id);
+        }
+        drainedWakes_.clear();
+    }
 
     /**
      * Run every event scheduled at or before cycle `upto`, advancing
@@ -249,6 +286,11 @@ class EventQueue
     bool draining_ = false;
     Cycle now_ = 0;
     std::uint64_t eventsFired_ = 0;
+    /** The wake board: posted ids in post order, a posted flag per
+     *  id, and the list drainWakes() is walking. */
+    std::vector<std::uint32_t> wakes_;
+    std::vector<std::uint8_t> posted_;
+    std::vector<std::uint32_t> drainedWakes_;
 };
 
 } // namespace gpummu

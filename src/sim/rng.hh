@@ -115,7 +115,6 @@ class ZipfSampler
     /** Draw one sample in [0, n). */
     std::uint64_t sample(Rng &rng) const;
 
-    std::uint64_t numItems() const { return n_; }
     double exponent() const { return s_; }
 
   private:

@@ -233,15 +233,6 @@ StatRegistry::forEachCounter(
 }
 
 void
-StatRegistry::forEachScalar(
-    const std::function<void(const std::string &, const ScalarStat &)>
-        &fn) const
-{
-    for (const auto &[name, s] : scalars_)
-        fn(name, *s);
-}
-
-void
 StatRegistry::forEachHistogram(
     const std::function<void(const std::string &, const Histogram &)>
         &fn) const

@@ -142,9 +142,6 @@ class StatRegistry
     void forEachCounter(
         const std::function<void(const std::string &, const Counter &)>
             &fn) const;
-    void forEachScalar(const std::function<void(const std::string &,
-                                                const ScalarStat &)>
-                           &fn) const;
     void forEachHistogram(
         const std::function<void(const std::string &,
                                  const Histogram &)> &fn) const;

@@ -128,9 +128,6 @@ class SpanTracker
      */
     void setTraceSink(TraceSink *sink) { sink_ = sink; }
 
-    /** Retain the @p k slowest spans with full timelines. */
-    void setTopK(std::size_t k) { topKLimit_ = k == 0 ? 1 : k; }
-
     /** Open a new span for @p key at the bound clock's cycle. */
     void openNow(std::uint64_t key, SpanStage stage, int tid);
     /** Open a new span for @p key at an explicit cycle. */

@@ -216,8 +216,6 @@ class Telemetry
 
     /** Label the exports; runConfigFull sets these. */
     void setMeta(const std::string &bench, const std::string &config);
-    const std::string &benchName() const { return bench_; }
-    const std::string &configName() const { return config_; }
 
     /** Summed "<core>.stalls.<reason>" histograms, keyed by reason. */
     struct StallTotal

@@ -66,7 +66,6 @@ class PhysicalMemory
     }
 
     std::uint64_t numFrames() const { return numFrames_; }
-    std::uint64_t framesAllocated() const { return nextFrame_; }
 
   private:
     /** The workload needs more frames than the config provides. */

@@ -51,14 +51,6 @@ ProcessManager::addTlbTarget(Tlb *tlb, unsigned page_shift)
     tlbs_.push_back(TlbTarget{tlb, page_shift});
 }
 
-void
-ProcessManager::clearShootdownTargets()
-{
-    tlbs_.clear();
-    l2_ = nullptr;
-    walkers_.clear();
-}
-
 std::uint64_t
 ProcessManager::invalidateRange4K(Asid asid, Vpn lo4k, Vpn hi4k)
 {

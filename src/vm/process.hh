@@ -98,7 +98,6 @@ class ProcessManager : public VmEventListener
 
     Process &process(Asid asid);
     const Process &process(Asid asid) const;
-    std::size_t numProcesses() const { return procs_.size(); }
     const std::vector<std::unique_ptr<Process>> &all() const
     {
         return procs_;
@@ -109,8 +108,6 @@ class ProcessManager : public VmEventListener
     void addTlbTarget(Tlb *tlb, unsigned page_shift);
     void setL2Target(L2Tlb *l2) { l2_ = l2; }
     void addWalkerTarget(PageWalkers *w) { walkers_.push_back(w); }
-    /** Drop every registered target (per-slice core teardown). */
-    void clearShootdownTargets();
     /** @} */
 
     /**

@@ -347,6 +347,35 @@ TEST(EventQueue, MatchesReferenceHeap)
     }
 }
 
+TEST(EventQueue, WakeBoardHoldsAPostedIdOnce)
+{
+    EventQueue eq;
+    for (int k = 0; k < 1000; ++k)
+        eq.postWake(7);
+    eq.postWake(3);
+    eq.postWake(7);
+    std::vector<std::uint32_t> drained;
+    auto record = [&](std::uint32_t id) { drained.push_back(id); };
+    eq.drainWakes(record);
+    EXPECT_EQ(drained, (std::vector<std::uint32_t>{7, 3}));
+
+    // A drain empties the board; an id posted again while it is
+    // drained waits for the next drain.
+    drained.clear();
+    eq.postWake(5);
+    eq.drainWakes([&](std::uint32_t id) {
+        record(id);
+        eq.postWake(id);
+    });
+    EXPECT_EQ(drained, std::vector<std::uint32_t>{5});
+    drained.clear();
+    eq.drainWakes(record);
+    EXPECT_EQ(drained, std::vector<std::uint32_t>{5});
+    drained.clear();
+    eq.drainWakes(record);
+    EXPECT_TRUE(drained.empty());
+}
+
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 {
     EventQueue eq;

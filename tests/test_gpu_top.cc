@@ -166,17 +166,20 @@ class ForwardingCore : public ShaderCore
 
 /**
  * Counts the wrapped core's ticks. With @p wake_on_any_event its
- * wakeHint() is 0 once any event fired since its last tick: the cycle
- * loop then ticks a sleeping core in every cycle an event fires, the
+ * wakeHint() is 0 once any event fired since its last tick, and each
+ * read posts the core's id again, so the cycle loop reads it in every
+ * cycle it sleeps and ticks it in every cycle an event fires: the
  * wake rule from before cores were woken only by their own state
  * changes.
  */
 class WakeRuleCore final : public ForwardingCore
 {
   public:
-    WakeRuleCore(std::unique_ptr<ShaderCore> inner, const EventQueue &eq,
-                 bool wake_on_any_event, std::uint64_t &tick_calls)
-        : ForwardingCore(std::move(inner)), eq_(eq),
+    WakeRuleCore(std::unique_ptr<ShaderCore> inner, int id,
+                 EventQueue &eq, bool wake_on_any_event,
+                 std::uint64_t &tick_calls)
+        : ForwardingCore(std::move(inner)),
+          id_(static_cast<std::uint32_t>(id)), eq_(eq),
           wakeOnAnyEvent_(wake_on_any_event), tickCalls_(tick_calls)
     {
     }
@@ -191,28 +194,35 @@ class WakeRuleCore final : public ForwardingCore
     Cycle
     wakeHint() const override
     {
-        return wakeOnAnyEvent_ && eq_.eventsFired() != seen_
-                   ? 0
-                   : inner_->wakeHint();
+        if (!wakeOnAnyEvent_)
+            return inner_->wakeHint();
+        eq_.postWake(id_);
+        return eq_.eventsFired() != seen_ ? 0 : inner_->wakeHint();
     }
 
   private:
-    const EventQueue &eq_;
+    std::uint32_t id_;
+    EventQueue &eq_;
     bool wakeOnAnyEvent_;
     std::uint64_t &tickCalls_;
     std::uint64_t seen_ = 0;
 };
 
 /**
- * Records the cycles it is ticked in and its block polls. A test
- * lowers its hint through wakeAt(), as an event callback lowers a
- * real core's; the next tick clears it. holdHint() lowers it until
- * the next block launch instead, and `open` false refuses blocks.
+ * Records the cycles it is ticked in, its hint reads and its block
+ * polls. A test lowers its hint through wakeAt(), which posts the
+ * core's id as an event callback of a real core does; the next tick
+ * clears it. holdHint() lowers it until the next block launch
+ * instead, and `open` false refuses blocks.
  */
 class ProbeCore final : public ForwardingCore
 {
   public:
-    using ForwardingCore::ForwardingCore;
+    ProbeCore(std::unique_ptr<ShaderCore> inner, int id, EventQueue &eq)
+        : ForwardingCore(std::move(inner)),
+          id_(static_cast<std::uint32_t>(id)), eq_(eq)
+    {
+    }
 
     void
     tick(Cycle now) override
@@ -225,6 +235,7 @@ class ProbeCore final : public ForwardingCore
     Cycle
     wakeHint() const override
     {
+        ++hintReads;
         return std::min({forced_, held_, inner_->wakeHint()});
     }
     bool
@@ -244,16 +255,24 @@ class ProbeCore final : public ForwardingCore
         inner_->launchBlock(id);
     }
 
-    void wakeAt(Cycle c) { forced_ = std::min(forced_, c); }
+    void
+    wakeAt(Cycle c)
+    {
+        forced_ = std::min(forced_, c);
+        eq_.postWake(id_);
+    }
     void holdHint(Cycle c) { held_ = c; }
 
     bool open = true;
     std::vector<Cycle> ticks;
+    mutable unsigned hintReads = 0;
     mutable unsigned refusals = 0;
     /** canAcceptBlock() calls after a refusal, before the next tick. */
     mutable unsigned pollsAfterRefusal = 0;
 
   private:
+    std::uint32_t id_;
+    EventQueue &eq_;
     Cycle forced_ = kCycleNever;
     Cycle held_ = kCycleNever;
     mutable bool refused_ = false;
@@ -272,7 +291,7 @@ probedGpu(Workload &wl, unsigned n, CoreConfig cfg,
                        MemorySystem &m,
                        EventQueue &e) -> std::unique_ptr<ShaderCore> {
             auto core = std::make_unique<ProbeCore>(
-                std::make_unique<SimtCore>(id, cfg, l, as, m, e));
+                std::make_unique<SimtCore>(id, cfg, l, as, m, e), id, e);
             probes.push_back(core.get());
             return core;
         });
@@ -305,7 +324,7 @@ runWakeRule(BenchmarkId bench, const SystemConfig &cfg,
                    MemorySystem &m,
                    EventQueue &e) -> std::unique_ptr<ShaderCore> {
                    return std::make_unique<WakeRuleCore>(
-                       inner(id, l, as, m, e), e, wake_on_any_event,
+                       inner(id, l, as, m, e), id, e, wake_on_any_event,
                        out.tickCalls);
                },
                cfg.largePages, cfg.physFrames);
@@ -808,6 +827,26 @@ TEST(GpuTop, EventLoweringASleepersHintTicksItThatCycle)
     EXPECT_EQ(sleeper.ticks, (std::vector<Cycle>{0, 5, 12}));
 }
 
+TEST(GpuTop, StalePostDoesNotTickASleeperBeforeItsHint)
+{
+    // A post says only "read me". One left on the queue before the
+    // loop starts, as an earlier multi-tenant slice may leave, and
+    // one from an event at 5 that lowers no hint change nothing: core
+    // 1 sleeps from its empty tick at 0 until the hint of 12 set by
+    // an event at 9.
+    ComputeWorkload wl(1);
+    std::vector<ProbeCore *> probes;
+    auto gpu = probedGpu(wl, 2, CoreConfig{}, probes);
+    ProbeCore &sleeper = *probes.at(1);
+    EventQueue &eq = gpu->eventQueue();
+    eq.postWake(1);
+    eq.schedule(5, [&] { eq.postWake(1); });
+    eq.schedule(9, [&] { sleeper.wakeAt(12); });
+    const RunStats stats = gpu->run(1'000'000);
+    ASSERT_GT(stats.cycles, 12u);
+    EXPECT_EQ(sleeper.ticks, (std::vector<Cycle>{0, 12}));
+}
+
 TEST(GpuTop, RefusingCoreIsNotPolledAgainUntilItTicks)
 {
     // One block fits a 2-slot core, so with 40 blocks on 3 cores
@@ -840,6 +879,7 @@ struct ProbedRun
 {
     RunStats stats;
     std::vector<Cycle> ticks;
+    unsigned hintReads = 0;
 };
 
 ProbedRun
@@ -853,6 +893,7 @@ runProbed(Workload &wl, const CoreConfig &cfg,
     ProbedRun out;
     out.stats = gpu->run(1'000'000);
     out.ticks = core.ticks;
+    out.hintReads = core.hintReads;
     return out;
 }
 
@@ -926,4 +967,32 @@ TEST(GpuTop, BlockLaunchOntoASleeperDropsItsAlarm)
     EXPECT_EQ(run.stats.cycles, 1000u);
     // Cycles 1-49 and last+1 - 999 are skipped.
     EXPECT_EQ(run.stats.cyclesFastForwarded, 49 + (999 - last));
+}
+
+TEST(GpuTop, PostFromAnAwakeCoreNeitherRereadsNorDoubleTicksIt)
+{
+    // aluLatency 1 keeps the only core busy in every cycle of its
+    // block. A post in each of those cycles finds it awake: the loop
+    // reads no extra hint and ticks it once a cycle, as without the
+    // posts.
+    ComputeWorkload wl(1);
+    CoreConfig busy;
+    busy.aluLatency = 1;
+    const ProbedRun plain =
+        runProbed(wl, busy, [](EventQueue &, ProbeCore &) {});
+    ASSERT_GE(plain.ticks.size(), 4u);
+    const Cycle last = plain.ticks.back();
+    std::vector<Cycle> every;
+    for (Cycle c = 0; c <= last; ++c)
+        every.push_back(c);
+    ASSERT_EQ(plain.ticks, every);
+    const ProbedRun posted =
+        runProbed(wl, busy, [last](EventQueue &eq, ProbeCore &) {
+            for (Cycle c = 1; c < last; ++c)
+                eq.schedule(c, [&eq] { eq.postWake(0); });
+        });
+    EXPECT_EQ(posted.ticks, plain.ticks);
+    EXPECT_EQ(posted.hintReads, plain.hintReads);
+    EXPECT_EQ(posted.stats.cycles, plain.stats.cycles);
+    EXPECT_EQ(posted.stats.instructions, plain.stats.instructions);
 }

@@ -14,11 +14,14 @@
  */
 
 #include <cstdio>
+#include <cstring>
+#include <functional>
 
 #include <gtest/gtest.h>
 
 #include "check/invariant_checker.hh"
 #include "core/multi_tenant.hh"
+#include "core/presets.hh"
 #include "mmu/iommu.hh"
 #include "mmu/l2_tlb.hh"
 #include "mmu/ptw.hh"
@@ -649,6 +652,51 @@ TEST(MultiTenantRun, BudgetGuardFiresThroughTheSharedCycleLoop)
     cfg.blocksPerSlice = 2;
     EXPECT_EXIT(runMultiTenant(cfg), ::testing::ExitedWithCode(1),
                 "simulation exceeded 50 cycles");
+}
+
+TEST(MultiTenantRun, MalformedConfigsAreFieldNamedFatals)
+{
+    // One row per multi-tenant rule, plus one system rule under its
+    // "system." prefix: validate() names the field, and a run is a
+    // fatal (exit 1) that lists the same line before anything is
+    // built.
+    struct Case
+    {
+        std::function<void(MultiTenantConfig &)> edit;
+        const char *violation;
+    };
+    const Case cases[] = {
+        {[](MultiTenantConfig &c) { c.system = presets::augmentedTlb(); },
+         "system.iommu (false) must be true: per-core MMUs hold one "
+         "process's translations, the shared IOMMU (presets::iommu()) "
+         "holds every tenant's"},
+        {[](MultiTenantConfig &c) { c.system.largePages = true; },
+         "lazyBacking (true) demand-pages 4KB pages; system.largePages "
+         "must be false (2MB mappings emerge via coalescing)"},
+        {[](MultiTenantConfig &c) { c.blocksPerSlice = 0; },
+         "blocksPerSlice (0) must be at least 1"},
+        {[](MultiTenantConfig &c) { c.tenants.clear(); },
+         "tenants (0) must list at least one process"},
+        {[](MultiTenantConfig &c) { c.system.core.mmu.enabled = true; },
+         "system.iommu (true) requires per-core MMUs disabled "
+         "(core.mmu.enabled false)"},
+    };
+    EXPECT_TRUE(defaultMultiTenant(0.02).validate().empty());
+    for (const Case &tc : cases) {
+        MultiTenantConfig cfg = defaultMultiTenant(/*scale=*/0.02);
+        cfg.system.numCores = 1;
+        tc.edit(cfg);
+        EXPECT_EQ(cfg.validate(), std::vector<std::string>{tc.violation});
+        std::string pattern;
+        for (char ch : "config '" + cfg.system.name + "' is invalid:\n  " +
+                           tc.violation) {
+            if (std::strchr("\\^$.|?*+()[]{}", ch) != nullptr)
+                pattern += '\\';
+            pattern += ch;
+        }
+        EXPECT_EXIT(runMultiTenant(cfg), ::testing::ExitedWithCode(1),
+                    pattern);
+    }
 }
 
 TEST(MultiTenantRun, MemTraceCaptureIsRejected)
