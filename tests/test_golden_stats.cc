@@ -4,7 +4,8 @@
  * dumps against checked-in golden files at a fixed (scale, seed,
  * numCores) pin-point. Every workload runs under the baseline
  * augmented-MMU preset, plus one benchmark each through the CCWS and
- * TBC scheduler paths so those subsystems are pinned too.
+ * TBC scheduler paths, the shared L2 TLB and the IOMMU so those
+ * subsystems are pinned too.
  *
  * This pins simulated behaviour: a perf PR that only makes the
  * simulator faster leaves these dumps byte-identical, while any
@@ -78,6 +79,11 @@ goldenCases()
                      presets::withSharedL2Tlb(goldenConfig(), 512, 2)});
     cases.push_back({"pathfinder_l2tlb", BenchmarkId::Pathfinder,
                      presets::withSharedL2Tlb(goldenConfig(), 512, 2)});
+    // Single-process IOMMU path: every core's L1 miss translates at
+    // one shared controller, so walks queue and merge per VPN there.
+    SystemConfig iommu = presets::iommu();
+    iommu.numCores = 4;
+    cases.push_back({"bfs_iommu", BenchmarkId::Bfs, iommu});
     return cases;
 }
 
