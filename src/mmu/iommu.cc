@@ -41,27 +41,23 @@ Iommu::spaceFor(Asid asid)
 }
 
 void
-Iommu::issueWalk(Vpn key, Cycle at, Cycle started)
+Iommu::issueWalk(Vpn key, Cycle at)
 {
     const Asid asid = keyAsid(key);
     AddressSpace &as = spaceFor(asid);
+    walkVpn_.assign(1, keyLocal(key));
     walkers_.requestBatchFor(
-        as.pageTable(), asid, {keyLocal(key)}, at,
-        [this, key, started](Vpn walked, const Translation &t,
-                             Cycle finish) {
+        as.pageTable(), asid, walkVpn_, at,
+        [this, key](Vpn walked, const Translation &t, Cycle finish) {
             const std::uint64_t frame = t.ppn;
             tlb_.fill(asidKey(keyAsid(key), walked), t);
-            missLatency_.sample(finish - started);
             // The owning span and every request merged behind it
             // fill and retire at the same completion cycle.
             if (spans_)
                 spans_->closeAllAt(key, SpanStage::Fill, finish);
-            auto wit = outstanding_.find(key);
-            GPUMMU_ASSERT(wit != outstanding_.end());
-            auto waiters = std::move(wit->second);
-            outstanding_.erase(wit);
-            for (auto &fn : waiters)
-                fn(frame, finish);
+            const Cycle started = outstanding_.take(
+                key, [frame, finish](DoneFn &fn) { fn(frame, finish); });
+            missLatency_.sample(finish - started);
         });
 }
 
@@ -89,17 +85,15 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
         return;
     }
 
-    auto it = outstanding_.find(key);
-    if (it != outstanding_.end()) {
+    if (outstanding_.join(key, done)) {
         mergedWalks_.inc();
         // Beside the merge counter: IommuMerge-stage span count ==
         // iommu merged_walks (conservation check).
         if (spans_)
             spans_->stageAt(key, SpanStage::IommuMerge, start);
-        it->second.push_back(std::move(done));
         return;
     }
-    outstanding_[key].push_back(std::move(done));
+    outstanding_.open(key, now, std::move(done));
 
     const Asid asid = keyAsid(key);
     const Vpn vpn = keyLocal(key);
@@ -116,14 +110,14 @@ Iommu::translate(Vpn key, Cycle now, DoneFn done)
             spans_->stageAt(key, SpanStage::IommuFault, looked_up);
         const Cycle serviced =
             looked_up + pm_->osConfig().faultLatency;
-        eq_.schedule(serviced, [this, key, now, serviced, &as]() {
+        eq_.schedule(serviced, [this, key, serviced, &as]() {
             as.faultIn(keyLocal(key));
-            issueWalk(key, serviced, now);
+            issueWalk(key, serviced);
         });
         return;
     }
 
-    issueWalk(key, looked_up, now);
+    issueWalk(key, looked_up);
 }
 
 void
@@ -131,9 +125,14 @@ Iommu::checkEndOfKernel() const
 {
     if (!checker_)
         return;
-    GPUMMU_ASSERT(outstanding_.empty(), outstanding_.size(),
-                  " VPNs still outstanding in the IOMMU at kernel "
-                  "end");
+    if (!outstanding_.empty()) {
+        const Vpn key = outstanding_.smallestKey();
+        GPUMMU_PANIC(outstanding_.size(),
+                     " VPNs still outstanding in the IOMMU at kernel "
+                     "end (smallest: VPN ", keyLocal(key), " of asid ",
+                     keyAsid(key), ", ", outstanding_.waiters(key),
+                     " waiters)");
+    }
     walkers_.checkDrained();
     tlb_.checkSweep();
 }

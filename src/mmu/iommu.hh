@@ -19,12 +19,12 @@
 #define MMU_IOMMU_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/invariant_checker.hh"
+#include "mmu/miss_table.hh"
 #include "mmu/ptw.hh"
 #include "mmu/tlb.hh"
 #include "sim/event_queue.hh"
@@ -133,7 +133,7 @@ class Iommu
     AddressSpace &spaceFor(Asid asid);
 
     /** Issue the page walk for @p key (post-lookup, post-fault). */
-    void issueWalk(Vpn key, Cycle at, Cycle started);
+    void issueWalk(Vpn key, Cycle at);
 
     IommuConfig cfg_;
     AddressSpace &as_;
@@ -146,8 +146,11 @@ class Iommu
     int spanTid_ = 0;
     Cycle portFreeAt_ = 0;
 
-    /** Waiters for in-flight walks, merged per composed key. */
-    std::map<Vpn, std::vector<DoneFn>> outstanding_;
+    /** Waiters for in-flight walks, merged per composed key; the
+     *  record is the first request's arrival cycle. */
+    MissTable<DoneFn, Cycle> outstanding_;
+    /** issueWalk's one-VPN batch, reused walk after walk. */
+    std::vector<Vpn> walkVpn_;
 
     Counter mergedWalks_;
     Histogram missLatency_;

@@ -30,13 +30,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/invariant_checker.hh"
 #include "mem/set_assoc.hh"
+#include "mmu/miss_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -124,7 +124,7 @@ class L2Tlb
     bool probe(Vpn tag) const { return array_.peek(tag) != nullptr; }
 
     /** Is a walk for @p tag in flight behind an MSHR? */
-    bool mshrActive(Vpn tag) const { return mshrs_.count(tag) != 0; }
+    bool mshrActive(Vpn tag) const { return mshrs_.find(tag) != nullptr; }
 
     std::size_t mshrsInUse() const { return mshrs_.size(); }
 
@@ -230,18 +230,10 @@ class L2Tlb
     SetAssocArray<Translation> array_;
     std::vector<Cycle> portFreeAt_;
 
-    /** One in-flight translation MSHR. The first waiter's Mmu owns
-     *  the walk. */
-    struct Mshr
-    {
-        std::vector<WakeFn> waiters;
-        /** Hit by a shootdown mid-walk: fill() wakes but does not
-         *  install. */
-        bool poisoned = false;
-    };
-
-    /** In-flight MSHRs by tag (ordered for deterministic sweeps). */
-    std::map<Vpn, Mshr> mshrs_;
+    /** In-flight translation MSHRs by tag; the first waiter's Mmu
+     *  owns the walk. The record is the poison flag: hit by a
+     *  shootdown mid-walk, fill() wakes but does not install. */
+    MissTable<WakeFn, bool> mshrs_;
 
     EvictionListener onEvict_;
     TraceSink *trace_ = nullptr;

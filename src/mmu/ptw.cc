@@ -78,7 +78,8 @@ PageWalkers::requestBatchFor(const PageTable &pt, Asid asid,
                              const std::vector<Vpn> &vpns, Cycle now,
                              DoneFn done)
 {
-    for (Vpn vpn : vpns) {
+    for (std::size_t i = 0; i < vpns.size(); ++i) {
+        const Vpn vpn = vpns[i];
         if (checker_)
             checker_->onWalkEnqueued(asidKey(asid, vpn));
         if (trace_)
@@ -87,7 +88,10 @@ PageWalkers::requestBatchFor(const PageTable &pt, Asid asid,
         if (spans_)
             spans_->stageAt(asidKey(asid, vpn >> spanKeyShift_),
                             SpanStage::WalkEnqueue, now);
-        queue_.push_back(PendingWalk{vpn, now, done, &pt, asid, {}});
+        // The last walk takes the callback; the others copy it.
+        queue_.push_back(PendingWalk{
+            vpn, now, i + 1 < vpns.size() ? done : std::move(done), &pt,
+            asid, {}});
     }
     pump(now);
 }

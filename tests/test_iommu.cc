@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/experiment.hh"
 #include "core/presets.hh"
 #include "mmu/iommu.hh"
+#include "sim/stats.hh"
+#include "vm/process.hh"
 
 using namespace gpummu;
 
@@ -64,14 +69,89 @@ TEST_F(IommuFixture, MissWalksThenHits)
 TEST_F(IommuFixture, ConcurrentWalksToSamePageMerge)
 {
     Iommu iommu(IommuConfig{}, as, mem, eq);
-    int fires = 0;
+    StatRegistry reg;
+    iommu.regStats(reg, "iommu");
+    std::vector<int> order;
+    std::vector<Cycle> when;
     for (int i = 0; i < 3; ++i) {
-        iommu.translate(vpn(5), 0,
-                        [&](std::uint64_t, Cycle) { ++fires; });
+        iommu.translate(vpn(5), 0, [&, i](std::uint64_t, Cycle c) {
+            order.push_back(i);
+            when.push_back(c);
+        });
     }
     eq.runUntil(1'000'000);
-    EXPECT_EQ(fires, 3);
+    // One walk wakes every merged request, in request order, at the
+    // walk's completion cycle.
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    ASSERT_EQ(when.size(), 3u);
+    EXPECT_EQ(when[1], when[0]);
+    EXPECT_EQ(when[2], when[0]);
     EXPECT_EQ(iommu.walkers().walksCompleted(), 1u);
+    EXPECT_EQ(reg.findCounter("iommu.merged_walks")->value(), 2u);
+}
+
+TEST(IommuFaults, RequestMergesWhileItsPageFaultIsServiced)
+{
+    PhysicalMemory phys(1ULL << 20, /*scramble=*/false);
+    OsConfig os;
+    ProcessManager pm(phys, os);
+    Process &p = pm.create("tenant", false, /*lazy=*/true);
+    const VmRegion r = p.as.mmap("d", 8 * kPageSize4K);
+    const Vpn key = asidKey(p.asid, r.base >> kPageShift4K);
+
+    MemorySystem mem((MemorySystemConfig()));
+    EventQueue eq;
+    IommuConfig icfg;
+    icfg.checkInvariants = true;
+    Iommu iommu(icfg, p.as, mem, eq);
+    iommu.attachProcesses(&pm);
+    StatRegistry reg;
+    iommu.regStats(reg, "iommu");
+
+    // The first request faults; the second arrives while the OS
+    // handler is still running and merges behind it.
+    const Cycle first = 5;
+    const Cycle second = first + os.faultLatency / 2;
+    Cycle done_first = 0, done_second = 0;
+    eq.runUntil(first);
+    iommu.translate(key, first,
+                    [&](std::uint64_t, Cycle c) { done_first = c; });
+    eq.runUntil(second);
+    ASSERT_EQ(done_first, 0u) << "the fault is still being serviced";
+    iommu.translate(key, second,
+                    [&](std::uint64_t, Cycle c) { done_second = c; });
+    eq.runUntil(1'000'000);
+
+    EXPECT_EQ(pm.faults(), 1u);
+    EXPECT_EQ(iommu.walkers().walksCompleted(), 1u);
+    EXPECT_EQ(reg.findCounter("iommu.merged_walks")->value(), 1u);
+    ASSERT_GT(done_first, second);
+    EXPECT_EQ(done_second, done_first);
+    // One miss-latency sample, timed from the first request: the
+    // merged request does not restart the owner's clock.
+    const Histogram *lat = reg.findHistogram("iommu.miss_latency");
+    ASSERT_EQ(lat->count(), 1u);
+    EXPECT_EQ(lat->sum(), done_first - first);
+    iommu.checkEndOfKernel();
+}
+
+using IommuDeathTest = IommuFixture;
+
+TEST_F(IommuDeathTest, KernelEndNamesTheSmallestOutstandingVpn)
+{
+    // A hang explains itself: the smallest outstanding VPN is named
+    // with the requests waiting on it.
+    IommuConfig cfg;
+    cfg.checkInvariants = true;
+    Iommu iommu(cfg, as, mem, eq);
+    const auto ignore = [](std::uint64_t, Cycle) {};
+    iommu.translate(vpn(9), 0, ignore);
+    iommu.translate(vpn(4), 0, ignore);
+    iommu.translate(vpn(4), 0, ignore);
+    EXPECT_DEATH(iommu.checkEndOfKernel(),
+                 "2 VPNs still outstanding in the IOMMU at kernel end "
+                 "\\(smallest: VPN " +
+                     std::to_string(vpn(4)) + " of asid 0, 2 waiters\\)");
 }
 
 TEST_F(IommuFixture, SharedPortSerializesLookups)

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -290,6 +292,44 @@ TEST_F(L2TlbFixture, PortContentionSerializesLookups)
     EXPECT_EQ(r2.ready, 100 + cfg.lookupInterval + cfg.hitLatency);
     l2.fill(vpn(0), xlat(0), 200);
     l2.fill(vpn(1), xlat(1), 201);
+}
+
+TEST_F(L2TlbFixture, OutsizedMshrFileStillRuns)
+{
+    // The MSHR table is presized from the file's size; a file far
+    // larger than any run can fill must not allocate for all of it.
+    L2TlbConfig cfg;
+    cfg.mshrs = std::numeric_limits<unsigned>::max();
+    auto l2 = make(cfg);
+    int wakeups = 0;
+    const auto on_wake = [&](Vpn, std::uint64_t, bool, Cycle) {
+        ++wakeups;
+    };
+    for (unsigned page = 0; page < 64; ++page)
+        EXPECT_EQ(l2.access(vpn(page), 0, on_wake).outcome,
+                  L2Tlb::Outcome::NeedWalk);
+    for (unsigned page = 0; page < 64; ++page)
+        l2.fill(vpn(page), xlat(page), 100);
+    EXPECT_EQ(wakeups, 64);
+    EXPECT_EQ(l2.mshrsInUse(), 0u);
+}
+
+using L2TlbDeathTest = L2TlbFixture;
+
+TEST_F(L2TlbDeathTest, KernelEndNamesTheSmallestLiveMshr)
+{
+    // A hang explains itself: live MSHRs at kernel end are counted
+    // and the smallest tag is named, whatever order they sit in.
+    L2TlbConfig cfg;
+    cfg.checkInvariants = true;
+    auto l2 = make(cfg);
+    const auto ignore = [](Vpn, std::uint64_t, bool, Cycle) {};
+    for (unsigned page : {40u, 12u, 33u})
+        l2.access(vpn(page), 0, ignore);
+    EXPECT_DEATH(l2.checkEndOfKernel(),
+                 "3 translation MSHRs still live at kernel end "
+                 "\\(smallest VPN tag " +
+                     std::to_string(vpn(12)) + "\\)");
 }
 
 TEST_F(L2TlbFixture, CrossMmuMissesMergeIntoOneWalk)
