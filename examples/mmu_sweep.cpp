@@ -63,6 +63,16 @@
 
 using namespace gpummu;
 
+namespace {
+
+constexpr const char *kUsage =
+    "usage: mmu_sweep [benchmark] [scale] [jobs] [--trace=<file>] "
+    "[--trace-filter=<prefix>] [--sample-interval=<cycles>] "
+    "[--sample-out=<file>] [--report=<file>] "
+    "[--capture-trace=<file>] [--spans=<file>]\n";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -125,17 +135,15 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << "unknown option: " << arg
-                      << "\nusage: mmu_sweep [benchmark] [scale] "
-                         "[jobs] [--trace=<file>] "
-                         "[--trace-filter=<prefix>] "
-                         "[--sample-interval=<cycles>] "
-                         "[--sample-out=<file>] [--report=<file>] "
-                         "[--capture-trace=<file>] [--spans=<file>]\n";
+            std::cerr << "unknown option: " << arg << "\n" << kUsage;
             return 2;
         } else {
             pos.push_back(arg);
         }
+    }
+    if (pos.size() > 3) {
+        std::cerr << "unexpected argument: " << pos[3] << "\n" << kUsage;
+        return 2;
     }
     if (sample_interval == 0 &&
         (!sample_out.empty() || !report_file.empty())) {

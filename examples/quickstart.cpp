@@ -37,6 +37,11 @@ parseBenchmark(const std::string &name)
 int
 main(int argc, char **argv)
 {
+    if (argc > 3) {
+        std::cerr << "unexpected argument: " << argv[3]
+                  << "\nusage: quickstart [benchmark] [scale]\n";
+        return 1;
+    }
     const BenchmarkId bench =
         argc > 1 ? parseBenchmark(argv[1]) : BenchmarkId::Bfs;
     WorkloadParams params;

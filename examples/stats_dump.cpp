@@ -50,6 +50,11 @@ presetByName(const std::string &name)
 int
 main(int argc, char **argv)
 {
+    if (argc > 4) {
+        std::cerr << "unexpected argument: " << argv[4]
+                  << "\nusage: stats_dump [benchmark] [preset] [scale]\n";
+        return 1;
+    }
     const char *bench_name = argc > 1 ? argv[1] : "bfs";
     const auto bench = benchmarkByName(bench_name);
     if (!bench) {

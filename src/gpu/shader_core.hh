@@ -33,12 +33,16 @@ class ShaderCore
     virtual void tick(Cycle now) = 0;
 
     /**
-     * Sleep support. A tick is *quiescent* when it issued nothing,
-     * retired nothing and only charged stall attribution, so every
-     * following cycle would charge the same until wakeHint() arrives
-     * or a block is launched here. runCycleLoop() stops ticking such
-     * a core until one of those happens. Cores that cannot prove this
-     * (TBC) keep the defaults and never sleep.
+     * Sleep support. A tick is *quiescent* when every following
+     * cycle would be an idle tick charging the same cells until
+     * wakeHint() arrives or a block is launched here: it issued
+     * nothing, retired nothing and only charged stall attribution, or
+     * it issued but left nothing to issue before the hint. The latter
+     * records the charges the idle tick would make. These may read
+     * state that only this core's own tick or an event that posts its
+     * id changes. runCycleLoop() stops ticking such a core until the
+     * hint or a launch arrives. Cores that cannot prove this (TBC)
+     * keep the defaults and never sleep.
      */
     virtual bool lastTickQuiescent() const { return false; }
 

@@ -331,6 +331,11 @@ SimtCore::makeTimed(int wid, Cycle ready)
     const std::uint64_t bit = std::uint64_t(1) << wid;
     due_ &= ~bit;
     timed_ |= bit;
+    far_ &= ~bit;
+    if (ready > eq_.now() + kFarCycles) {
+        far_ |= bit;
+        farWake_ = std::min(farWake_, ready);
+    }
     readyAt_[static_cast<std::size_t>(wid)] = ready;
     nextWake_ = std::min(nextWake_, ready);
 }
@@ -347,17 +352,27 @@ SimtCore::chargeWait(int wid, Warp &w, Cycle end)
 void
 SimtCore::promoteTimed(Cycle now)
 {
+    // Promote the warps of @p set whose ready cycle has passed; the
+    // earliest ready cycle left in it is returned.
     std::uint64_t promoted = 0;
-    Cycle wake = kCycleNever;
-    for (std::uint64_t m = timed_; m != 0; m &= m - 1) {
-        const int wid = std::countr_zero(m);
-        const Cycle ready = readyAt_[static_cast<std::size_t>(wid)];
-        if (ready > now)
-            wake = std::min(wake, ready);
-        else
-            promoted |= std::uint64_t(1) << wid;
+    auto scan = [&](std::uint64_t set) {
+        Cycle wake = kCycleNever;
+        for (std::uint64_t m = set; m != 0; m &= m - 1) {
+            const int wid = std::countr_zero(m);
+            const Cycle ready = readyAt_[static_cast<std::size_t>(wid)];
+            if (ready > now)
+                wake = std::min(wake, ready);
+            else
+                promoted |= std::uint64_t(1) << wid;
+        }
+        return wake;
+    };
+    const Cycle near = scan(timed_ & ~far_);
+    if (now >= farWake_) {
+        farWake_ = scan(far_);
+        far_ &= ~promoted;
     }
-    nextWake_ = wake;
+    nextWake_ = std::min(near, farWake_);
     timed_ &= ~promoted;
     due_ |= promoted;
     // Every cycle from the issue to now stalled on the same cause.
@@ -450,6 +465,17 @@ SimtCore::tick(Cycle now)
     // launched - so the core may sleep.
     quiescent_ = issued == 0 && !retired && issuable.empty() &&
                  sched_->tickIsPure();
+    // A tick that issued and left no warp due sleeps at once when the
+    // next tick would be idle: it takes over that idle tick's charges
+    // (no gate, no blocked warp, the TLB-idle poll) for
+    // chargeSkipped() to repeat.
+    if (issued > 0 && !retired && due_ == 0 && nextWake_ > now + 1 &&
+        sched_->tickIsPure()) {
+        tlbGated_ = 0;
+        chargeMemBlocked_ = false;
+        chargeTlbIdle_ = mmu_.missOutstanding();
+        quiescent_ = true;
+    }
 }
 
 void

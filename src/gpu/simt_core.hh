@@ -220,6 +220,9 @@ class SimtCore : public ShaderCore
      * cycles and touches a Warp only to charge one it promotes. A
      * completion callback moves a waiting warp into timed_. tick()
      * visits only due warps and scans timed_ once nextWake_ arrives.
+     * far_ holds the timed warps made ready more than kFarCycles
+     * ahead (memory waits), and farWake_ their earliest readyAt_:
+     * promoteTimed() scans them only once farWake_ arrives.
      * A wait is charged as one interval, [Warp::chargeFrom, due), to
      * its stallReason. The only per-cycle charges are the idle
      * counters and the due memory warps held at the blocking TLB's
@@ -227,16 +230,20 @@ class SimtCore : public ShaderCore
      * drainWaiting_ holds the warps bounced off the MMU's miss batch
      * until the drain listener readies them.
      */
+    static constexpr Cycle kFarCycles = 64;
     std::uint64_t due_ = 0;
     std::uint64_t timed_ = 0;
+    std::uint64_t far_ = 0;
     std::array<Cycle, 64> readyAt_{};
     Cycle nextWake_ = kCycleNever;
+    Cycle farWake_ = kCycleNever;
     std::uint64_t drainWaiting_ = 0;
     std::uint64_t tlbGated_ = 0;
     bool chargeTlbIdle_ = false;
     bool chargeMemBlocked_ = false;
-    /** Last tick issued, retired and mutated nothing, with a pure
-     *  scheduler: runCycleLoop may put the core to sleep. */
+    /** With a pure scheduler, the last tick retired nothing and
+     *  either issued nothing or left no warp due with nextWake_ two
+     *  or more cycles ahead: runCycleLoop may put the core to sleep. */
     bool quiescent_ = false;
     unsigned residentBlocks_ = 0;
 

@@ -157,6 +157,45 @@ class ExitingPathWorkload : public Workload
     VmRegion region_;
 };
 
+/**
+ * One warp: @p loads loads of one shared line, then @p alus ALU
+ * instructions, then exit.
+ */
+class OneWarpWorkload : public Workload
+{
+  public:
+    OneWarpWorkload(unsigned loads, unsigned alus)
+        : Workload(WorkloadParams{}), prog_("onewarp"), loads_(loads),
+          alus_(alus)
+    {
+    }
+
+    std::string name() const override { return "onewarp"; }
+    const KernelProgram &program() const override { return prog_; }
+    unsigned threadsPerBlock() const override { return 32; }
+    unsigned numBlocks() const override { return 1; }
+
+    void
+    build(AddressSpace &as) override
+    {
+        region_ = as.mmap("onewarp.data", kPageSize4K);
+        const int addr = prog_.addAddrGen([this](ThreadCtx &c) {
+            return region_.base + static_cast<VirtAddr>(c.laneId) * 4;
+        });
+        const int b0 = prog_.addBlock();
+        for (unsigned i = 0; i < loads_; ++i)
+            prog_.appendLoad(b0, addr);
+        prog_.appendAlu(b0, alus_);
+        prog_.appendExit(b0);
+    }
+
+  private:
+    KernelProgram prog_;
+    unsigned loads_;
+    unsigned alus_;
+    VmRegion region_;
+};
+
 /** Records the cycles in which a memory instruction issued. */
 class MemIssueRecordingCore : public SimtCore
 {
@@ -228,7 +267,7 @@ struct TinyDump
  *  whole stat registry (stall histograms included). */
 template <typename CoreT>
 TinyDump
-runTinyDump(const CoreConfig &core_cfg)
+runTinyDump(const CoreConfig &core_cfg, bool gto = false)
 {
     TinyWorkload wl(/*blocks=*/8, /*iters=*/10, /*active_p=*/0.5);
     std::vector<CoreT *> cores;
@@ -238,6 +277,9 @@ runTinyDump(const CoreConfig &core_cfg)
                    EventQueue &e) -> std::unique_ptr<ShaderCore> {
                    auto core = std::make_unique<CoreT>(id, core_cfg, l,
                                                        as, m, e);
+                   if (gto)
+                       core->setScheduler(
+                           std::make_unique<GreedyThenOldest>());
                    cores.push_back(core.get());
                    return core;
                });
@@ -262,22 +304,79 @@ TEST(SimtCore, SleepingChargesEqualTickingEveryCycle)
     // must give the same stats to the last stall cycle, on each MMU
     // policy: the blocking TLB's gate (charged per cycle while
     // asleep), the hit-under-miss bounce (walker drain waits) and no
-    // TLB at all.
+    // TLB at all. Both pure schedulers (LRR, GTO) may sleep.
     CoreConfig blocking;
     blocking.mmu.hitUnderMiss = false;
     CoreConfig hit_under_miss;
     hit_under_miss.mmu.hitUnderMiss = true;
     CoreConfig no_tlb;
     no_tlb.mmu.enabled = false;
-    for (const CoreConfig &cfg : {blocking, hit_under_miss, no_tlb}) {
-        const TinyDump sleeping = runTinyDump<CountingCore>(cfg);
-        const TinyDump awake = runTinyDump<AwakeCore>(cfg);
-        EXPECT_TRUE(sleeping.stats == awake.stats);
-        EXPECT_EQ(sleeping.json, awake.json);
-        EXPECT_EQ(awake.stats.cyclesFastForwarded, 0u);
-        // ...and the sleeping run really skipped ticks.
-        EXPECT_LT(sleeping.ticks, 2 * sleeping.stats.cycles);
+    for (const bool gto : {false, true}) {
+        for (const CoreConfig &cfg :
+             {blocking, hit_under_miss, no_tlb}) {
+            SCOPED_TRACE(gto ? "GTO" : "LRR");
+            const TinyDump sleeping =
+                runTinyDump<CountingCore>(cfg, gto);
+            const TinyDump awake = runTinyDump<AwakeCore>(cfg, gto);
+            EXPECT_TRUE(sleeping.stats == awake.stats);
+            EXPECT_EQ(sleeping.json, awake.json);
+            EXPECT_EQ(awake.stats.cyclesFastForwarded, 0u);
+            // ...and the sleeping run really skipped ticks.
+            EXPECT_LT(sleeping.ticks, 2 * sleeping.stats.cycles);
+        }
     }
+}
+
+TEST(SimtCore, SleepsInTheTickThatEmptiesItsDueSet)
+{
+    // One warp runs an ALU chain with the 2-cycle latency. A tick
+    // that issues leaves no warp due until the next issue cycle, so
+    // the core sleeps in that tick rather than after an idle one: one
+    // tick per instruction.
+    const unsigned alus = 200;
+    OneWarpWorkload wl(/*loads=*/0, alus);
+    CountingCore *core = nullptr;
+    GpuTop gpu(1, MemorySystemConfig{}, wl,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   auto c = std::make_unique<CountingCore>(
+                       id, CoreConfig{}, l, as, m, e);
+                   core = c.get();
+                   return c;
+               });
+    const RunStats stats = gpu.run(1'000'000);
+    ASSERT_EQ(stats.instructions, alus + 1u);
+    EXPECT_EQ(core->ticks, stats.instructions);
+    // Each ALU's second latency cycle was skipped and charged idle.
+    EXPECT_EQ(core->idleCycles(), alus);
+}
+
+TEST(SimtCore, FarWaitIssuesInTheCycleItsDataArrives)
+{
+    // No TLB: the first load completes at issue with its line's DRAM
+    // round trip, a ready cycle far past the near tier. The warp has
+    // nothing else to run, so its second load (to the same line) must
+    // issue exactly when the first one's data arrives.
+    CoreConfig cfg;
+    cfg.mmu.enabled = false;
+    OneWarpWorkload wl(/*loads=*/2, /*alus=*/0);
+    MemIssueRecordingCore *core = nullptr;
+    GpuTop gpu(1, MemorySystemConfig{}, wl,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   auto c = std::make_unique<MemIssueRecordingCore>(
+                       id, cfg, l, as, m, e);
+                   core = c.get();
+                   return c;
+               });
+    gpu.run(1'000'000);
+    ASSERT_EQ(core->memIssues.size(), 2u);
+    const Histogram &miss = core->l1().missLatency();
+    ASSERT_EQ(miss.count(), 1u);
+    EXPECT_GT(miss.sum(), 64u);
+    EXPECT_EQ(core->memIssues[1], core->memIssues[0] + miss.sum());
 }
 
 TEST(SimtCore, GatedWarpIssuesInTheCycleTheMissBatchRetires)
