@@ -1,58 +1,87 @@
 /**
  * @file
- * The issue pass both shader cores run once per tick.
+ * The SIMT core's issue step over masks of warp slots. It costs time
+ * per retired or issued warp, not per due warp.
  */
 
 #ifndef GPU_ISSUE_HH
 #define GPU_ISSUE_HH
 
-#include <vector>
+#include <bit>
+#include <cstdint>
 
-#include "gpu/kernel.hh"
 #include "sched/warp_scheduler.hh"
 
 namespace gpummu {
 
 /**
- * Issue up to @p width instructions from @p ready, the ids of the
- * warps that may issue this cycle in ascending order. The scheduler
- * orders the list once; the pass then walks it:
- * - a warp with no instruction left (@p next returns nullptr) is
- *   retired through @p retire and takes no issue slot;
- * - the core has one load/store unit, so once a memory instruction
- *   issued, later memory warps are skipped this cycle;
- * - every other warp issues through @p issue.
- * The scheduler is told the last warp the pass reached.
+ * Retire the warps of @p done in slot order and return the warps of
+ * @p mem that the memory gate allows, read as a scan in slot order
+ * would: a retire may change the gate (a throttle recomputes its
+ * allowed set in onWarpReset()), so the gate bits of the slots below
+ * a retiring warp are read before it retires.
+ */
+template <typename Retire>
+std::uint64_t
+retireAndGate(const WarpScheduler &sched, std::uint64_t done,
+              std::uint64_t mem, Retire &&retire)
+{
+    std::uint64_t allowed = 0;
+    for (; done != 0; done &= done - 1) {
+        const int r = std::countr_zero(done);
+        const std::uint64_t below = (std::uint64_t(1) << r) - 1;
+        if (mem & below) {
+            allowed |= sched.memGate() & mem & below;
+            mem &= ~below;
+        }
+        retire(r);
+    }
+    if (mem != 0)
+        allowed |= sched.memGate() & mem;
+    return allowed;
+}
+
+/**
+ * Issue up to @p width warps of @p ready through @p issue, in the
+ * scheduler's order; @p mem marks those whose next instruction is a
+ * load or a store. The core has one load/store unit, so once a memory
+ * warp issued, the other memory warps leave the order. The scheduler
+ * is told the last warp a walk of the whole order would have reached:
+ * the last one issued when the width ran out, else the order's last.
  *
  * @return the number of instructions issued
  */
-template <typename Next, typename Retire, typename Issue>
+template <typename Issue>
 unsigned
-issuePass(WarpScheduler &sched, std::vector<int> &ready, unsigned width,
-          Next &&next, Retire &&retire, Issue &&issue)
+issuePass(WarpScheduler &sched, std::uint64_t ready, std::uint64_t mem,
+          unsigned width, Issue &&issue)
 {
-    if (ready.empty())
+    if (ready == 0)
         return 0;
-    sched.order(ready);
-    unsigned issued = 0;
-    bool mem_issued = false;
-    std::size_t n = 0;
-    while (n < ready.size() && issued < width) {
-        const int id = ready[n++];
-        const Instruction *in = next(id);
-        if (in == nullptr) {
-            retire(id);
-            continue;
-        }
-        const bool is_mem =
-            in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem && mem_issued)
-            continue;
+    if ((ready & (ready - 1)) == 0) { // a lone warp: no order needed
+        const int id = std::countr_zero(ready);
         issue(id);
-        mem_issued = mem_issued || is_mem;
-        ++issued;
+        sched.consumed(id);
+        return 1;
     }
-    sched.consumed(ready[n - 1]);
+    const WarpOrder order = sched.order(ready);
+    std::uint64_t seg[2] = {order.first, order.then};
+    int last = 63 - std::countl_zero(seg[1] != 0 ? seg[1] : seg[0]);
+    unsigned issued = 0;
+    for (std::uint64_t &s : seg) {
+        while (s != 0 && issued < width) {
+            const int id = std::countr_zero(s);
+            s &= s - 1;
+            issue(id);
+            if (++issued == width)
+                last = id;
+            if (mem >> id & 1) {
+                seg[0] &= ~mem;
+                seg[1] &= ~mem;
+            }
+        }
+    }
+    sched.consumed(last);
     return issued;
 }
 

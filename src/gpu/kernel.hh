@@ -59,7 +59,8 @@ struct BasicBlock
     std::vector<Instruction> instrs;
 };
 
-/** Per-thread evaluation context handed to generators. */
+/** Per-thread evaluation context handed to generators. Its
+ *  block-entry counts live with the core (bindVisits()). */
 class ThreadCtx
 {
   public:
@@ -81,9 +82,6 @@ class ThreadCtx
     int laneId = 0;
     int warpInBlock = 0;
 
-    /** Times each basic block has been entered by this thread. */
-    std::vector<std::uint32_t> blockVisits;
-
     /** Private deterministic random stream. */
     Rng rng;
 
@@ -99,13 +97,30 @@ class ThreadCtx
     };
     std::array<Sticky, 8> sticky{};
 
+    /** Read basic block b's entry count at row[b * stride], for b
+     *  below @p blocks; an unbound context reads 0 everywhere. */
+    void
+    bindVisits(const std::uint32_t *row, unsigned stride, unsigned blocks)
+    {
+        visitRow_ = row;
+        visitStride_ = stride;
+        visitBlocks_ = blocks;
+    }
+
+    /** Times this thread has entered basic block @p block. */
     std::uint32_t
     visits(int block) const
     {
-        return block < static_cast<int>(blockVisits.size())
-                   ? blockVisits[static_cast<std::size_t>(block)]
+        const auto b = static_cast<unsigned>(block);
+        return b < visitBlocks_
+                   ? visitRow_[std::size_t(b) * visitStride_]
                    : 0;
     }
+
+  private:
+    const std::uint32_t *visitRow_ = nullptr;
+    unsigned visitStride_ = 0;
+    unsigned visitBlocks_ = 0;
 };
 
 class KernelProgram

@@ -113,11 +113,14 @@ SimtCore::launchBlock(unsigned global_block_id)
     blk.warpIds.clear();
 
     const unsigned tpb = launch_.threadsPerBlock;
+    const unsigned num_blocks =
+        static_cast<unsigned>(launch_.program->numBlocks());
+    blk.visits.assign(std::size_t(num_blocks) * tpb, 0);
     for (unsigned t = 0; t < tpb; ++t) {
         ThreadCtx ctx(static_cast<int>(global_block_id * tpb + t),
                       static_cast<int>(global_block_id),
                       static_cast<int>(t), kWarpWidth, launch_.seed);
-        ctx.blockVisits.assign(launch_.program->numBlocks(), 0);
+        ctx.bindVisits(blk.visits.data() + t, tpb, num_blocks);
         blk.threads.push_back(std::move(ctx));
     }
 
@@ -137,8 +140,8 @@ SimtCore::launchBlock(unsigned global_block_id)
                 static_cast<int>(assigned * kWarpWidth + lane);
         }
         w.stack.reset(0, full);
-        w.next.reset();
         due_ |= std::uint64_t(1) << wid;
+        classify(static_cast<int>(wid));
         blk.warpIds.push_back(static_cast<int>(wid));
         ++assigned;
         ++liveWarps_;
@@ -146,21 +149,25 @@ SimtCore::launchBlock(unsigned global_block_id)
     GPUMMU_ASSERT(assigned == warpsPerBlock());
 }
 
-const Instruction *
-SimtCore::nextInstr(Warp &w)
+void
+SimtCore::classify(int wid)
 {
-    if (w.next)
-        return *w.next;
+    Warp &w = warps_[static_cast<std::size_t>(wid)];
     w.stack.reconverge();
-    if (w.stack.empty()) {
-        w.next = nullptr;
-    } else {
+    w.next = nullptr;
+    if (!w.stack.empty()) {
         const auto &top = w.stack.top();
         const auto &bb = launch_.program->block(top.block);
         GPUMMU_ASSERT(top.instIdx < static_cast<int>(bb.instrs.size()));
         w.next = &bb.instrs[static_cast<std::size_t>(top.instIdx)];
     }
-    return *w.next;
+    const std::uint64_t bit = std::uint64_t(1) << wid;
+    noNext_ &= ~bit;
+    memNext_ &= ~bit;
+    if (w.next == nullptr)
+        noNext_ |= bit;
+    else if (w.next->op == Opcode::Load || w.next->op == Opcode::Store)
+        memNext_ |= bit;
 }
 
 void
@@ -170,12 +177,12 @@ SimtCore::noteBlockEntry(Warp &w)
     if (top.instIdx != 0 || top.entered)
         return;
     top.entered = true;
-    for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-        if (top.mask & (LaneMask(1) << lane)) {
-            auto &ctx = threadAt(w, lane);
-            ++ctx.blockVisits[static_cast<std::size_t>(top.block)];
-        }
-    }
+    auto &blk = blocks_[static_cast<std::size_t>(w.blockSlot)];
+    std::uint32_t *row =
+        blk.visits.data() +
+        static_cast<std::size_t>(top.block) * launch_.threadsPerBlock;
+    for (LaneMask m = top.mask; m != 0; m &= m - 1)
+        ++row[w.laneThread[static_cast<std::size_t>(std::countr_zero(m))]];
 }
 
 void
@@ -216,7 +223,9 @@ SimtCore::executeExit(int wid, Warp &w)
     GPUMMU_ASSERT(blk.threadsLive >= exiting);
     blk.threadsLive -= exiting;
     w.stack.clearLanes(mask);
-    if (nextInstr(w) == nullptr)
+    // Lanes left behind keep the warp due on its next instruction.
+    classify(wid);
+    if (w.next == nullptr)
         retireWarp(wid, w);
     if (blk.threadsLive == 0) {
         blocksCompleted_.inc();
@@ -240,10 +249,8 @@ void
 SimtCore::issueWarp(int wid, Cycle now)
 {
     Warp &w = warps_[static_cast<std::size_t>(wid)];
-    const Instruction *in = nextInstr(w);
+    const Instruction *in = w.next;
     GPUMMU_ASSERT(in != nullptr);
-    // Every case below may move the PC; a bounce merely recomputes.
-    w.next.reset();
     noteBlockEntry(w);
     // ALU latency and branch pipelining are execution, not stalls.
     w.stallReason = StallReason::None;
@@ -265,8 +272,7 @@ SimtCore::issueWarp(int wid, Cycle now)
         return;
 
       case Opcode::Exit:
-        // Lanes left behind keep the warp due; a finished warp
-        // retires out of due_.
+        // A finished warp retires out of due_.
         instrs_.inc();
         executeExit(wid, w);
         return;
@@ -379,6 +385,7 @@ SimtCore::promoteTimed(Cycle now)
     for (std::uint64_t m = promoted; m != 0; m &= m - 1) {
         const int wid = std::countr_zero(m);
         chargeWait(wid, warps_[static_cast<std::size_t>(wid)], now);
+        classify(wid);
     }
 }
 
@@ -396,74 +403,46 @@ SimtCore::tick(Cycle now)
     sched_->tick(now);
     if (now >= nextWake_)
         promoteTimed(now);
-    bool retired = false;
 
-    // Collect issueable warps among the due ones, in slot order.
-    // Memory warps are filtered by the blocking policy and the
-    // scheduler's throttle. Waiting and timed warps are charged as
-    // intervals (chargeWait); the blocking TLB's gate is the one
-    // stall charged per cycle. ALU latency and the scheduler's own
-    // throttle stay unattributed, which keeps per-warp totals below
-    // the run's cycle count.
-    const bool mem_available = mmu_.memAvailable();
-    std::vector<int> &issuable = issuableScratch_;
-    issuable.clear();
-    tlbGated_ = 0;
-    bool any_ready_mem_blocked = false;
-    for (std::uint64_t m = due_; m != 0; m &= m - 1) {
-        const int iw = std::countr_zero(m);
-        Warp &w = warps_[static_cast<std::size_t>(iw)];
-        const Instruction *in = nextInstr(w);
-        if (in == nullptr) {
-            retireWarp(iw, w);
-            retired = true;
-            continue;
-        }
-        const bool is_mem =
-            in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem) {
-            if (!mem_available) {
-                // The blocking TLB's gate: walks are outstanding.
-                any_ready_mem_blocked = true;
-                stalls_.attribute(iw, StallReason::TlbMiss);
-                tlbGated_ |= std::uint64_t(1) << iw;
-                continue;
-            }
-            if (!sched_->mayIssueMem(iw)) {
-                any_ready_mem_blocked = true;
-                continue;
-            }
-        }
-        issuable.push_back(iw);
-    }
+    // The due warps with no instruction left retire. Due memory warps
+    // wait at the blocking TLB's gate or the scheduler's throttle.
+    // Waiting and timed warps are charged as intervals (chargeWait);
+    // the blocking TLB's gate is the one stall charged per cycle. ALU
+    // latency and the scheduler's own throttle stay unattributed,
+    // which keeps per-warp totals below the run's cycle count.
+    const std::uint64_t done = due_ & noNext_;
+    const std::uint64_t mem = due_ & memNext_;
+    tlbGated_ = mem != 0 && !mmu_.memAvailable() ? mem : 0;
+    for (std::uint64_t m = tlbGated_; m != 0; m &= m - 1)
+        stalls_.attribute(std::countr_zero(m), StallReason::TlbMiss);
+    auto retire = [this](int wid) {
+        retireWarp(wid, warps_[static_cast<std::size_t>(wid)]);
+    };
+    const std::uint64_t held =
+        mem & ~retireAndGate(*sched_, done, mem & ~tlbGated_, retire);
+    const bool retired = done != 0;
+    const std::uint64_t ready = due_ & ~held;
 
-    const unsigned issued = issuePass(
-        *sched_, issuable, cfg_.issueWidth,
-        [this](int wid) {
-            return nextInstr(warps_[static_cast<std::size_t>(wid)]);
-        },
-        [this, &retired](int wid) {
-            retireWarp(wid, warps_[static_cast<std::size_t>(wid)]);
-            retired = true;
-        },
-        [this, now](int wid) { issueWarp(wid, now); });
+    const unsigned issued =
+        issuePass(*sched_, ready, mem, cfg_.issueWidth,
+                  [this, now](int wid) { issueWarp(wid, now); });
 
     if (issued == 0 && liveWarps_ > 0) {
         idleCycles_.inc();
         chargeTlbIdle_ = mmu_.missOutstanding();
         if (chargeTlbIdle_)
             tlbIdleCycles_.inc();
-        chargeMemBlocked_ = any_ready_mem_blocked;
-        if (any_ready_mem_blocked)
+        chargeMemBlocked_ = held != 0;
+        if (chargeMemBlocked_)
             memBlockedCycles_.inc();
     }
 
     // A quiescent tick only charged attribution: nothing issued or
-    // retired and the scan produced no issuable warp, so the scheduler
-    // was never consulted. With a pure scheduler, every following tick
+    // retired and no warp was ready, so the scheduler was never
+    // consulted. With a pure scheduler, every following tick
     // charges the same cells until nextWake_ arrives or a block is
     // launched - so the core may sleep.
-    quiescent_ = issued == 0 && !retired && issuable.empty() &&
+    quiescent_ = issued == 0 && !retired && ready == 0 &&
                  sched_->tickIsPure();
     // A tick that issued and left no warp due sleeps at once when the
     // next tick would be idle: it takes over that idle tick's charges

@@ -8,7 +8,7 @@
  * per-core MMU (TLB + PTWs) beside the 32KB L1.
  *
  * Thread block compaction uses a different core (TbcCore) that shares
- * the MemoryStage and the issue pass (gpu/issue.hh).
+ * the MemoryStage.
  */
 
 #ifndef GPU_SIMT_CORE_HH
@@ -16,7 +16,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,13 +130,12 @@ class SimtCore : public ShaderCore
         std::array<int, kWarpWidth> laneThread{};
         SimtStack stack;
         /**
-         * nextInstr()'s answer (nullptr: no instruction left), so the
-         * per-cycle scan and the issue pass reconverge the stack and
-         * look the instruction up once per PC. It points into the
-         * program's instruction vectors. Cleared only where the PC can
-         * move: on entry to issueWarp() and in launchBlock().
+         * The instruction the warp issues next (nullptr: none left),
+         * set by classify() as the warp becomes due, so the stack
+         * reconverges and the instruction is looked up once per PC.
+         * It points into the program's instruction vectors.
          */
-        std::optional<const Instruction *> next;
+        const Instruction *next = nullptr;
         /**
          * Lane addresses generated for the current memory
          * instruction, kept across hit-under-miss bounces so the
@@ -159,11 +157,14 @@ class SimtCore : public ShaderCore
         unsigned threadsLive = 0;
         std::vector<ThreadCtx> threads;
         std::vector<int> warpIds;
+        /** Block-entry counts of basic block b for thread t at
+         *  [b * threadsPerBlock + t]; each ThreadCtx reads a column. */
+        std::vector<std::uint32_t> visits;
     };
 
-    /** The instruction the warp would execute next, or nullptr;
-     *  cached in Warp::next. */
-    const Instruction *nextInstr(Warp &w);
+    /** Warp @p wid becomes due: set Warp::next and its memNext_ and
+     *  noNext_ bits. */
+    void classify(int wid);
 
     /** Execute one instruction for warp @p wid. */
     void issueWarp(int wid, Cycle now);
@@ -207,9 +208,6 @@ class SimtCore : public ShaderCore
     std::vector<ResidentBlock> blocks_;
     unsigned liveWarps_ = 0;
     WarpStallAccounting stalls_;
-    /** tick() scratch: issuable-warp ids. Member so the per-cycle
-     *  path does not allocate (tick dominates the profile). */
-    std::vector<int> issuableScratch_;
 
     /**
      * Warp readiness as masks over warp slots (so at most 64). A
@@ -218,8 +216,11 @@ class SimtCore : public ShaderCore
      * timed_. readyAt_ is one array per core, indexed by warp slot
      * and valid for timed warps, so promoteTimed() reads contiguous
      * cycles and touches a Warp only to charge one it promotes. A
-     * completion callback moves a waiting warp into timed_. tick()
-     * visits only due warps and scans timed_ once nextWake_ arrives.
+     * completion callback moves a waiting warp into timed_. classify()
+     * marks a warp as it becomes due: in memNext_ if its next
+     * instruction is a load or a store, in noNext_ if none is left.
+     * tick() visits only the warps it retires or issues and scans
+     * timed_ once nextWake_ arrives.
      * far_ holds the timed warps made ready more than kFarCycles
      * ahead (memory waits), and farWake_ their earliest readyAt_:
      * promoteTimed() scans them only once farWake_ arrives.
@@ -232,6 +233,8 @@ class SimtCore : public ShaderCore
      */
     static constexpr Cycle kFarCycles = 64;
     std::uint64_t due_ = 0;
+    std::uint64_t memNext_ = 0;
+    std::uint64_t noNext_ = 0;
     std::uint64_t timed_ = 0;
     std::uint64_t far_ = 0;
     std::array<Cycle, 64> readyAt_{};

@@ -35,13 +35,13 @@ decayScores(std::vector<std::uint64_t> &scores, Cycle &last, Cycle now,
 bool
 computeAllowed(const std::vector<std::uint64_t> &scores,
                std::uint64_t cutoff, unsigned min_allowed,
-               std::vector<bool> &allowed)
+               std::uint64_t &allowed)
 {
     const std::uint64_t total =
         std::accumulate(scores.begin(), scores.end(),
                         std::uint64_t{0});
     if (total <= cutoff) {
-        std::fill(allowed.begin(), allowed.end(), true);
+        allowed = ~std::uint64_t(0);
         return false;
     }
     std::vector<int> order(scores.size());
@@ -50,13 +50,13 @@ computeAllowed(const std::vector<std::uint64_t> &scores,
         return scores[static_cast<std::size_t>(a)] >
                scores[static_cast<std::size_t>(b)];
     });
-    std::fill(allowed.begin(), allowed.end(), false);
+    allowed = 0;
     std::uint64_t acc = 0;
     unsigned count = 0;
     for (int w : order) {
         acc += scores[static_cast<std::size_t>(w)];
         if (count < min_allowed || acc <= cutoff) {
-            allowed[static_cast<std::size_t>(w)] = true;
+            allowed |= std::uint64_t(1) << w;
             ++count;
         }
         if (acc > cutoff && count >= min_allowed)
@@ -70,20 +70,13 @@ computeAllowed(const std::vector<std::uint64_t> &scores,
 // --------------------------------------------------------- VtaThrottle
 
 VtaThrottle::VtaThrottle(const ThrottleConfig &cfg, unsigned num_warps)
-    : cfg_(cfg), rr_(num_warps), scores_(num_warps, 0),
-      allowed_(num_warps, true)
+    : cfg_(cfg), rr_(num_warps), scores_(num_warps, 0)
 {
     vtas_.reserve(num_warps);
     for (unsigned i = 0; i < num_warps; ++i) {
         vtas_.push_back(std::make_unique<SetAssocArray<char>>(
             cfg.vtaEntriesPerWarp, cfg.vtaWays));
     }
-}
-
-bool
-VtaThrottle::mayIssueMem(int warp_id)
-{
-    return allowed_[static_cast<std::size_t>(warp_id)];
 }
 
 bool

@@ -81,17 +81,17 @@ struct TcwsConfig : ThrottleConfig
 };
 
 /**
- * Lost-locality throttle over @p num_warps warp slots: when the total
- * score passes the cutoff, only the highest scorers may issue memory
- * instructions. Subclasses score VTA hits (lostLocality) and feed
- * victims (recordVictim) from their own hooks.
+ * Lost-locality throttle over @p num_warps warp slots (at most 64):
+ * when the total score passes the cutoff, only the highest scorers may
+ * issue memory instructions. Subclasses score VTA hits (lostLocality)
+ * and feed victims (recordVictim) from their own hooks.
  */
 class VtaThrottle : public WarpScheduler
 {
   public:
-    void order(std::vector<int> &ready) override { rr_.order(ready); }
+    WarpOrder order(std::uint64_t ready) override { return rr_.order(ready); }
     void consumed(int warp_id) override { rr_.consumed(warp_id); }
-    bool mayIssueMem(int warp_id) override;
+    std::uint64_t memGate() const override { return allowed_; }
     void onWarpReset(int warp_id) override;
     void tick(Cycle now) override;
     /** Stateful tick (decay, throttle updates, per-cycle stats). */
@@ -119,7 +119,7 @@ class VtaThrottle : public WarpScheduler
     LooseRoundRobin rr_;
     std::vector<std::unique_ptr<SetAssocArray<char>>> vtas_;
     std::vector<std::uint64_t> scores_;
-    std::vector<bool> allowed_;
+    std::uint64_t allowed_ = ~std::uint64_t(0); ///< memGate()
     Cycle lastDecay_ = 0;
     Cycle lastUpdate_ = 0;
     bool throttling_ = false;

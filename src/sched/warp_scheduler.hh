@@ -2,23 +2,24 @@
  * @file
  * Warp scheduler interface.
  *
- * Once per tick the core collects the warps that may issue, in
- * ascending id order, and the scheduler puts them in issue order in
- * place (order()). The core's issue pass (gpu/issue.hh) walks that
- * order until the issue width is spent, then reports the last warp it
- * reached (consumed()). The scheduler also gates memory issue
- * (CCWS-family schedulers throttle which warps may touch the memory
- * system). The core feeds back cache, victim-tag and TLB events
- * through the notification hooks; each scheduler uses the subset it
- * cares about.
+ * Once per tick the core hands the scheduler the warps that may issue
+ * as a mask over warp slots, and the scheduler returns them in issue
+ * order (order()), as two masks walked one after the other. The
+ * core's issue pass (gpu/issue.hh) walks that order until the issue
+ * width is spent, then reports the last warp a walk of the whole
+ * order would have reached (consumed()). The scheduler also gates
+ * memory issue with a mask (memGate(): CCWS-family schedulers
+ * throttle which warps may touch the memory system). The core feeds
+ * back cache, victim-tag and TLB events through the notification
+ * hooks; each scheduler uses the subset it cares about. Masks hold 64
+ * slots, which bounds the warp slots of a core.
  */
 
 #ifndef SCHED_WARP_SCHEDULER_HH
 #define SCHED_WARP_SCHEDULER_HH
 
-#include <algorithm>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -26,31 +27,33 @@
 
 namespace gpummu {
 
+/** An issue order over warp slots: the set bits of @c first in
+ *  ascending order, then those of @c then. */
+struct WarpOrder
+{
+    std::uint64_t first = 0;
+    std::uint64_t then = 0;
+};
+
 class WarpScheduler
 {
   public:
     virtual ~WarpScheduler() = default;
 
-    /**
-     * Put @p ready, the ids of the warps that may issue this cycle
-     * (ascending, never empty), in issue order.
-     */
-    virtual void order(std::vector<int> &ready) = 0;
+    /** The warps of @p ready, those that may issue this cycle (a
+     *  non-empty mask over warp slots), in issue order. */
+    virtual WarpOrder order(std::uint64_t ready) = 0;
 
     /** The issue pass stopped at @p warp_id: the last warp of the
      *  order it reached, issued or skipped. */
     virtual void consumed(int warp_id) = 0;
 
     /**
-     * May this warp issue a *memory* instruction now? CCWS-family
-     * schedulers return false for de-prioritized warps; compute
-     * instructions are never gated.
+     * The warps that may issue a *memory* instruction now, as a mask.
+     * CCWS-family schedulers clear the bits of de-prioritized warps;
+     * compute instructions are never gated.
      */
-    virtual bool mayIssueMem(int warp_id)
-    {
-        (void)warp_id;
-        return true;
-    }
+    virtual std::uint64_t memGate() const { return ~std::uint64_t(0); }
 
     /** An L1 access by @p warp_id missed. @p tlb_missed: the same
      *  instruction also suffered at least one TLB miss. */
@@ -107,7 +110,7 @@ class WarpScheduler
 
     /**
      * Does this scheduler observe cycles? Pure schedulers promise
-     * that tick() is a no-op and mayIssueMem() is a pure query, so
+     * that tick() is a no-op and memGate() is constant, so
      * the core may sleep through cycles in which nothing can issue
      * without calling them. CCWS-family schedulers (score decay,
      * periodic throttle recomputation, per-cycle throttle stats)
@@ -129,25 +132,23 @@ class WarpScheduler
 class LooseRoundRobin : public WarpScheduler
 {
   public:
-    /** Schedules warp ids below @p num_warps. */
+    /** Schedules warp ids below @p num_warps (at most 64). */
     explicit LooseRoundRobin(unsigned num_warps)
-        : numWarps_(static_cast<int>(num_warps))
     {
+        GPUMMU_ASSERT(num_warps <= 64);
     }
 
-    void
-    order(std::vector<int> &ready) override
+    WarpOrder
+    order(std::uint64_t ready) override
     {
-        GPUMMU_ASSERT(ready.back() < numWarps_);
-        std::rotate(ready.begin(),
-                    std::upper_bound(ready.begin(), ready.end(), last_),
-                    ready.end());
+        const std::uint64_t above =
+            last_ == 63 ? 0 : ~std::uint64_t(0) << (last_ + 1);
+        return {ready & above, ready & ~above};
     }
 
     void consumed(int warp_id) override { last_ = warp_id; }
 
   private:
-    int numWarps_;
     int last_ = 0;
 };
 
@@ -159,13 +160,13 @@ class LooseRoundRobin : public WarpScheduler
 class GreedyThenOldest : public WarpScheduler
 {
   public:
-    void
-    order(std::vector<int> &ready) override
+    WarpOrder
+    order(std::uint64_t ready) override
     {
         // The greedy warp first, the rest oldest (lowest id) first.
-        auto it = std::lower_bound(ready.begin(), ready.end(), greedy_);
-        if (it != ready.end() && *it == greedy_)
-            std::rotate(ready.begin(), it, it + 1);
+        const std::uint64_t greedy =
+            greedy_ < 0 ? 0 : ready & (std::uint64_t(1) << greedy_);
+        return {greedy, ready & ~greedy};
     }
 
     void consumed(int warp_id) override { greedy_ = warp_id; }

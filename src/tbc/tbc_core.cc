@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "gpu/issue.hh"
 #include "trace/trace.hh"
 
 namespace gpummu {
@@ -13,7 +12,7 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
     : coreId_(core_id), cfg_(cfg), tbcCfg_(tbc), launch_(launch),
       eq_(eq), l1_(cfg.l1, mem), mmu_(cfg.mmu, as, mem, eq),
       memStage_(mmu_, l1_, eq), cpm_(tbc.cpm, cfg.numWarpSlots),
-      sched_(cfg.numWarpSlots * kSchedStride), warpOccupancy_(1, 33)
+      warpOccupancy_(1, 33)
 {
     GPUMMU_ASSERT(launch.program != nullptr);
     GPUMMU_ASSERT(launch.threadsPerBlock % kWarpWidth == 0);
@@ -102,11 +101,14 @@ TbcCore::launchBlock(unsigned global_block_id)
     blk.threads.clear();
     blk.threads.reserve(launch_.threadsPerBlock);
     const unsigned tpb = launch_.threadsPerBlock;
+    const unsigned num_blocks =
+        static_cast<unsigned>(launch_.program->numBlocks());
+    blk.visits.assign(std::size_t(num_blocks) * tpb, 0);
     for (unsigned t = 0; t < tpb; ++t) {
         ThreadCtx ctx(static_cast<int>(global_block_id * tpb + t),
                       static_cast<int>(global_block_id),
                       static_cast<int>(t), kWarpWidth, launch_.seed);
-        ctx.blockVisits.assign(launch_.program->numBlocks(), 0);
+        ctx.bindVisits(blk.visits.data() + t, tpb, num_blocks);
         blk.threads.push_back(std::move(ctx));
     }
 
@@ -177,11 +179,12 @@ TbcCore::activateTop(TbcBlock &blk, Cycle now)
     blk.exitAcc.reset();
 
     // Block-entry bookkeeping: bump visit counters once per thread.
+    std::uint32_t *row =
+        blk.visits.data() +
+        static_cast<std::size_t>(top.block) * launch_.threadsPerBlock;
     for (unsigned t = 0; t < launch_.threadsPerBlock; ++t) {
-        if (top.mask.test(t)) {
-            ++blk.threads[t].blockVisits[static_cast<std::size_t>(
-                top.block)];
-        }
+        if (top.mask.test(t))
+            ++row[t];
     }
 }
 
@@ -353,7 +356,6 @@ TbcCore::tick(Cycle now)
     const bool mem_available = mmu_.memAvailable();
 
     // Encode (block slot, warp index) into one scheduler id.
-    constexpr int kStride = kSchedStride;
     std::vector<int> &issuable = issuableScratch_;
     issuable.clear();
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
@@ -391,32 +393,51 @@ TbcCore::tick(Cycle now)
                 stalls_.attribute(slot, StallReason::TlbMiss);
                 continue;
             }
-            issuable.push_back(static_cast<int>(b) * kStride +
+            issuable.push_back(static_cast<int>(b) * kSchedStride +
                                static_cast<int>(i));
         }
     }
 
-    // Loose round robin over encoded ids approximates the paper's
-    // age-based dynamic warp issue. A dynamic warp ends at its
-    // terminator, so none is ever out of instructions here.
-    const unsigned issued = issuePass(
-        sched_, issuable, cfg_.issueWidth,
-        [this](int id) {
-            const TbcBlock &blk =
-                blocks_[static_cast<std::size_t>(id / kStride)];
-            return currentInstr(
-                blk, blk.warps[static_cast<std::size_t>(id % kStride)]);
-        },
-        [](int) {},
-        [this, now](int id) {
-            issueWarp(id / kStride, id % kStride, now);
-        });
+    const unsigned issued = issueInOrder(issuable, now);
 
     if (issued == 0 && liveBlocks_ > 0) {
         idleCycles_.inc();
         if (mmu_.missOutstanding())
             tlbIdleCycles_.inc();
     }
+}
+
+unsigned
+TbcCore::issueInOrder(std::vector<int> &ready, Cycle now)
+{
+    if (ready.empty())
+        return 0;
+    // Loose round robin over encoded ids approximates the paper's
+    // age-based dynamic warp issue. A dynamic warp ends at its
+    // terminator, so none is ever out of instructions here.
+    std::rotate(ready.begin(),
+                std::upper_bound(ready.begin(), ready.end(), lastReached_),
+                ready.end());
+    unsigned issued = 0;
+    bool mem_issued = false;
+    std::size_t n = 0;
+    while (n < ready.size() && issued < cfg_.issueWidth) {
+        const int id = ready[n++];
+        const int b = id / kSchedStride;
+        const int i = id % kSchedStride;
+        const TbcBlock &blk = blocks_[static_cast<std::size_t>(b)];
+        const Instruction *in =
+            currentInstr(blk, blk.warps[static_cast<std::size_t>(i)]);
+        const bool is_mem =
+            in->op == Opcode::Load || in->op == Opcode::Store;
+        if (is_mem && mem_issued)
+            continue;
+        issueWarp(b, i, now);
+        mem_issued = mem_issued || is_mem;
+        ++issued;
+    }
+    lastReached_ = ready[n - 1];
+    return issued;
 }
 
 void

@@ -20,7 +20,6 @@
 #include "gpu/memory_stage.hh"
 #include "gpu/shader_core.hh"
 #include "gpu/simt_core.hh"
-#include "sched/warp_scheduler.hh"
 #include "tbc/block_stack.hh"
 #include "tbc/cpm.hh"
 
@@ -118,6 +117,8 @@ class TbcCore : public ShaderCore
         unsigned threadsLive = 0;
         int warpBase = 0; ///< core-level id of static warp 0
         std::vector<ThreadCtx> threads;
+        /** Block-entry counts, basic block major (see SimtCore). */
+        std::vector<std::uint32_t> visits;
         BlockStack stack;
         std::vector<DynWarp> warps;
         unsigned warpsDone = 0;
@@ -133,6 +134,10 @@ class TbcCore : public ShaderCore
     void resolveEntry(int blk_slot, Cycle now);
 
     void issueWarp(int blk_slot, int warp_idx, Cycle now);
+
+    /** Issue from @p ready (ascending encoded ids) in loose round
+     *  robin order; returns the number issued. */
+    unsigned issueInOrder(std::vector<int> &ready, Cycle now);
 
     ThreadCtx &
     threadOf(TbcBlock &blk, int tid)
@@ -161,8 +166,8 @@ class TbcCore : public ShaderCore
     Mmu mmu_;
     MemoryStage memStage_;
     CommonPageMatrix cpm_;
-    /** Issue order over encoded (block slot, warp index) ids. */
-    LooseRoundRobin sched_;
+    /** The encoded id the last issue pass reached, issued or not. */
+    int lastReached_ = 0;
 
     std::vector<TbcBlock> blocks_;
     unsigned liveBlocks_ = 0;

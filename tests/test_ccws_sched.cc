@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the warp schedulers: the CCWS / TA-CCWS / TCWS
  * throttle (victim tag arrays, lost-locality scoring, throttling
- * dynamics, decay and warp-reset behaviour) and the issue order each
- * scheduler produces, checked against the per-slot picks it replaced.
+ * dynamics, decay and warp-reset behaviour), the issue order each
+ * scheduler produces, and the core's mask issue step checked against
+ * the list pass it replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <ostream>
 #include <random>
 
 #include "core/experiment.hh"
@@ -23,6 +26,13 @@ using namespace gpummu;
 namespace {
 
 constexpr unsigned kWarps = 8;
+
+/** May @p warp issue a memory instruction under @p sched's gate? */
+bool
+mayIssueMem(const WarpScheduler &sched, int warp)
+{
+    return (sched.memGate() >> warp & 1) != 0;
+}
 
 CcwsConfig
 smallCcws()
@@ -54,7 +64,7 @@ TEST(Ccws, NoThrottlingWithoutLostLocality)
     Ccws ccws(smallCcws(), kWarps);
     ccws.tick(0);
     for (int w = 0; w < 8; ++w)
-        EXPECT_TRUE(ccws.mayIssueMem(w));
+        EXPECT_TRUE(mayIssueMem(ccws, w));
 }
 
 TEST(Ccws, MissWithoutPriorEvictionDoesNotScore)
@@ -97,12 +107,12 @@ TEST(Ccws, ThrottlingKeepsHighScorersEligible)
         lostLocalityEvent(ccws, 1, 200 + i);
     }
     ccws.tick(1);
-    EXPECT_TRUE(ccws.mayIssueMem(0));
-    EXPECT_TRUE(ccws.mayIssueMem(1));
+    EXPECT_TRUE(mayIssueMem(ccws, 0));
+    EXPECT_TRUE(mayIssueMem(ccws, 1));
     // At least one cold warp must now be blocked.
     int blocked = 0;
     for (int w = 2; w < 8; ++w)
-        blocked += !ccws.mayIssueMem(w);
+        blocked += !mayIssueMem(ccws, w);
     EXPECT_GT(blocked, 0);
 }
 
@@ -116,7 +126,7 @@ TEST(Ccws, MinAllowedPoolIsGuaranteed)
     ccws.tick(1);
     int allowed = 0;
     for (int w = 0; w < 8; ++w)
-        allowed += ccws.mayIssueMem(w);
+        allowed += mayIssueMem(ccws, w);
     EXPECT_GE(allowed, 2);
     EXPECT_LT(allowed, 8);
 }
@@ -144,12 +154,12 @@ TEST(Ccws, ThrottleReleasesAfterDecay)
     ccws.tick(1);
     int blocked = 0;
     for (int w = 0; w < 8; ++w)
-        blocked += !ccws.mayIssueMem(w);
+        blocked += !mayIssueMem(ccws, w);
     ASSERT_GT(blocked, 0);
     // Several half-lives later the total falls under the cutoff.
     ccws.tick(10 * cfg.halfLife);
     for (int w = 0; w < 8; ++w)
-        EXPECT_TRUE(ccws.mayIssueMem(w));
+        EXPECT_TRUE(mayIssueMem(ccws, w));
 }
 
 TEST(Ccws, WarpResetDropsScoreAndVta)
@@ -242,11 +252,11 @@ TEST(Tcws, ThrottlesLikeCcws)
         tcws.onTlbMiss(1, 200 + i);
     }
     tcws.tick(1);
-    EXPECT_TRUE(tcws.mayIssueMem(0));
-    EXPECT_TRUE(tcws.mayIssueMem(1));
+    EXPECT_TRUE(mayIssueMem(tcws, 0));
+    EXPECT_TRUE(mayIssueMem(tcws, 1));
     int blocked = 0;
     for (int w = 2; w < 8; ++w)
-        blocked += !tcws.mayIssueMem(w);
+        blocked += !mayIssueMem(tcws, w);
     EXPECT_GT(blocked, 0);
 }
 
@@ -286,18 +296,37 @@ TEST(Tcws, WarpResetClearsState)
 
 namespace {
 
+std::uint64_t
+maskOf(std::initializer_list<int> ids)
+{
+    std::uint64_t m = 0;
+    for (int id : ids)
+        m |= std::uint64_t(1) << id;
+    return m;
+}
+
+/** The warp ids of @p order in issue order. */
+std::vector<int>
+walk(const WarpOrder &order)
+{
+    std::vector<int> ids;
+    for (std::uint64_t seg : {order.first, order.then}) {
+        for (; seg != 0; seg &= seg - 1)
+            ids.push_back(std::countr_zero(seg));
+    }
+    return ids;
+}
+
 /** Drive @p sched through @p ticks width-1 issue passes over @p ready
  *  and return the warps issued. */
 std::vector<int>
-issueOneEach(WarpScheduler &sched, const std::vector<int> &ready,
-             int ticks)
+issueOneEach(WarpScheduler &sched, std::uint64_t ready, int ticks)
 {
     std::vector<int> issued;
     for (int t = 0; t < ticks; ++t) {
-        std::vector<int> order = ready;
-        sched.order(order);
-        issued.push_back(order.front());
-        sched.consumed(order.front());
+        const int first = walk(sched.order(ready)).front();
+        issued.push_back(first);
+        sched.consumed(first);
     }
     return issued;
 }
@@ -308,39 +337,32 @@ TEST(Schedulers, RoundRobinCyclesFairly)
 {
     LooseRoundRobin rr(4);
     // Loose round robin starts after slot 0 (the reset value).
-    EXPECT_EQ(issueOneEach(rr, {0, 1, 2, 3}, 8),
+    EXPECT_EQ(issueOneEach(rr, maskOf({0, 1, 2, 3}), 8),
               (std::vector<int>{1, 2, 3, 0, 1, 2, 3, 0}));
 }
 
 TEST(Schedulers, RoundRobinOrderStartsAfterLastConsumed)
 {
     LooseRoundRobin rr(8);
-    std::vector<int> ready = {0, 2, 3, 5, 7};
-    rr.order(ready);
-    EXPECT_EQ(ready, (std::vector<int>{2, 3, 5, 7, 0}));
+    const std::uint64_t ready = maskOf({0, 2, 3, 5, 7});
+    EXPECT_EQ(walk(rr.order(ready)), (std::vector<int>{2, 3, 5, 7, 0}));
     rr.consumed(3); // the pass reached 3, issued or skipped
-    ready = {0, 2, 3, 5, 7};
-    rr.order(ready);
-    EXPECT_EQ(ready, (std::vector<int>{5, 7, 0, 2, 3}));
+    EXPECT_EQ(walk(rr.order(ready)), (std::vector<int>{5, 7, 0, 2, 3}));
     rr.consumed(7);
-    ready = {1, 6};
-    rr.order(ready);
-    EXPECT_EQ(ready, (std::vector<int>{1, 6})); // wraps past 7
+    EXPECT_EQ(walk(rr.order(maskOf({1, 6}))),
+              (std::vector<int>{1, 6})); // wraps past 7
 }
 
 TEST(Schedulers, GreedyThenOldestPutsGreedyWarpFirst)
 {
     GreedyThenOldest gto;
-    std::vector<int> ready = {2, 5, 7};
-    gto.order(ready);
-    EXPECT_EQ(ready, (std::vector<int>{2, 5, 7})); // oldest first
+    EXPECT_EQ(walk(gto.order(maskOf({2, 5, 7}))),
+              (std::vector<int>{2, 5, 7})); // oldest first
     gto.consumed(5);
-    ready = {1, 2, 5, 7};
-    gto.order(ready);
-    EXPECT_EQ(ready, (std::vector<int>{5, 1, 2, 7})); // greedy, then oldest
-    ready = {1, 7};
-    gto.order(ready);
-    EXPECT_EQ(ready, (std::vector<int>{1, 7})); // greedy not ready
+    EXPECT_EQ(walk(gto.order(maskOf({1, 2, 5, 7}))),
+              (std::vector<int>{5, 1, 2, 7})); // greedy, then oldest
+    EXPECT_EQ(walk(gto.order(maskOf({1, 7}))),
+              (std::vector<int>{1, 7})); // greedy not ready
 }
 
 TEST(Schedulers, ThrottlesOrderLikeRoundRobin)
@@ -349,190 +371,287 @@ TEST(Schedulers, ThrottlesOrderLikeRoundRobin)
     Tcws tcws(smallTcws(), kWarps);
     for (WarpScheduler *s : {static_cast<WarpScheduler *>(&ccws),
                              static_cast<WarpScheduler *>(&tcws)}) {
-        std::vector<int> ready = {0, 1, 4, 6};
-        s->order(ready);
-        EXPECT_EQ(ready, (std::vector<int>{1, 4, 6, 0}));
+        const std::uint64_t ready = maskOf({0, 1, 4, 6});
+        EXPECT_EQ(walk(s->order(ready)), (std::vector<int>{1, 4, 6, 0}));
         s->consumed(4);
-        ready = {0, 1, 4, 6};
-        s->order(ready);
-        EXPECT_EQ(ready, (std::vector<int>{6, 0, 1, 4}));
+        EXPECT_EQ(walk(s->order(ready)), (std::vector<int>{6, 0, 1, 4}));
     }
 }
 
 namespace {
 
-/** The per-slot loose round robin pick the issue pass replaced. */
-struct PickLrr
+/** Loose round robin as it ordered an ascending ready list. */
+struct ListLrr
 {
-    unsigned numWarps;
-    unsigned last = 0;
+    int last = 0;
 
-    int
-    pick(const std::vector<int> &issuable)
+    void
+    order(std::vector<int> &ready) const
     {
-        int best = -1;
-        unsigned best_dist = numWarps + 1;
-        for (int w : issuable) {
-            const unsigned dist =
-                (static_cast<unsigned>(w) + numWarps - last - 1) %
-                numWarps;
-            if (dist < best_dist) {
-                best_dist = dist;
-                best = w;
-            }
-        }
-        last = static_cast<unsigned>(best);
-        return best;
+        std::rotate(ready.begin(),
+                    std::upper_bound(ready.begin(), ready.end(), last),
+                    ready.end());
     }
+
+    void consumed(int w) { last = w; }
 };
 
-/** The per-slot greedy-then-oldest pick the issue pass replaced. */
-struct PickGto
+/** Greedy-then-oldest as it ordered an ascending ready list. */
+struct ListGto
 {
     int greedy = -1;
 
-    int
-    pick(const std::vector<int> &issuable)
+    void
+    order(std::vector<int> &ready) const
     {
-        for (int w : issuable) {
-            if (w == greedy)
-                return w;
-        }
-        int best = issuable.front();
-        for (int w : issuable)
-            best = std::min(best, w);
-        greedy = best;
-        return best;
+        auto it = std::lower_bound(ready.begin(), ready.end(), greedy);
+        if (it != ready.end() && *it == greedy)
+            std::rotate(ready.begin(), it, it + 1);
     }
+
+    void consumed(int w) { greedy = w; }
 };
 
-enum class Kind
+/** The issue pass over an ordered ready list that the mask pass
+ *  replaced, as it was. */
+template <typename List, typename Next, typename Retire, typename Issue>
+unsigned
+listIssuePass(List &sched, std::vector<int> &ready, unsigned width,
+              Next &&next, Retire &&retire, Issue &&issue)
 {
-    Done, ///< no instruction left: retires
-    Alu,
-    Mem,
-};
+    if (ready.empty())
+        return 0;
+    sched.order(ready);
+    unsigned issued = 0;
+    bool mem_issued = false;
+    std::size_t n = 0;
+    while (n < ready.size() && issued < width) {
+        const int id = ready[n++];
+        const Instruction *in = next(id);
+        if (in == nullptr) {
+            retire(id);
+            continue;
+        }
+        const bool is_mem =
+            in->op == Opcode::Load || in->op == Opcode::Store;
+        if (is_mem && mem_issued)
+            continue;
+        issue(id);
+        mem_issued = mem_issued || is_mem;
+        ++issued;
+    }
+    sched.consumed(ready[n - 1]);
+    return issued;
+}
 
 struct PassResult
 {
     std::vector<int> issued;
     std::vector<int> retired;
+    std::uint64_t held = 0; ///< memory warps the gate kept back
     bool operator==(const PassResult &) const = default;
 };
 
-/** The issue loop as it was: one pick and one erase per slot. */
-template <typename Pick>
-PassResult
-perSlotPass(Pick &ref, std::vector<int> ready, unsigned width,
-            const std::vector<Kind> &kind)
+std::ostream &
+operator<<(std::ostream &os, const PassResult &r)
 {
-    PassResult r;
-    unsigned issued = 0;
-    bool mem_issued = false;
-    while (issued < width && !ready.empty()) {
-        const int w = ref.pick(ready);
-        ready.erase(std::remove(ready.begin(), ready.end(), w),
-                    ready.end());
-        const Kind k = kind[static_cast<std::size_t>(w)];
-        if (k == Kind::Done) {
-            r.retired.push_back(w);
-            continue;
-        }
-        if (k == Kind::Mem && mem_issued)
-            continue;
-        r.issued.push_back(w);
-        mem_issued = mem_issued || k == Kind::Mem;
-        ++issued;
-    }
-    return r;
+    os << "issued {";
+    for (int w : r.issued)
+        os << ' ' << w;
+    os << " } retired {";
+    for (int w : r.retired)
+        os << ' ' << w;
+    return os << " } held 0x" << std::hex << r.held << std::dec;
 }
 
+/**
+ * One core tick as it was: scan the due warps in slot order, retiring
+ * those in @p done (onWarpReset on @p gate) and holding the memory
+ * warps @p gate refuses, then the list pass ordered by @p list.
+ */
+template <typename List>
 PassResult
-orderedPass(WarpScheduler &sched, std::vector<int> ready,
-            unsigned width, const std::vector<Kind> &kind)
+listTick(List &list, WarpScheduler &gate, std::uint64_t due,
+         std::uint64_t done, std::uint64_t mem, unsigned width)
 {
     static const Instruction alu{Opcode::Alu};
     static const Instruction load{Opcode::Load};
     PassResult r;
-    issuePass(
-        sched, ready, width,
+    std::vector<int> ready;
+    for (std::uint64_t m = due; m != 0; m &= m - 1) {
+        const int w = std::countr_zero(m);
+        const std::uint64_t bit = std::uint64_t(1) << w;
+        if (done & bit) {
+            r.retired.push_back(w);
+            gate.onWarpReset(w);
+        } else if ((mem & bit) && !mayIssueMem(gate, w)) {
+            r.held |= bit;
+        } else {
+            ready.push_back(w);
+        }
+    }
+    listIssuePass(
+        list, ready, width,
         [&](int w) -> const Instruction * {
-            switch (kind[static_cast<std::size_t>(w)]) {
-              case Kind::Done: return nullptr;
-              case Kind::Alu: return &alu;
-              case Kind::Mem: return &load;
-            }
-            return nullptr;
+            const std::uint64_t bit = std::uint64_t(1) << w;
+            if (done & bit)
+                return nullptr;
+            return (mem & bit) ? &load : &alu;
         },
         [&](int w) { r.retired.push_back(w); },
         [&](int w) { r.issued.push_back(w); });
     return r;
 }
 
-/**
- * Random ticks (ready lists of 1-64 of 64 warp slots, widths 1-4,
- * random ALU/memory/finished mixes) from a random scheduler state:
- * the ordered pass must issue and retire exactly what repeated
- * per-slot picks did, and leave the scheduler in the same state.
- */
-template <typename Sched, typename Pick>
+/** The same tick on masks: retireAndGate, then the mask pass. */
+PassResult
+maskTick(WarpScheduler &sched, std::uint64_t due, std::uint64_t done,
+         std::uint64_t mem, unsigned width)
+{
+    PassResult r;
+    done &= due;
+    mem &= due;
+    r.held = mem & ~retireAndGate(sched, done, mem, [&](int w) {
+                 r.retired.push_back(w);
+                 sched.onWarpReset(w);
+             });
+    issuePass(sched, due & ~done & ~r.held, mem, width,
+              [&](int w) { r.issued.push_back(w); });
+    return r;
+}
+
+/** A score event for warp @p w on tag @p tag; @p how picks its kind. */
+using Feed = void (*)(WarpScheduler &, int w, std::uint64_t tag,
+                      unsigned how);
+
 void
-checkAgainstPerSlotPicks(Sched sched, Pick ref, std::mt19937 &rng)
+feedCcws(WarpScheduler &s, int w, std::uint64_t tag, unsigned how)
+{
+    auto &ccws = static_cast<Ccws &>(s);
+    ccws.onL1Eviction(tag, w);
+    ccws.onL1Miss(w, tag, (how & 1) != 0);
+}
+
+void
+feedTcws(WarpScheduler &s, int w, std::uint64_t tag, unsigned how)
+{
+    auto &tcws = static_cast<Tcws &>(s);
+    if (how & 1) {
+        tcws.onTlbEviction(tag, w);
+        tcws.onTlbMiss(w, tag);
+    } else {
+        tcws.onTlbHit(w, tag, (how >> 1) & 3);
+    }
+}
+
+/**
+ * @p ticks random ticks (due masks of 1-64 of 64 warp slots, widths
+ * 1-4, random ALU/memory/finished mixes) from the schedulers' state: the
+ * mask step on @p sched must retire, hold and issue exactly what the
+ * list tick did with @p list ordering and @p gate gating, and leave the
+ * same order and gate behind. @p feed, when set, sends both
+ * throttles the same score events every tick, so the gate throttles
+ * and a retiring warp's reset can change it mid-scan.
+ */
+template <typename List>
+void
+checkAgainstListPass(WarpScheduler &sched, List list, WarpScheduler &gate,
+                     Feed feed, std::mt19937 &rng, int ticks = 5000)
 {
     constexpr int kSlots = 64;
-    std::vector<Kind> kind(kSlots);
-    for (int tick = 0; tick < 5000; ++tick) {
-        std::vector<int> ready;
-        const double density =
-            std::uniform_real_distribution<>(0.02, 1.0)(rng);
-        const double mem_share =
-            std::uniform_real_distribution<>(0.0, 1.0)(rng);
-        for (int w = 0; w < kSlots; ++w) {
-            if (std::uniform_real_distribution<>(0.0, 1.0)(rng) <
-                density)
-                ready.push_back(w);
-            const double u =
-                std::uniform_real_distribution<>(0.0, 1.0)(rng);
-            kind[static_cast<std::size_t>(w)] =
-                u < 0.03 ? Kind::Done
-                         : (u < mem_share ? Kind::Mem : Kind::Alu);
+    auto uniform = [&rng](double lo, double hi) {
+        return std::uniform_real_distribution<>(lo, hi)(rng);
+    };
+    std::uint64_t tag = 0;
+    for (int tick = 0; tick < ticks; ++tick) {
+        if (feed != nullptr) {
+            const int events = std::uniform_int_distribution<>(0, 3)(rng);
+            for (int e = 0; e < events; ++e) {
+                const int w =
+                    std::uniform_int_distribution<>(0, kSlots - 1)(rng);
+                const unsigned how = static_cast<unsigned>(rng());
+                ++tag;
+                feed(sched, w, tag, how);
+                feed(gate, w, tag, how);
+            }
         }
-        if (ready.empty())
-            ready.push_back(std::uniform_int_distribution<>(
-                0, kSlots - 1)(rng));
+        sched.tick(static_cast<Cycle>(tick));
+        gate.tick(static_cast<Cycle>(tick));
+
+        const double density = uniform(0.02, 1.0);
+        const double mem_share = uniform(0.0, 1.0);
+        const double done_share = uniform(0.0, 0.25);
+        std::uint64_t due = 0;
+        std::uint64_t done = 0;
+        std::uint64_t mem = 0;
+        for (int w = 0; w < kSlots; ++w) {
+            const std::uint64_t bit = std::uint64_t(1) << w;
+            if (uniform(0.0, 1.0) < density)
+                due |= bit;
+            const double u = uniform(0.0, 1.0);
+            if (u < done_share)
+                done |= bit;
+            else if (u < mem_share)
+                mem |= bit;
+        }
+        if (due == 0) {
+            due = std::uint64_t(1)
+                  << std::uniform_int_distribution<>(0, kSlots - 1)(rng);
+        }
         const unsigned width =
             std::uniform_int_distribution<unsigned>(1, 4)(rng);
-        const PassResult want = perSlotPass(ref, ready, width, kind);
-        const PassResult got = orderedPass(sched, ready, width, kind);
+        const PassResult want = listTick(list, gate, due, done, mem, width);
+        const PassResult got = maskTick(sched, due, done, mem, width);
         ASSERT_EQ(got, want) << "tick " << tick << " width " << width;
 
-        // The state left behind decides the next order's head.
+        // The state left behind decides the next order.
         std::vector<int> all(kSlots);
         std::iota(all.begin(), all.end(), 0);
-        Sched probe = sched;
-        Pick probe_ref = ref;
-        probe.order(all);
-        ASSERT_EQ(all.front(), probe_ref.pick(all)) << "tick " << tick;
+        list.order(all);
+        ASSERT_EQ(walk(sched.order(~std::uint64_t(0))), all)
+            << "tick " << tick;
+        ASSERT_EQ(sched.memGate(), gate.memGate()) << "tick " << tick;
     }
+}
+
+/** A throttle that moves often: scores spread by decay and weights,
+ *  and few warps allowed at once. */
+template <typename Config>
+Config
+busyThrottle(Config cfg)
+{
+    cfg.halfLife = 64;
+    cfg.scoreCap = 400;
+    return cfg;
 }
 
 } // namespace
 
-TEST(Schedulers, OrderedPassMatchesPerSlotPicks)
+TEST(Schedulers, MaskPassMatchesListPass)
 {
     std::mt19937 rng(20140301);
+    LooseRoundRobin no_gate(64); // a pure scheduler's gate
     for (int start = 0; start < 64; start += 7) {
         LooseRoundRobin lrr(64);
         lrr.consumed(start);
-        PickLrr ref{64, static_cast<unsigned>(start)};
-        checkAgainstPerSlotPicks(lrr, ref, rng);
+        checkAgainstListPass(lrr, ListLrr{start}, no_gate, nullptr, rng);
 
         GreedyThenOldest gto;
         gto.consumed(start);
-        checkAgainstPerSlotPicks(gto, PickGto{start}, rng);
+        checkAgainstListPass(gto, ListGto{start}, no_gate, nullptr, rng);
     }
     // From the reset state, where GTO has no greedy warp yet.
-    checkAgainstPerSlotPicks(GreedyThenOldest{}, PickGto{}, rng);
+    GreedyThenOldest gto;
+    checkAgainstListPass(gto, ListGto{}, no_gate, nullptr, rng);
+
+    // The throttles: LRR order under a gate that retires can move.
+    CcwsConfig ta = busyThrottle(smallCcws());
+    ta.tlbMissWeight = 3;
+    Ccws ccws(ta, 64), ccws_gate(ta, 64);
+    checkAgainstListPass(ccws, ListLrr{}, ccws_gate, feedCcws, rng, 20000);
+    Tcws tcws(busyThrottle(smallTcws()), 64),
+        tcws_gate(busyThrottle(smallTcws()), 64);
+    checkAgainstListPass(tcws, ListLrr{}, tcws_gate, feedTcws, rng, 20000);
 }
 
 // ------------------------------------------------ Whole-GPU presets

@@ -61,10 +61,11 @@ TEST(Kernel, VisitsDriveConditions)
 {
     auto prog = tinyProgram();
     ThreadCtx c(0, 0, 0, 32, 1);
-    c.blockVisits.assign(prog.numBlocks(), 0);
-    c.blockVisits[0] = 2;
+    std::vector<std::uint32_t> visits(prog.numBlocks(), 0);
+    c.bindVisits(visits.data(), 1, static_cast<unsigned>(visits.size()));
+    visits[0] = 2;
     EXPECT_TRUE(prog.genCond(0, c));
-    c.blockVisits[0] = 3;
+    visits[0] = 3;
     EXPECT_FALSE(prog.genCond(0, c));
 }
 

@@ -19,7 +19,7 @@ namespace {
 
 struct RecordingScheduler : public WarpScheduler
 {
-    void order(std::vector<int> &) override {}
+    WarpOrder order(std::uint64_t ready) override { return {ready, 0}; }
     void consumed(int) override {}
     void
     onTlbHit(int w, Vpn, unsigned) override

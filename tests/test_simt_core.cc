@@ -13,6 +13,7 @@
 #include "core/presets.hh"
 #include "gpu/gpu_top.hh"
 #include "gpu/simt_core.hh"
+#include "loop_visits_workload.hh"
 #include "workloads/workload.hh"
 
 using namespace gpummu;
@@ -555,4 +556,22 @@ TEST(SimtCore, SixtyFourWarpSlotsUseTheWholeMask)
     const auto b = runTiny(CoreConfig{}, /*blocks=*/40, 3, 0.4, 1);
     EXPECT_GT(a.instructions, 0u);
     EXPECT_EQ(a.instructions, b.instructions);
+}
+
+TEST(SimtCore, BlockEntryCountsFollowEachThreadsTrips)
+{
+    // Lanes leave the loop on different trips, so a warp re-enters
+    // the loop with some lanes inactive; those must not count. 30
+    // two-warp blocks on one core (24 resident) reuse block slots, so
+    // a reused block's counts must start from zero.
+    LoopVisitsWorkload wl(/*threads_per_block=*/64, /*blocks=*/30);
+    GpuTop gpu(1, MemorySystemConfig{}, wl,
+               [](int id, const LaunchParams &l, AddressSpace &as,
+                  MemorySystem &m,
+                  EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   return std::make_unique<SimtCore>(id, CoreConfig{}, l,
+                                                     as, m, e);
+               });
+    EXPECT_GT(gpu.run(1'000'000).instructions, 0u);
+    expectEachThreadCountedItsTrips(wl);
 }

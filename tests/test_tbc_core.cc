@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "gpu/gpu_top.hh"
+#include "loop_visits_workload.hh"
 #include "tbc/tbc_core.hh"
 #include "workloads/workload.hh"
 
@@ -186,4 +187,22 @@ TEST(TbcCore, CoreTooSmallForOneBlockIsRejected)
     EXPECT_EXIT(runDivergent(TbcConfig{}, 0.5, tiny),
                 ::testing::ExitedWithCode(1),
                 "TbcCore: numWarpSlots \\(3\\) is below the 4 warps");
+}
+
+TEST(TbcCore, BlockEntryCountsFollowEachThreadsTrips)
+{
+    // Threads leave the loop on different trips, so the block
+    // re-enters the loop with some threads inactive; those must not
+    // count. 16 four-warp blocks on one core (12 resident) reuse block
+    // slots, so a reused block's counts must start from zero.
+    LoopVisitsWorkload wl(/*threads_per_block=*/128, /*blocks=*/16);
+    GpuTop gpu(1, MemorySystemConfig{}, wl,
+               [](int id, const LaunchParams &l, AddressSpace &as,
+                  MemorySystem &m,
+                  EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   return std::make_unique<TbcCore>(
+                       id, CoreConfig{}, TbcConfig{}, l, as, m, e);
+               });
+    EXPECT_GT(gpu.run(1'000'000).instructions, 0u);
+    expectEachThreadCountedItsTrips(wl);
 }

@@ -51,8 +51,11 @@ TEST_P(WorkloadTest, AddressGeneratorsStayInsideRegions)
     std::vector<ThreadCtx> ctxs;
     for (int t : {0, 1, 31, 32, 255})
         ctxs.emplace_back(t, t / 256, t % 256, kWarpWidth, 7);
-    for (auto &ctx : ctxs)
-        ctx.blockVisits.assign(prog.numBlocks(), 3);
+    const std::vector<std::uint32_t> visits(prog.numBlocks(), 3);
+    for (auto &ctx : ctxs) {
+        ctx.bindVisits(visits.data(), 1,
+                       static_cast<unsigned>(visits.size()));
+    }
 
     for (const auto &bb : prog.blocks()) {
         for (const auto &in : bb.instrs) {
@@ -83,8 +86,12 @@ TEST_P(WorkloadTest, GeneratorsAreDeterministic)
     w2->build(as2);
 
     ThreadCtx a(5, 0, 5, kWarpWidth, 7), b(5, 0, 5, kWarpWidth, 7);
-    a.blockVisits.assign(w1->program().numBlocks(), 2);
-    b.blockVisits.assign(w2->program().numBlocks(), 2);
+    const std::vector<std::uint32_t> visits_a(w1->program().numBlocks(), 2);
+    const std::vector<std::uint32_t> visits_b(w2->program().numBlocks(), 2);
+    a.bindVisits(visits_a.data(), 1,
+                 static_cast<unsigned>(visits_a.size()));
+    b.bindVisits(visits_b.data(), 1,
+                 static_cast<unsigned>(visits_b.size()));
     const auto &p1 = w1->program();
     const auto &p2 = w2->program();
     for (const auto &bb : p1.blocks()) {
