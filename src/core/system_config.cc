@@ -99,7 +99,7 @@ SystemConfig::validate() const
                "is below the warp width (", kWarpWidth,
                "); one warp's misses must start together");
 
-    if (coreKind == CoreKind::Simt && core.numWarpSlots > 64)
+    if (core.numWarpSlots > 64)
         reject(out, "core.numWarpSlots", core.numWarpSlots,
                "must fit the 64-bit warp-set masks");
     if (coreKind == CoreKind::Tbc) {

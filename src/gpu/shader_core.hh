@@ -41,8 +41,9 @@ class ShaderCore
      * records the charges the idle tick would make. These may read
      * state that only this core's own tick or an event that posts its
      * id changes. runCycleLoop() stops ticking such a core until the
-     * hint or a launch arrives. Cores that cannot prove this (TBC)
-     * keep the defaults and never sleep.
+     * hint or a launch arrives. Both shader cores sleep this way
+     * (WarpSlotCore); a core that cannot prove it keeps the defaults
+     * and never sleeps.
      */
     virtual bool lastTickQuiescent() const { return false; }
 

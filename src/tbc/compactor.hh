@@ -55,6 +55,20 @@ struct CompactedWarp
  *                    rule using original warp ids
  * @param warp_base   core-level id of the block's first static warp
  *                    (original warp id = warp_base + tid/32)
+ *
+ * At most one dynamic warp is formed per original warp with a thread
+ * in @p mask, so never more than the block's static warps. Each
+ * dynamic warp takes every remaining thread of m, the smallest
+ * original warp among its members. Take m's remaining thread in lane
+ * l. Lane l's queue is in thread order, so only threads of warps
+ * below m precede it, and none of them is taken: its warp would be a
+ * member below m. The members are pairwise CPM-affine (each was
+ * admitted affine with those before it, and affinity is symmetric:
+ * bump() raises both counters and a flush clears both), so m is
+ * affine with every member admitted so far, and its thread is the
+ * first admissible candidate of lane l. The TLB-agnostic compactor
+ * takes every queue's front, so the same holds. Each dynamic warp
+ * thus empties one original warp that still had threads.
  */
 std::vector<CompactedWarp>
 compactThreads(const BlockMask &mask, unsigned num_threads,

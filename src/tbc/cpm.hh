@@ -78,6 +78,9 @@ class CommonPageMatrix
         return at(a, b);
     }
 
+    /** The first cycle whose tick() flushes. */
+    Cycle nextFlush() const { return lastFlush_ + cfg_.flushInterval; }
+
     /** Periodic flush; call once per core cycle. */
     void
     tick(Cycle now)

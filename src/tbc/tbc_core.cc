@@ -1,21 +1,30 @@
 #include "tbc/tbc_core.hh"
 
 #include <algorithm>
+#include <bit>
 
-#include "trace/trace.hh"
+#include "gpu/issue.hh"
 
 namespace gpummu {
+
+namespace {
+
+/** The @p n warp slots from @p base up, as a mask. */
+std::uint64_t
+slotRange(int base, unsigned n)
+{
+    return ((std::uint64_t(1) << n) - 1) << base;
+}
+
+} // namespace
 
 TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                  const TbcConfig &tbc, const LaunchParams &launch,
                  AddressSpace &as, MemorySystem &mem, EventQueue &eq)
-    : coreId_(core_id), cfg_(cfg), tbcCfg_(tbc), launch_(launch),
-      eq_(eq), l1_(cfg.l1, mem), mmu_(cfg.mmu, as, mem, eq),
-      memStage_(mmu_, l1_, eq), cpm_(tbc.cpm, cfg.numWarpSlots),
+    : WarpSlotCore(core_id, cfg, launch, as, mem, eq), tbcCfg_(tbc),
+      cpm_(tbc.cpm, cfg.numWarpSlots), lrr_(cfg.numWarpSlots),
       warpOccupancy_(1, 33)
 {
-    GPUMMU_ASSERT(launch.program != nullptr);
-    GPUMMU_ASSERT(launch.threadsPerBlock % kWarpWidth == 0);
     GPUMMU_ASSERT(launch.threadsPerBlock <= kMaxBlockThreads);
     if (cfg.numWarpSlots < warpsPerBlock()) {
         GPUMMU_FATAL("TbcCore: numWarpSlots (", cfg.numWarpSlots,
@@ -23,7 +32,7 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
                      " warps of one block (threadsPerBlock ",
                      launch.threadsPerBlock, "); no block fits");
     }
-    GPUMMU_ASSERT(cfg.issueWidth > 0);
+    warps_.resize(cfg.numWarpSlots);
     blocks_.resize(cfg.numWarpSlots / warpsPerBlock());
 
     // CPM learning: every TLB hit reports the entry's recent original
@@ -35,47 +44,6 @@ TbcCore::TbcCore(int core_id, const CoreConfig &cfg,
             for (unsigned i = 0; i < used && i < hist.size(); ++i)
                 cpm_.bump(warp, hist[i]);
         });
-
-    // The miss batch retired: bounced warps retry next cycle. They are
-    // not done, so their blocks cannot recompact before this fires.
-    mmu_.setDrainListener([this]() {
-        for (TbcBlock &blk : blocks_) {
-            for (DynWarp &w : blk.warps) {
-                if (w.state == WarpState::WaitingTlbDrain) {
-                    w.state = WarpState::Ready;
-                    w.readyAt = eq_.now() + 1;
-                }
-            }
-        }
-    });
-}
-
-void
-TbcCore::setTraceSink(TraceSink *sink)
-{
-    l1_.setTraceSink(sink, coreId_);
-    mmu_.setTraceSink(sink, coreId_);
-    memStage_.setTraceSink(sink, coreId_);
-}
-
-void
-TbcCore::setHeatProfiler(HeatProfiler *heat)
-{
-    mmu_.setHeatProfiler(heat, coreId_);
-    memStage_.setHeatProfiler(heat);
-}
-
-void
-TbcCore::setSpanTracker(SpanTracker *spans)
-{
-    mmu_.setSpanTracker(spans, coreId_);
-    memStage_.setSpanTracker(spans, coreId_);
-}
-
-unsigned
-TbcCore::warpsPerBlock() const
-{
-    return launch_.threadsPerBlock / kWarpWidth;
 }
 
 bool
@@ -93,35 +61,14 @@ TbcCore::launchBlock(unsigned global_block_id)
     GPUMMU_ASSERT(it != blocks_.end());
     TbcBlock &blk = *it;
     const int slot = static_cast<int>(it - blocks_.begin());
-
-    blk.valid = true;
-    blk.globalId = global_block_id;
-    blk.threadsLive = launch_.threadsPerBlock;
+    startBlock(blk, global_block_id);
     blk.warpBase = slot * static_cast<int>(warpsPerBlock());
-    blk.threads.clear();
-    blk.threads.reserve(launch_.threadsPerBlock);
-    const unsigned tpb = launch_.threadsPerBlock;
-    const unsigned num_blocks =
-        static_cast<unsigned>(launch_.program->numBlocks());
-    blk.visits.assign(std::size_t(num_blocks) * tpb, 0);
-    for (unsigned t = 0; t < tpb; ++t) {
-        ThreadCtx ctx(static_cast<int>(global_block_id * tpb + t),
-                      static_cast<int>(global_block_id),
-                      static_cast<int>(t), kWarpWidth, launch_.seed);
-        ctx.bindVisits(blk.visits.data() + t, tpb, num_blocks);
-        blk.threads.push_back(std::move(ctx));
-    }
 
     BlockMask full;
-    for (unsigned t = 0; t < tpb; ++t)
+    for (unsigned t = 0; t < launch_.threadsPerBlock; ++t)
         full.set(t);
     blk.stack.reset(0, full);
-    blk.warps.clear();
-    blk.warpsDone = 0;
-    blk.takenAcc.reset();
-    blk.fallAcc.reset();
-    blk.exitAcc.reset();
-    ++liveBlocks_;
+    blk.numWarps = 0;
     // De-phase blocks so their barrier bursts do not convoy: blocks
     // launched in the same cycle would otherwise stay phase-locked,
     // hammering the memory system in lockstep.
@@ -133,12 +80,12 @@ TbcCore::launchBlock(unsigned global_block_id)
 void
 TbcCore::activateTop(TbcBlock &blk, Cycle now)
 {
+    live_ &= ~slotRange(blk.warpBase, blk.numWarps);
+    blk.numWarps = 0;
     blk.stack.reconverge();
     if (blk.stack.empty() || blk.threadsLive == 0) {
         blk.valid = false;
         blocksCompleted_.inc();
-        GPUMMU_ASSERT(liveBlocks_ > 0);
-        --liveBlocks_;
         return;
     }
 
@@ -147,18 +94,15 @@ TbcCore::activateTop(TbcBlock &blk, Cycle now)
     auto packed = compactThreads(top.mask, launch_.threadsPerBlock,
                                  tbcCfg_.tlbAware ? &cpm_ : nullptr,
                                  blk.warpBase);
-    blk.warps.clear();
-    blk.warps.reserve(packed.size());
+    GPUMMU_ASSERT(packed.size() <= warpsPerBlock(),
+                  "compaction formed more dynamic warps than the "
+                  "block's warp slots");
     for (const auto &cw : packed) {
-        DynWarp dw;
+        const int wid = blk.warpBase + static_cast<int>(blk.numWarps);
+        DynWarp &dw = warps_[static_cast<std::size_t>(wid)];
         dw.laneThread = cw.laneThread;
         dw.instIdx = 0;
-        dw.state = WarpState::Ready;
-        // Stagger release through fetch/decode so a block-wide
-        // barrier does not dump every warp's memory burst into the
-        // same cycle.
-        dw.readyAt = now + 1 + 2 * static_cast<Cycle>(blk.warps.size());
-        dw.done = false;
+        dw.hasPendingAddrs = false;
         dw.pendingLoads = 0;
         dw.loadsReadyAt = 0;
         dw.waitingAtTerminator = false;
@@ -169,9 +113,15 @@ TbcCore::activateTop(TbcBlock &blk, Cycle now)
                 break;
             }
         }
+        stallReason_[static_cast<std::size_t>(wid)] = StallReason::None;
+        live_ |= std::uint64_t(1) << wid;
+        // Stagger release through fetch/decode so a block-wide
+        // barrier does not dump every warp's memory burst into the
+        // same cycle.
+        makeTimed(wid, now + 1 + 2 * static_cast<Cycle>(blk.numWarps));
+        ++blk.numWarps;
         dynWarps_.inc();
         warpOccupancy_.sample(cw.activeLanes());
-        blk.warps.push_back(std::move(dw));
     }
     blk.warpsDone = 0;
     blk.takenAcc.reset();
@@ -188,21 +138,35 @@ TbcCore::activateTop(TbcBlock &blk, Cycle now)
     }
 }
 
-const Instruction *
+const Instruction &
 TbcCore::currentInstr(const TbcBlock &blk, const DynWarp &w) const
 {
     const auto &bb = launch_.program->block(blk.stack.top().block);
     GPUMMU_ASSERT(w.instIdx < static_cast<int>(bb.instrs.size()));
-    return &bb.instrs[static_cast<std::size_t>(w.instIdx)];
+    return bb.instrs[static_cast<std::size_t>(w.instIdx)];
 }
 
 void
-TbcCore::resolveEntry(int blk_slot, Cycle now)
+TbcCore::classify(int wid)
 {
-    TbcBlock &blk = blocks_[static_cast<std::size_t>(blk_slot)];
+    const Instruction &in =
+        currentInstr(blockOf(wid), warps_[static_cast<std::size_t>(wid)]);
+    const std::uint64_t bit = std::uint64_t(1) << wid;
+    if (in.op == Opcode::Load || in.op == Opcode::Store)
+        memNext_ |= bit;
+    else
+        memNext_ &= ~bit;
+}
+
+void
+TbcCore::resolveEntry(TbcBlock &blk, Cycle now)
+{
+    // Every warp's barrier wait ends this cycle.
+    for (unsigned i = 0; i < blk.numWarps; ++i)
+        chargeWait(blk.warpBase + static_cast<int>(i), now + 1);
+
     const auto &bb = launch_.program->block(blk.stack.top().block);
     const Instruction &term = bb.instrs.back();
-
     if (term.op == Opcode::Exit) {
         const unsigned exiting =
             static_cast<unsigned>(blk.exitAcc.count());
@@ -221,75 +185,62 @@ TbcCore::resolveEntry(int blk_slot, Cycle now)
 }
 
 void
-TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
+TbcCore::issueWarp(int wid, Cycle now)
 {
-    TbcBlock &blk = blocks_[static_cast<std::size_t>(blk_slot)];
-    DynWarp &w = blk.warps[static_cast<std::size_t>(warp_idx)];
-    const Instruction *in = currentInstr(blk, w);
+    const auto s = static_cast<std::size_t>(wid);
+    const std::uint64_t bit = std::uint64_t(1) << wid;
+    TbcBlock &blk = blockOf(wid);
+    DynWarp &w = warps_[s];
+    const Instruction &in = currentInstr(blk, w);
+    due_ &= ~bit;
+    chargeFrom_[s] = now + 1;
+    StallReason &reason = stallReason_[s];
 
-    switch (in->op) {
+    switch (in.op) {
       case Opcode::Alu:
         instrs_.inc();
         aluInstrs_.inc();
         ++w.instIdx;
-        w.readyAt = now + cfg_.aluLatency;
         // Execution latency, not a stall.
-        w.stallReason = StallReason::None;
+        reason = StallReason::None;
+        makeTimed(wid, now + cfg_.aluLatency);
         return;
 
-      case Opcode::Branch: {
+      case Opcode::Branch:
+      case Opcode::Exit:
+        // The terminator waits for the warp's own loads first: the
+        // last completion times the warp, and the wait keeps the
+        // loads' cause.
         if (w.pendingLoads > 0) {
-            // Wait for this warp's outstanding loads before the
-            // block-wide sync point.
             w.waitingAtTerminator = true;
-            w.state = WarpState::WaitingMem;
             return;
         }
         if (w.loadsReadyAt > now) {
-            w.readyAt = w.loadsReadyAt;
+            makeTimed(wid, w.loadsReadyAt);
             return;
         }
         instrs_.inc();
-        branchInstrs_.inc();
+        if (in.op == Opcode::Branch)
+            branchInstrs_.inc();
         for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
             const int tid = w.laneThread[lane];
             if (tid < 0)
                 continue;
-            if (launch_.program->genCond(in->condGen,
-                                         threadOf(blk, tid))) {
-                blk.takenAcc.set(static_cast<std::size_t>(tid));
-            } else {
-                blk.fallAcc.set(static_cast<std::size_t>(tid));
-            }
+            const auto t = static_cast<std::size_t>(tid);
+            if (in.op == Opcode::Exit)
+                blk.exitAcc.set(t);
+            else if (launch_.program->genCond(in.condGen,
+                                              blk.threads[t]))
+                blk.takenAcc.set(t);
+            else
+                blk.fallAcc.set(t);
         }
-        w.done = true;
-        w.readyAt = now + 1;
-        if (++blk.warpsDone == blk.warps.size())
-            resolveEntry(blk_slot, now);
+        // Finished its path: wait for the block's other warps at the
+        // block-wide reconvergence barrier.
+        reason = StallReason::Reconvergence;
+        if (++blk.warpsDone == blk.numWarps)
+            resolveEntry(blk, now);
         return;
-      }
-
-      case Opcode::Exit: {
-        if (w.pendingLoads > 0) {
-            w.waitingAtTerminator = true;
-            w.state = WarpState::WaitingMem;
-            return;
-        }
-        if (w.loadsReadyAt > now) {
-            w.readyAt = w.loadsReadyAt;
-            return;
-        }
-        instrs_.inc();
-        for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-            const int tid = w.laneThread[lane];
-            if (tid >= 0)
-                blk.exitAcc.set(static_cast<std::size_t>(tid));
-        }
-        w.done = true;
-        if (++blk.warpsDone == blk.warps.size())
-            resolveEntry(blk_slot, now);
-        return;
-      }
 
       case Opcode::Load:
       case Opcode::Store: {
@@ -299,35 +250,33 @@ TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
                 const int tid = w.laneThread[lane];
                 if (tid >= 0) {
                     w.pendingAddrs.push_back(launch_.program->genAddr(
-                        in->addrGen, threadOf(blk, tid)));
+                        in.addrGen,
+                        blk.threads[static_cast<std::size_t>(tid)]));
                 }
             }
             w.hasPendingAddrs = true;
         }
-        const bool is_store = in->op == Opcode::Store;
+        const bool is_store = in.op == Opcode::Store;
         ++w.pendingLoads;
         auto result = memStage_.issue(
             w.originRep, is_store, w.pendingAddrs, now,
-            [this, blk_slot, warp_idx](Cycle ready) {
-                auto &blk2 =
-                    blocks_[static_cast<std::size_t>(blk_slot)];
-                auto &ww =
-                    blk2.warps[static_cast<std::size_t>(warp_idx)];
+            [this, wid](Cycle ready) {
+                DynWarp &ww = warps_[static_cast<std::size_t>(wid)];
                 ww.loadsReadyAt = std::max(ww.loadsReadyAt, ready);
                 GPUMMU_ASSERT(ww.pendingLoads > 0);
-                if (--ww.pendingLoads == 0 &&
-                    ww.waitingAtTerminator) {
+                if (--ww.pendingLoads == 0 && ww.waitingAtTerminator) {
                     ww.waitingAtTerminator = false;
-                    ww.state = WarpState::Ready;
-                    ww.readyAt = std::max(ww.loadsReadyAt,
-                                          eq_.now() + 1);
+                    makeTimed(wid,
+                              std::max(ww.loadsReadyAt, eq_.now() + 1));
+                    eq_.postWake(static_cast<std::uint32_t>(coreId_));
                 }
             });
         if (result == MemIssueResult::BlockedTlbBusy) {
+            // Retry this instruction after the MMU drains.
             GPUMMU_ASSERT(w.pendingLoads > 0);
             --w.pendingLoads;
-            w.state = WarpState::WaitingTlbDrain;
-            w.stallReason = StallReason::WalkerStructural;
+            reason = StallReason::WalkerStructural;
+            drainWaiting_ |= bit;
             return;
         }
         instrs_.inc();
@@ -335,11 +284,10 @@ TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
         ++w.instIdx;
         // Waits on this entry's outstanding data are charged to the
         // worst cause among its fire-and-forget loads.
-        w.stallReason =
-            dominantStall(w.stallReason, memStage_.lastIssueReason());
+        reason = dominantStall(reason, memStage_.lastIssueReason());
         // Fire and forget: the warp keeps executing this entry and
         // synchronizes with its data at the terminator.
-        w.readyAt = now + 2;
+        makeTimed(wid, now + 2);
         return;
       }
     }
@@ -349,116 +297,32 @@ TbcCore::issueWarp(int blk_slot, int warp_idx, Cycle now)
 void
 TbcCore::tick(Cycle now)
 {
-    if (liveBlocks_ == 0)
+    quiescent_ = live_ == 0;
+    if (live_ == 0)
         return;
     cpm_.tick(now);
-
-    const bool mem_available = mmu_.memAvailable();
-
-    // Encode (block slot, warp index) into one scheduler id.
-    std::vector<int> &issuable = issuableScratch_;
-    issuable.clear();
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        TbcBlock &blk = blocks_[b];
-        if (!blk.valid)
-            continue;
-        for (std::size_t i = 0; i < blk.warps.size(); ++i) {
-            DynWarp &w = blk.warps[i];
-            const int slot = warpSlotId(b, i);
-            if (w.done) {
-                // Finished its path; waiting for block mates at the
-                // block-wide reconvergence barrier.
-                stalls_.attribute(slot, StallReason::Reconvergence);
-                continue;
-            }
-            if (w.state == WarpState::WaitingMem) {
-                stalls_.attribute(slot, w.stallReason);
-                continue;
-            }
-            if (w.state == WarpState::WaitingTlbDrain) {
-                stalls_.attribute(slot,
-                                  StallReason::WalkerStructural);
-                continue;
-            }
-            if (w.state != WarpState::Ready)
-                continue;
-            if (w.readyAt > now) {
-                stalls_.attribute(slot, w.stallReason);
-                continue;
-            }
-            const Instruction *in = currentInstr(blk, w);
-            if (!mem_available && (in->op == Opcode::Load ||
-                                   in->op == Opcode::Store)) {
-                // The blocking TLB's gate: walks outstanding.
-                stalls_.attribute(slot, StallReason::TlbMiss);
-                continue;
-            }
-            issuable.push_back(static_cast<int>(b) * kSchedStride +
-                               static_cast<int>(i));
-        }
+    if (now >= nextWake_) {
+        for (std::uint64_t m = promoteTimed(now); m != 0; m &= m - 1)
+            classify(std::countr_zero(m));
     }
-
-    const unsigned issued = issueInOrder(issuable, now);
-
-    if (issued == 0 && liveBlocks_ > 0) {
-        idleCycles_.inc();
-        if (mmu_.missOutstanding())
-            tlbIdleCycles_.inc();
-    }
-}
-
-unsigned
-TbcCore::issueInOrder(std::vector<int> &ready, Cycle now)
-{
-    if (ready.empty())
-        return 0;
-    // Loose round robin over encoded ids approximates the paper's
-    // age-based dynamic warp issue. A dynamic warp ends at its
-    // terminator, so none is ever out of instructions here.
-    std::rotate(ready.begin(),
-                std::upper_bound(ready.begin(), ready.end(), lastReached_),
-                ready.end());
-    unsigned issued = 0;
-    bool mem_issued = false;
-    std::size_t n = 0;
-    while (n < ready.size() && issued < cfg_.issueWidth) {
-        const int id = ready[n++];
-        const int b = id / kSchedStride;
-        const int i = id % kSchedStride;
-        const TbcBlock &blk = blocks_[static_cast<std::size_t>(b)];
-        const Instruction *in =
-            currentInstr(blk, blk.warps[static_cast<std::size_t>(i)]);
-        const bool is_mem =
-            in->op == Opcode::Load || in->op == Opcode::Store;
-        if (is_mem && mem_issued)
-            continue;
-        issueWarp(b, i, now);
-        mem_issued = mem_issued || is_mem;
-        ++issued;
-    }
-    lastReached_ = ready[n - 1];
-    return issued;
+    // A dynamic warp ends at its terminator, so none is ever out of
+    // instructions; slot order is (block, dynamic warp) order.
+    const std::uint64_t mem = gateMemory();
+    const std::uint64_t ready = due_ & ~tlbGated_;
+    const unsigned issued =
+        issuePass(lrr_, ready, mem, cfg_.issueWidth,
+                  [this, now](int wid) { issueWarp(wid, now); });
+    endTick(now, issued, false, ready, tlbGated_, true);
 }
 
 void
 TbcCore::regStats(StatRegistry &reg, const std::string &prefix)
 {
-    l1_.regStats(reg, prefix + ".l1");
-    mmu_.regStats(reg, prefix + ".mmu");
-    memStage_.regStats(reg, prefix + ".mem");
+    WarpSlotCore::regStats(reg, prefix);
     cpm_.regStats(reg, prefix + ".cpm");
-    reg.addCounter(prefix + ".instrs", &instrs_);
-    reg.addCounter(prefix + ".alu_instrs", &aluInstrs_);
-    reg.addCounter(prefix + ".branch_instrs", &branchInstrs_);
-    reg.addCounter(prefix + ".divergent_branches",
-                   &divergentBranches_);
-    reg.addCounter(prefix + ".idle_cycles", &idleCycles_);
-    reg.addCounter(prefix + ".tlb_idle_cycles", &tlbIdleCycles_);
-    reg.addCounter(prefix + ".blocks_completed", &blocksCompleted_);
     reg.addCounter(prefix + ".compactions", &compactions_);
     reg.addCounter(prefix + ".dynamic_warps", &dynWarps_);
     reg.addHistogram(prefix + ".warp_occupancy", &warpOccupancy_);
-    stalls_.regStats(reg, prefix);
 }
 
 } // namespace gpummu

@@ -10,16 +10,23 @@
  * with threads whose original warps have recently hit the same TLB
  * entries, trading a possible extra dynamic warp for much lower page
  * divergence.
+ *
+ * A block never has more dynamic warps than static ones (see
+ * compactThreads()), so dynamic warp i of a block takes the block's
+ * warp slot warpBase + i. The core then shares the SIMT core's
+ * readiness masks, interval stall charging and sleep
+ * (gpu/warp_slot_core.hh), and issues in loose round robin order over
+ * those slots.
  */
 
 #ifndef TBC_TBC_CORE_HH
 #define TBC_TBC_CORE_HH
 
+#include <algorithm>
 #include <vector>
 
-#include "gpu/memory_stage.hh"
-#include "gpu/shader_core.hh"
-#include "gpu/simt_core.hh"
+#include "gpu/warp_slot_core.hh"
+#include "sched/warp_scheduler.hh"
 #include "tbc/block_stack.hh"
 #include "tbc/cpm.hh"
 
@@ -32,49 +39,26 @@ struct TbcConfig
     CpmConfig cpm;
 };
 
-enum class WarpState
-{
-    Ready,
-    WaitingMem,
-    WaitingTlbDrain,
-};
-
-class TbcCore : public ShaderCore
+class TbcCore : public WarpSlotCore
 {
   public:
-    /** Scheduler-id stride per block slot (warp index lives below). */
-    static constexpr int kSchedStride = 4096;
-
     TbcCore(int core_id, const CoreConfig &cfg, const TbcConfig &tbc,
             const LaunchParams &launch, AddressSpace &as,
             MemorySystem &mem, EventQueue &eq);
 
-    TbcCore(const TbcCore &) = delete;
-    TbcCore &operator=(const TbcCore &) = delete;
-
-    unsigned warpsPerBlock() const;
     bool canAcceptBlock() const override;
     void launchBlock(unsigned global_block_id) override;
     void tick(Cycle now) override;
-    bool idle() const override { return liveBlocks_ == 0; }
 
-    Mmu &mmu() override { return mmu_; }
-    L1Cache &l1() override { return l1_; }
-    MemoryStage &memStage() override { return memStage_; }
-
-    void setTraceSink(TraceSink *sink) override;
-    void setHeatProfiler(HeatProfiler *heat) override;
-    void setSpanTracker(SpanTracker *spans) override;
-    WarpStallAccounting &stallAccounting() override { return stalls_; }
-
-    std::uint64_t instructionsIssued() const override
+    /** While blocks are resident, a tick flushes the CPM when its
+     *  period ends, so the core wakes for that too. */
+    Cycle
+    wakeHint() const override
     {
-        return instrs_.value();
+        return live_ != 0 ? std::min(nextWake_, cpm_.nextFlush())
+                          : nextWake_;
     }
-    std::uint64_t idleCycles() const override
-    {
-        return idleCycles_.value();
-    }
+
     std::uint64_t compactions() const { return compactions_.value(); }
     std::uint64_t dynamicWarpsFormed() const
     {
@@ -89,9 +73,6 @@ class TbcCore : public ShaderCore
     {
         std::array<int, kWarpWidth> laneThread{};
         int instIdx = 0;
-        WarpState state = WarpState::Ready;
-        Cycle readyAt = 0;
-        bool done = false; ///< reached the entry's terminator
         /** Representative original warp (CPM row / L1 ownership). */
         int originRep = -1;
         std::vector<VirtAddr> pendingAddrs;
@@ -101,26 +82,21 @@ class TbcCore : public ShaderCore
          * blocks on outstanding data only at the terminator, where
          * the block-wide barrier already waits). This keeps the
          * barrier critical path at max(load latencies) rather than
-         * their sum.
+         * their sum. The last completion times a warp that waits at
+         * its terminator.
          */
         unsigned pendingLoads = 0;
         Cycle loadsReadyAt = 0;
         bool waitingAtTerminator = false;
-        /** Cause the warp's current wait is attributed to. */
-        StallReason stallReason = StallReason::None;
     };
 
-    struct TbcBlock
+    struct TbcBlock : BlockThreads
     {
-        bool valid = false;
-        unsigned globalId = 0;
-        unsigned threadsLive = 0;
-        int warpBase = 0; ///< core-level id of static warp 0
-        std::vector<ThreadCtx> threads;
-        /** Block-entry counts, basic block major (see SimtCore). */
-        std::vector<std::uint32_t> visits;
+        int warpBase = 0; ///< warp slot of dynamic (and static) warp 0
         BlockStack stack;
-        std::vector<DynWarp> warps;
+        /** Dynamic warps of the current entry, in the slots from
+         *  warpBase up. */
+        unsigned numWarps = 0;
         unsigned warpsDone = 0;
         BlockMask takenAcc;
         BlockMask fallAcc;
@@ -131,57 +107,30 @@ class TbcCore : public ShaderCore
     void activateTop(TbcBlock &blk, Cycle now);
 
     /** All dynamic warps reached the terminator: apply it. */
-    void resolveEntry(int blk_slot, Cycle now);
+    void resolveEntry(TbcBlock &blk, Cycle now);
 
-    void issueWarp(int blk_slot, int warp_idx, Cycle now);
+    /** Warp @p wid becomes due: set its memNext_ bit. */
+    void classify(int wid);
 
-    /** Issue from @p ready (ascending encoded ids) in loose round
-     *  robin order; returns the number issued. */
-    unsigned issueInOrder(std::vector<int> &ready, Cycle now);
+    void issueWarp(int wid, Cycle now);
 
-    ThreadCtx &
-    threadOf(TbcBlock &blk, int tid)
+    TbcBlock &
+    blockOf(int wid)
     {
-        return blk.threads[static_cast<std::size_t>(tid)];
+        return blocks_[static_cast<std::size_t>(wid) / warpsPerBlock()];
     }
 
-    const Instruction *currentInstr(const TbcBlock &blk,
+    const Instruction &currentInstr(const TbcBlock &blk,
                                     const DynWarp &w) const;
 
-    /** Stable stall-ledger slot for dynamic warp i of block slot b
-     *  (compaction can form up to threadsPerBlock dynamic warps). */
-    int
-    warpSlotId(std::size_t b, std::size_t i) const
-    {
-        return static_cast<int>(b * launch_.threadsPerBlock + i);
-    }
-
-    int coreId_;
-    CoreConfig cfg_;
     TbcConfig tbcCfg_;
-    LaunchParams launch_;
-    EventQueue &eq_;
-
-    L1Cache l1_;
-    Mmu mmu_;
-    MemoryStage memStage_;
     CommonPageMatrix cpm_;
-    /** The encoded id the last issue pass reached, issued or not. */
-    int lastReached_ = 0;
+    LooseRoundRobin lrr_;
 
+    /** Indexed by warp slot. */
+    std::vector<DynWarp> warps_;
     std::vector<TbcBlock> blocks_;
-    unsigned liveBlocks_ = 0;
-    WarpStallAccounting stalls_;
-    /** tick() scratch: issuable scheduler ids (see SimtCore). */
-    std::vector<int> issuableScratch_;
 
-    Counter instrs_;
-    Counter aluInstrs_;
-    Counter branchInstrs_;
-    Counter divergentBranches_;
-    Counter idleCycles_;
-    Counter tlbIdleCycles_;
-    Counter blocksCompleted_;
     Counter compactions_;
     Counter dynWarps_;
     Histogram warpOccupancy_;

@@ -564,6 +564,11 @@ TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
          "core.numWarpSlots (65) must fit the 64-bit warp-set masks"},
         {[](SystemConfig &c) {
              c = presets::tbc(c);
+             c.core.numWarpSlots = 65;
+         },
+         "core.numWarpSlots (65) must fit the 64-bit warp-set masks"},
+        {[](SystemConfig &c) {
+             c = presets::tbc(c);
              c.sched = SchedulerKind::Ccws;
          },
          "coreKind (Tbc) issues in loose round robin order; sched must "
@@ -763,14 +768,14 @@ TEST(GpuTop, WakingOnOwnStateMatchesWakingOnAnyEvent)
         {"iommu", presets::iommu()},
         {"shared-l2", presets::withSharedL2Tlb(presets::augmentedTlb())},
         {"tbc", presets::tbc(presets::augmentedTlb())},
+        {"tlb-aware-tbc", presets::tlbAwareTbc(presets::augmentedTlb(), 3)},
         {"ccws", presets::ccws(presets::augmentedTlb())},
     };
     for (auto [name, cfg] : configs) {
         cfg.numCores = 4;
         cfg.checkInvariants = true;
-        // TBC cores never sleep, and CCWS cores only once empty.
-        const bool sleeps = cfg.coreKind != CoreKind::Tbc &&
-                            cfg.sched != SchedulerKind::Ccws;
+        // CCWS cores sleep only once empty.
+        const bool sleeps = cfg.sched != SchedulerKind::Ccws;
         for (BenchmarkId id : allBenchmarks()) {
             const std::string what =
                 std::string(name) + "/" + benchmarkName(id);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/rng.hh"
 #include "tbc/block_stack.hh"
 #include "tbc/compactor.hh"
 #include "tbc/cpm.hh"
@@ -172,6 +173,82 @@ TEST(Compactor, ProgressWithNoAffinityAtAll)
     for (const auto &w : warps)
         total += w.activeLanes();
     EXPECT_EQ(total, 8u);
+}
+
+TEST(Compactor, NeverFormsMoreDynamicWarpsThanOriginalWarps)
+{
+    // TbcCore gives dynamic warp i of a block the block's warp slot
+    // warpBase + i, which needs at most one dynamic warp per original
+    // warp with a thread in the mask. Random masks over blocks of up
+    // to 1,024 threads, and random symmetric affinities, under both
+    // compactors. Each dynamic warp must also take every remaining
+    // thread of its smallest original warp (the bound's proof).
+    Rng rng(0x7bc0);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const unsigned warps_in_block =
+            1 + static_cast<unsigned>(rng.below(kMaxBlockThreads /
+                                                kWarpWidth));
+        const unsigned threads = warps_in_block * kWarpWidth;
+        const int base = static_cast<int>(rng.below(64));
+        const double density = rng.uniform();
+        BlockMask mask;
+        for (unsigned t = 0; t < threads; ++t) {
+            if (rng.chance(density))
+                mask.set(t);
+        }
+        CpmConfig cfg;
+        cfg.counterBits = 1; // one bump saturates both counters
+        CommonPageMatrix cpm(cfg, static_cast<unsigned>(base) +
+                                      warps_in_block);
+        const double affinity = rng.uniform();
+        for (unsigned a = 0; a < warps_in_block; ++a) {
+            for (unsigned b = a + 1; b < warps_in_block; ++b) {
+                if (rng.chance(affinity))
+                    cpm.bump(base + static_cast<int>(a),
+                             base + static_cast<int>(b));
+            }
+        }
+        unsigned origin_warps = 0;
+        for (unsigned w = 0; w < warps_in_block; ++w) {
+            bool any = false;
+            for (unsigned l = 0; l < kWarpWidth; ++l)
+                any = any || mask.test(w * kWarpWidth + l);
+            origin_warps += any;
+        }
+
+        for (const CommonPageMatrix *matrix :
+             {static_cast<const CommonPageMatrix *>(nullptr),
+              static_cast<const CommonPageMatrix *>(&cpm)}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "trial " << trial << ", "
+                         << (matrix ? "TLB-aware" : "TLB-agnostic"));
+            const auto packed =
+                compactThreads(mask, threads, matrix, base);
+            ASSERT_LE(packed.size(), origin_warps);
+            BlockMask left = mask;
+            for (const CompactedWarp &dw : packed) {
+                int smallest = -1;
+                for (unsigned l = 0; l < kWarpWidth; ++l) {
+                    const int t = dw.laneThread[l];
+                    if (t < 0)
+                        continue;
+                    ASSERT_EQ(static_cast<unsigned>(t) % kWarpWidth, l);
+                    ASSERT_TRUE(left.test(static_cast<std::size_t>(t)));
+                    left.reset(static_cast<std::size_t>(t));
+                    const int w = t / static_cast<int>(kWarpWidth);
+                    if (smallest < 0 || w < smallest)
+                        smallest = w;
+                }
+                ASSERT_GE(smallest, 0);
+                for (unsigned l = 0; l < kWarpWidth; ++l) {
+                    ASSERT_FALSE(left.test(
+                        static_cast<std::size_t>(smallest) * kWarpWidth +
+                        l));
+                }
+            }
+            ASSERT_TRUE(left.none());
+        }
+    }
 }
 
 // ------------------------------------------------------ BlockStack

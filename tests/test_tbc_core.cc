@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
+#include "core/presets.hh"
 #include "gpu/gpu_top.hh"
 #include "loop_visits_workload.hh"
 #include "tbc/tbc_core.hh"
@@ -109,7 +111,122 @@ runDivergent(const TbcConfig &tbc, double active_p = 0.5,
     return out;
 }
 
+/** A TbcCore that counts its ticks. With @p Awake it never reports
+ *  a quiescent tick, so the cycle loop ticks it every cycle: the
+ *  per-cycle reference for a sleeping core's charges. */
+template <bool Awake>
+class CountingTbcCore : public TbcCore
+{
+  public:
+    CountingTbcCore(int id, const CoreConfig &cfg, const TbcConfig &tbc,
+                    const LaunchParams &l, AddressSpace &as,
+                    MemorySystem &m, EventQueue &e, std::uint64_t &ticks)
+        : TbcCore(id, cfg, tbc, l, as, m, e), ticks_(ticks)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        ++ticks_;
+        TbcCore::tick(now);
+    }
+    bool
+    lastTickQuiescent() const override
+    {
+        return !Awake && TbcCore::lastTickQuiescent();
+    }
+
+  private:
+    std::uint64_t &ticks_;
+};
+
+struct TbcDump
+{
+    RunStats stats;
+    std::string json;
+    std::uint64_t ticks = 0;
+};
+
+/** Run @p wl on @p n TBC cores and dump the whole stat registry
+ *  (stall histograms and CPM flushes included). */
+template <bool Awake>
+TbcDump
+runTbcDump(Workload &wl, unsigned n, const CoreConfig &core_cfg,
+           const TbcConfig &tbc,
+           const MemorySystemConfig &mem = MemorySystemConfig{})
+{
+    TbcDump out;
+    GpuTop gpu(n, mem, wl,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   return std::make_unique<CountingTbcCore<Awake>>(
+                       id, core_cfg, tbc, l, as, m, e, out.ticks);
+               });
+    out.stats = gpu.run(50'000'000);
+    std::ostringstream os;
+    gpu.stats().dumpJson(os);
+    out.json = os.str();
+    return out;
+}
+
 } // namespace
+
+TEST(TbcCore, SleepingChargesEqualTickingEveryCycle)
+{
+    // A sleeping TBC core is not ticked; its skipped cycles, its
+    // warps' waits and its barrier waits are charged lazily, and it
+    // wakes for each CPM flush. Ticking every cycle instead must give
+    // the same stats to the last stall cycle and flush, on each MMU
+    // policy, for both compactors. The flush period is short, so
+    // flushes land inside sleeps.
+    CoreConfig blocking;
+    blocking.mmu.hitUnderMiss = false;
+    CoreConfig hit_under_miss;
+    hit_under_miss.mmu.hitUnderMiss = true;
+    CoreConfig no_tlb;
+    no_tlb.mmu.enabled = false;
+    for (const bool aware : {false, true}) {
+        TbcConfig tbc;
+        tbc.tlbAware = aware;
+        tbc.cpm.flushInterval = 37;
+        for (const CoreConfig &cfg :
+             {blocking, hit_under_miss, no_tlb}) {
+            SCOPED_TRACE(aware ? "TLB-aware" : "TLB-agnostic");
+            DivergentWorkload wl;
+            const TbcDump sleeping = runTbcDump<false>(wl, 2, cfg, tbc);
+            const TbcDump awake = runTbcDump<true>(wl, 2, cfg, tbc);
+            EXPECT_TRUE(sleeping.stats == awake.stats);
+            EXPECT_EQ(sleeping.json, awake.json);
+            EXPECT_NE(sleeping.json.find("\"core0.cpm.flushes\":"),
+                      std::string::npos);
+            EXPECT_EQ(awake.stats.cyclesFastForwarded, 0u);
+            // ...and the sleeping run really skipped ticks.
+            EXPECT_LT(sleeping.ticks, awake.ticks);
+        }
+    }
+}
+
+TEST(TbcCore, KmeansSleepsThroughMostCycles)
+{
+    // On the paper's 30 cores, most TBC core-cycles on kmeans issue
+    // nothing: the warps wait at barriers or for memory. A core that
+    // sleeps through them is ticked at least 3x less often than one
+    // ticked every cycle. Scale 0.25 gives every core two blocks.
+    const SystemConfig cfg = presets::tbc(presets::augmentedTlb());
+    WorkloadParams params;
+    params.scale = 0.25;
+    auto wl = makeWorkload(BenchmarkId::Kmeans, params);
+    const TbcDump sleeping =
+        runTbcDump<false>(*wl, cfg.numCores, cfg.core, cfg.tbc, cfg.mem);
+    const TbcDump awake =
+        runTbcDump<true>(*wl, cfg.numCores, cfg.core, cfg.tbc, cfg.mem);
+    EXPECT_EQ(sleeping.json, awake.json);
+    EXPECT_GE(awake.ticks, 3 * sleeping.ticks)
+        << sleeping.ticks << " ticks asleep, " << awake.ticks
+        << " awake";
+}
 
 TEST(TbcCore, RunsToCompletionAndCompacts)
 {
