@@ -114,12 +114,17 @@ SystemConfig::validate() const
             reject(out, "coreKind", "Tbc",
                    "has no IOMMU path; IOMMU mode runs SIMT cores only");
     }
-    if (sched == SchedulerKind::Ccws || sched == SchedulerKind::TaCcws)
+    // A throttle's score decay divides by its half-life.
+    if (sched == SchedulerKind::Ccws || sched == SchedulerKind::TaCcws) {
         setAssoc(out, "ccws.vtaEntriesPerWarp", ccws.vtaEntriesPerWarp,
                  1, "ccws.vtaWays", ccws.vtaWays);
-    if (sched == SchedulerKind::Tcws)
+        atLeastOne(out, "ccws.halfLife", ccws.halfLife);
+    }
+    if (sched == SchedulerKind::Tcws) {
         setAssoc(out, "tcws.vtaEntriesPerWarp", tcws.vtaEntriesPerWarp,
                  1, "tcws.vtaWays", tcws.vtaWays);
+        atLeastOne(out, "tcws.halfLife", tcws.halfLife);
+    }
 
     if (iommu) {
         if (core.mmu.enabled)

@@ -41,11 +41,9 @@ class ShaderCore
      * records the charges the idle tick would make. These may read
      * state that only this core's own tick or an event that posts its
      * id changes. runCycleLoop() stops ticking such a core until the
-     * hint or a launch arrives. Both shader cores sleep this way
-     * (WarpSlotCore); a core that cannot prove it keeps the defaults
-     * and never sleeps.
+     * hint or a launch arrives.
      */
-    virtual bool lastTickQuiescent() const { return false; }
+    virtual bool lastTickQuiescent() const = 0;
 
     /**
      * The next cycle this core must be ticked while it sleeps. Only
@@ -57,17 +55,12 @@ class ShaderCore
      * posted, so an event touching only shared structures or another
      * core costs this core nothing.
      */
-    virtual Cycle wakeHint() const { return kCycleNever; }
+    virtual Cycle wakeHint() const = 0;
 
     /** Apply the charges of the @p n cycles a sleeping core skipped
      *  after @p now, the last cycle already ticked or charged; one
      *  sleep may be settled in several calls. */
-    virtual void
-    chargeSkipped(Cycle now, Cycle n)
-    {
-        (void)now;
-        (void)n;
-    }
+    virtual void chargeSkipped(Cycle now, Cycle n) = 0;
 
     /**
      * Cores may charge a stalled warp's cycles as one interval when
@@ -76,7 +69,7 @@ class ShaderCore
      * anything samples live counters mid-run (a telemetry interval
      * boundary) and once after the cycle loop.
      */
-    virtual void flushDeferredCharges() {}
+    virtual void flushDeferredCharges() = 0;
 
     /** Whether a block fits now. Only this core's own tick may turn
      *  a refusal into room: runCycleLoop() does not poll a core that

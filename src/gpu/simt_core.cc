@@ -178,6 +178,8 @@ SimtCore::retireWarp(int wid)
     live_ &= ~bit;
     due_ &= ~bit;
     sched_->onWarpReset(wid);
+    GPUMMU_ASSERT(live_ != 0 || sched_->memGate() == ~std::uint64_t(0),
+                  "an empty core's scheduler still gates memory");
 }
 
 void
@@ -270,14 +272,10 @@ SimtCore::issueWarp(int wid, Cycle now)
 void
 SimtCore::tick(Cycle now)
 {
-    quiescent_ = false;
-    if (live_ == 0) {
-        // Nothing resident: ticking is a no-op (the scheduler is not
-        // consulted on this path either), so repeats are free.
-        quiescent_ = true;
+    // Nothing resident: a no-op, so repeats are free.
+    quiescent_ = live_ == 0;
+    if (live_ == 0)
         return;
-    }
-
     sched_->tick(now);
     if (now >= nextWake_) {
         for (std::uint64_t m = promoteTimed(now); m != 0; m &= m - 1)
@@ -298,7 +296,7 @@ SimtCore::tick(Cycle now)
     const unsigned issued =
         issuePass(*sched_, ready, mem, cfg_.issueWidth,
                   [this, now](int wid) { issueWarp(wid, now); });
-    endTick(now, issued, done != 0, ready, held, sched_->tickIsPure());
+    endTick(now, issued, done != 0, ready, held);
 }
 
 void

@@ -63,6 +63,9 @@ class SimtCore : public WarpSlotCore
     }
 
   private:
+    void tickTimer(Cycle now) override { sched_->tick(now); }
+    Cycle nextTimer() const override { return sched_->nextTick(); }
+
     struct Warp
     {
         int blockSlot = -1;

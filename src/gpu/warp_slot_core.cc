@@ -83,9 +83,10 @@ WarpSlotCore::startBlock(BlockThreads &blk,
 void
 WarpSlotCore::chargeSkipped(Cycle now, Cycle n)
 {
-    (void)now;
     if (live_ == 0)
         return;
+    // Before nextTimer(), so the timer only counts cycles.
+    tickTimer(now + n);
     // Only called while asleep after a quiescent tick, whose
     // per-cycle charges every skipped cycle repeats.
     for (std::uint64_t m = tlbGated_; m != 0; m &= m - 1)

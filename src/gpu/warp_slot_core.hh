@@ -56,7 +56,12 @@ class WarpSlotCore : public ShaderCore
     unsigned warpsPerBlock() const;
 
     bool lastTickQuiescent() const override { return quiescent_; }
-    Cycle wakeHint() const override { return nextWake_; }
+    /** While warps are resident, the core also wakes for its timer. */
+    Cycle
+    wakeHint() const override
+    {
+        return live_ != 0 ? std::min(nextWake_, nextTimer()) : nextWake_;
+    }
     void chargeSkipped(Cycle now, Cycle n) override;
     void flushDeferredCharges() override;
 
@@ -105,6 +110,12 @@ class WarpSlotCore : public ShaderCore
         std::vector<std::uint32_t> visits;
     };
 
+    /** The core's periodic work (a scheduler's tick, the CPM
+     *  flush), run in each tick with warps resident and for skipped
+     *  cycles; it changes state first at nextTimer(). */
+    virtual void tickTimer(Cycle now) = 0;
+    virtual Cycle nextTimer() const = 0;
+
     /** Make @p blk thread block @p global_block_id: every thread
      *  live, with fresh contexts and zeroed block-entry counts. */
     void startBlock(BlockThreads &blk, unsigned global_block_id) const;
@@ -122,7 +133,7 @@ class WarpSlotCore : public ShaderCore
     /** Record the tick's idle charges and whether the core may sleep
      *  (see quiescent_). @p held: due warps a gate held back. */
     void endTick(Cycle now, unsigned issued, bool retired,
-                 std::uint64_t ready, std::uint64_t held, bool pure);
+                 std::uint64_t ready, std::uint64_t held);
 
     int coreId_;
     CoreConfig cfg_;
@@ -173,9 +184,9 @@ class WarpSlotCore : public ShaderCore
     std::uint64_t tlbGated_ = 0;
     bool chargeTlbIdle_ = false;
     bool chargeMemBlocked_ = false;
-    /** With a pure scheduler, the last tick retired nothing and
-     *  either issued nothing or left no warp due with nextWake_ two
-     *  or more cycles ahead: runCycleLoop may put the core to sleep. */
+    /** The last tick retired nothing and either issued nothing or
+     *  left no warp due with nextWake_ two or more cycles ahead:
+     *  runCycleLoop may put the core to sleep. */
     bool quiescent_ = false;
 
     Counter instrs_;
@@ -261,7 +272,7 @@ WarpSlotCore::gateMemory()
 
 inline void
 WarpSlotCore::endTick(Cycle now, unsigned issued, bool retired,
-                      std::uint64_t ready, std::uint64_t held, bool pure)
+                      std::uint64_t ready, std::uint64_t held)
 {
     if (issued == 0 && live_ != 0) {
         idleCycles_.inc();
@@ -274,17 +285,17 @@ WarpSlotCore::endTick(Cycle now, unsigned issued, bool retired,
     }
 
     // A quiescent tick only charged attribution: nothing issued or
-    // retired and no warp was ready, so the scheduler was never
-    // consulted. With a pure scheduler, every following tick
-    // charges the same cells until nextWake_ arrives or a block is
-    // launched - so the core may sleep.
-    quiescent_ = issued == 0 && !retired && ready == 0 && pure;
+    // retired and no warp was ready, so the issue order was never
+    // consulted. The gates hold until a timer or an event wakes the
+    // core, so every following tick charges the same cells until
+    // wakeHint() arrives or a block is launched - so the core may
+    // sleep.
+    quiescent_ = issued == 0 && !retired && ready == 0;
     // A tick that issued and left no warp due sleeps at once when the
     // next tick would be idle: it takes over that idle tick's charges
     // (no gate, no blocked warp, the TLB-idle poll) for
     // chargeSkipped() to repeat.
-    if (issued > 0 && !retired && due_ == 0 && nextWake_ > now + 1 &&
-        pure) {
+    if (issued > 0 && !retired && due_ == 0 && nextWake_ > now + 1) {
         tlbGated_ = 0;
         chargeMemBlocked_ = false;
         chargeTlbIdle_ = mmu_.missOutstanding();

@@ -34,13 +34,12 @@ decayScores(std::vector<std::uint64_t> &scores, Cycle &last, Cycle now,
  */
 bool
 computeAllowed(const std::vector<std::uint64_t> &scores,
-               std::uint64_t cutoff, unsigned min_allowed,
-               std::uint64_t &allowed)
+               const ThrottleConfig &cfg, std::uint64_t &allowed)
 {
     const std::uint64_t total =
         std::accumulate(scores.begin(), scores.end(),
                         std::uint64_t{0});
-    if (total <= cutoff) {
+    if (total <= cfg.cutoff) {
         allowed = ~std::uint64_t(0);
         return false;
     }
@@ -55,11 +54,11 @@ computeAllowed(const std::vector<std::uint64_t> &scores,
     unsigned count = 0;
     for (int w : order) {
         acc += scores[static_cast<std::size_t>(w)];
-        if (count < min_allowed || acc <= cutoff) {
+        if (count < cfg.minAllowed || acc <= cfg.cutoff) {
             allowed |= std::uint64_t(1) << w;
             ++count;
         }
-        if (acc > cutoff && count >= min_allowed)
+        if (acc > cfg.cutoff && count >= cfg.minAllowed)
             break;
     }
     return true;
@@ -70,7 +69,7 @@ computeAllowed(const std::vector<std::uint64_t> &scores,
 // --------------------------------------------------------- VtaThrottle
 
 VtaThrottle::VtaThrottle(const ThrottleConfig &cfg, unsigned num_warps)
-    : cfg_(cfg), rr_(num_warps), scores_(num_warps, 0)
+    : LooseRoundRobin(num_warps), cfg_(cfg), scores_(num_warps, 0)
 {
     vtas_.reserve(num_warps);
     for (unsigned i = 0; i < num_warps; ++i) {
@@ -111,23 +110,20 @@ VtaThrottle::onWarpReset(int warp_id)
         return;
     scores_[static_cast<std::size_t>(warp_id)] = 0;
     vtas_[static_cast<std::size_t>(warp_id)]->flush();
-    recomputeAllowed();
-}
-
-void
-VtaThrottle::recomputeAllowed()
-{
-    throttling_ = computeAllowed(scores_, cfg_.cutoff,
-                                 cfg_.minAllowed, allowed_);
+    throttling_ = computeAllowed(scores_, cfg_, allowed_);
 }
 
 void
 VtaThrottle::tick(Cycle now)
 {
+    // The cycles a sleeping core skipped; an empty core throttles none.
+    if (throttling_ && now > lastTick_)
+        throttledCycles_.inc(now - lastTick_ - 1);
+    lastTick_ = now;
     decayScores(scores_, lastDecay_, now, cfg_.halfLife);
     if (now - lastUpdate_ >= cfg_.updateInterval) {
         lastUpdate_ = now;
-        recomputeAllowed();
+        throttling_ = computeAllowed(scores_, cfg_, allowed_);
     }
     if (throttling_)
         throttledCycles_.inc();

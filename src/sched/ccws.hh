@@ -31,6 +31,7 @@
 #ifndef SCHED_CCWS_HH
 #define SCHED_CCWS_HH
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -86,16 +87,19 @@ struct TcwsConfig : ThrottleConfig
  * issue memory instructions. Subclasses score VTA hits (lostLocality)
  * and feed victims (recordVictim) from their own hooks.
  */
-class VtaThrottle : public WarpScheduler
+class VtaThrottle : public LooseRoundRobin
 {
   public:
-    WarpOrder order(std::uint64_t ready) override { return rr_.order(ready); }
-    void consumed(int warp_id) override { rr_.consumed(warp_id); }
     std::uint64_t memGate() const override { return allowed_; }
     void onWarpReset(int warp_id) override;
     void tick(Cycle now) override;
-    /** Stateful tick (decay, throttle updates, per-cycle stats). */
-    bool tickIsPure() const override { return false; }
+    /** The next update boundary or half-life step. */
+    Cycle
+    nextTick() const override
+    {
+        return std::min(lastUpdate_ + cfg_.updateInterval,
+                        lastDecay_ + cfg_.halfLife);
+    }
     void regStats(StatRegistry &reg, const std::string &prefix) override;
 
     /** Decayed score of one warp (exposed for tests). */
@@ -114,14 +118,12 @@ class VtaThrottle : public WarpScheduler
     ThrottleConfig cfg_;
 
   private:
-    void recomputeAllowed();
-
-    LooseRoundRobin rr_;
     std::vector<std::unique_ptr<SetAssocArray<char>>> vtas_;
     std::vector<std::uint64_t> scores_;
     std::uint64_t allowed_ = ~std::uint64_t(0); ///< memGate()
     Cycle lastDecay_ = 0;
     Cycle lastUpdate_ = 0;
+    Cycle lastTick_ = 0;
     bool throttling_ = false;
 
     Counter vtaHits_;

@@ -105,18 +105,17 @@ class WarpScheduler
      */
     virtual void onWarpReset(int warp_id) { (void)warp_id; }
 
-    /** Called once per core cycle (score decay etc.). */
+    /**
+     * The core holds warps through cycle @p now: called in its ticks
+     * and, while it sleeps, as its skipped cycles are charged (then
+     * before nextTick(), so only counting cycles). memGate() may
+     * change only here or in onWarpReset().
+     */
     virtual void tick(Cycle now) { (void)now; }
 
-    /**
-     * Does this scheduler observe cycles? Pure schedulers promise
-     * that tick() is a no-op and memGate() is constant, so
-     * the core may sleep through cycles in which nothing can issue
-     * without calling them. CCWS-family schedulers (score decay,
-     * periodic throttle recomputation, per-cycle throttle stats)
-     * must return false, which keeps the core awake every cycle.
-     */
-    virtual bool tickIsPure() const { return true; }
+    /** The first cycle at which tick() changes state; the core wakes
+     *  for it. */
+    virtual Cycle nextTick() const { return kCycleNever; }
 
     virtual void regStats(StatRegistry &reg, const std::string &prefix)
     {

@@ -81,7 +81,7 @@ class CommonPageMatrix
     /** The first cycle whose tick() flushes. */
     Cycle nextFlush() const { return lastFlush_ + cfg_.flushInterval; }
 
-    /** Periodic flush; call once per core cycle. */
+    /** Periodic flush; call in each tick with warps resident. */
     void
     tick(Cycle now)
     {

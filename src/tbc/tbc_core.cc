@@ -312,7 +312,7 @@ TbcCore::tick(Cycle now)
     const unsigned issued =
         issuePass(lrr_, ready, mem, cfg_.issueWidth,
                   [this, now](int wid) { issueWarp(wid, now); });
-    endTick(now, issued, false, ready, tlbGated_, true);
+    endTick(now, issued, false, ready, tlbGated_);
 }
 
 void

@@ -22,7 +22,6 @@
 #ifndef TBC_TBC_CORE_HH
 #define TBC_TBC_CORE_HH
 
-#include <algorithm>
 #include <vector>
 
 #include "gpu/warp_slot_core.hh"
@@ -50,15 +49,6 @@ class TbcCore : public WarpSlotCore
     void launchBlock(unsigned global_block_id) override;
     void tick(Cycle now) override;
 
-    /** While blocks are resident, a tick flushes the CPM when its
-     *  period ends, so the core wakes for that too. */
-    Cycle
-    wakeHint() const override
-    {
-        return live_ != 0 ? std::min(nextWake_, cpm_.nextFlush())
-                          : nextWake_;
-    }
-
     std::uint64_t compactions() const { return compactions_.value(); }
     std::uint64_t dynamicWarpsFormed() const
     {
@@ -69,6 +59,9 @@ class TbcCore : public WarpSlotCore
                   const std::string &prefix) override;
 
   private:
+    void tickTimer(Cycle now) override { cpm_.tick(now); }
+    Cycle nextTimer() const override { return cpm_.nextFlush(); }
+
     struct DynWarp
     {
         std::array<int, kWarpWidth> laneThread{};

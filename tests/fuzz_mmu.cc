@@ -34,6 +34,7 @@
  * CI runs it under ASan/UBSan with --seeds=200.
  */
 
+#include <array>
 #include <csignal>
 #include <cstring>
 #include <iostream>
@@ -414,8 +415,28 @@ fuzzFullStack(std::uint64_t seed, Rng &rng)
         cfg = presets::withLargePages(cfg);
         mode_name = "large";
     } else if (mode < 0.40) {
-        cfg = presets::ccws(cfg);
-        mode_name = "ccws";
+        // CCWS, TA-CCWS or TCWS, with random throttle timers (an
+        // update interval of 0 recomputes every cycle) and weights.
+        const std::uint64_t kind = rng.below(3);
+        ThrottleConfig *throttle = &cfg.ccws;
+        if (kind == 0) {
+            cfg = presets::ccws(cfg);
+        } else if (kind == 1) {
+            cfg = presets::taCcws(
+                cfg, static_cast<unsigned>(rng.range(2, 8)));
+        } else {
+            const unsigned epw = 2u << rng.below(4);
+            std::array<std::uint64_t, 4> lru{};
+            for (auto &w : lru)
+                w = rng.range(0, 8);
+            cfg = presets::tcws(cfg, epw, lru);
+            throttle = &cfg.tcws;
+        }
+        throttle->updateInterval = rng.range(0, 256);
+        throttle->halfLife = rng.range(1, 8192);
+        mode_name = cfg.name + " interval=" +
+                    std::to_string(throttle->updateInterval) +
+                    " halfLife=" + std::to_string(throttle->halfLife);
     } else if (mode < 0.50) {
         cfg = presets::tbc(cfg);
         mode_name = "tbc";

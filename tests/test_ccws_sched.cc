@@ -630,7 +630,7 @@ busyThrottle(Config cfg)
 TEST(Schedulers, MaskPassMatchesListPass)
 {
     std::mt19937 rng(20140301);
-    LooseRoundRobin no_gate(64); // a pure scheduler's gate
+    LooseRoundRobin no_gate(64); // a gate that holds nothing
     for (int start = 0; start < 64; start += 7) {
         LooseRoundRobin lrr(64);
         lrr.consumed(start);

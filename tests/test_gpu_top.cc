@@ -588,8 +588,18 @@ TEST(GpuTop, MalformedConfigsAreFieldNamedFatals)
          },
          "ccws.vtaEntriesPerWarp (12) does not divide into "
          "ccws.vtaWays (8)"},
+        {[](SystemConfig &c) {
+             c = presets::ccws(c);
+             c.ccws.halfLife = 0;
+         },
+         "ccws.halfLife (0) must be at least 1"},
         {[](SystemConfig &c) { c = presets::tcws(c, 0, {}); },
          "tcws.vtaEntriesPerWarp (0) must be at least 1"},
+        {[](SystemConfig &c) {
+             c = presets::tcws(c, 8, {1, 2, 4, 8});
+             c.tcws.halfLife = 0;
+         },
+         "tcws.halfLife (0) must be at least 1"},
         {[](SystemConfig &c) { c = presets::tcws(c, 12, {}); },
          "tcws.vtaEntriesPerWarp (12) does not divide into "
          "tcws.vtaWays (8)"},
@@ -770,12 +780,12 @@ TEST(GpuTop, WakingOnOwnStateMatchesWakingOnAnyEvent)
         {"tbc", presets::tbc(presets::augmentedTlb())},
         {"tlb-aware-tbc", presets::tlbAwareTbc(presets::augmentedTlb(), 3)},
         {"ccws", presets::ccws(presets::augmentedTlb())},
+        {"ta-ccws", presets::taCcws(presets::augmentedTlb(), 4)},
+        {"tcws", presets::tcws(presets::augmentedTlb(), 8, {1, 2, 4, 8})},
     };
     for (auto [name, cfg] : configs) {
         cfg.numCores = 4;
         cfg.checkInvariants = true;
-        // CCWS cores sleep only once empty.
-        const bool sleeps = cfg.sched != SchedulerKind::Ccws;
         for (BenchmarkId id : allBenchmarks()) {
             const std::string what =
                 std::string(name) + "/" + benchmarkName(id);
@@ -786,10 +796,7 @@ TEST(GpuTop, WakingOnOwnStateMatchesWakingOnAnyEvent)
                       any.stats.cyclesFastForwarded)
                 << what;
             EXPECT_EQ(own.json, any.json) << what;
-            if (sleeps)
-                EXPECT_LT(own.tickCalls, any.tickCalls) << what;
-            else
-                EXPECT_LE(own.tickCalls, any.tickCalls) << what;
+            EXPECT_LT(own.tickCalls, any.tickCalls) << what;
         }
     }
 }

@@ -6,27 +6,38 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "core/experiment.hh"
 #include "core/presets.hh"
 #include "gpu/gpu_top.hh"
 #include "gpu/simt_core.hh"
 #include "loop_visits_workload.hh"
+#include "sched/ccws.hh"
+#include "telemetry/telemetry.hh"
 #include "workloads/workload.hh"
 
 using namespace gpummu;
 
 namespace {
 
-/** A tiny synthetic workload with a loop and a divergent branch. */
+/**
+ * A tiny synthetic workload with a loop and a divergent branch. Each
+ * iteration a warp loads a line it has not loaded before or, with
+ * @p revisit set, one of four lines four pages apart in turn, so a
+ * small L1 or TLB loses the warp's own lines between its visits.
+ */
 class TinyWorkload : public Workload
 {
   public:
-    TinyWorkload(unsigned blocks, unsigned iters, double active_p)
+    TinyWorkload(unsigned blocks, unsigned iters, double active_p,
+                 bool revisit = false)
         : Workload(WorkloadParams{}), prog_("tiny"), blocks_(blocks),
-          iters_(iters), activeP_(active_p)
+          iters_(iters), activeP_(active_p), revisit_(revisit)
     {
     }
 
@@ -40,11 +51,21 @@ class TinyWorkload : public Workload
     {
         region_ = as.mmap("tiny.data", 64 * kPageSize4K);
         const int stream = prog_.addAddrGen([this](ThreadCtx &c) {
+            const VirtAddr step =
+                revisit_ ? (c.visits(1) % 4) * 4 * kPageSize4K
+                         : c.visits(1) * 256;
             return region_.base +
-                   (static_cast<VirtAddr>(c.globalTid) * 4 +
-                    c.visits(1) * 256) %
+                   (static_cast<VirtAddr>(c.globalTid) * 4 + step) %
                        region_.bytes;
         });
+        // A store invalidates its line in the L1, so a revisiting
+        // kernel stores beside its loads.
+        const int store =
+            !revisit_ ? stream
+                      : prog_.addAddrGen([this](ThreadCtx &c) {
+                            return region_.base + region_.bytes / 2 +
+                                   static_cast<VirtAddr>(c.globalTid) * 4;
+                        });
         const int active = prog_.addCondGen([this](ThreadCtx &c) {
             return c.rng.chance(activeP_);
         });
@@ -62,7 +83,7 @@ class TinyWorkload : public Workload
         prog_.appendAlu(b1, 2);
         prog_.appendBranch(b1, active, b2, b3, b3);
         prog_.appendAlu(b2, 3);
-        prog_.appendStore(b2, stream);
+        prog_.appendStore(b2, store);
         prog_.appendBranch(b2, -1, b3, -1, -1);
         prog_.appendBranch(b3, loop, b1, b4, b4);
         prog_.appendExit(b4);
@@ -73,6 +94,7 @@ class TinyWorkload : public Workload
     unsigned blocks_;
     unsigned iters_;
     double activeP_;
+    bool revisit_;
     VmRegion region_;
 };
 
@@ -250,10 +272,10 @@ class CountingCore : public SimtCore
 
 /** Never reports a quiescent tick, so the cycle loop ticks it every
  *  cycle: the per-cycle reference for a sleeping core's charges. */
-class AwakeCore : public SimtCore
+class AwakeCore : public CountingCore
 {
   public:
-    using SimtCore::SimtCore;
+    using CountingCore::CountingCore;
     bool lastTickQuiescent() const override { return false; }
 };
 
@@ -261,16 +283,24 @@ struct TinyDump
 {
     RunStats stats;
     std::string json;
+    std::string samples; ///< telemetry series, interval 97
     std::uint64_t ticks = 0;
 };
 
-/** Run the tiny kernel on two cores of type @p CoreT and dump the
- *  whole stat registry (stall histograms included). */
+/** Makes a core's warp scheduler from its warp-slot count. */
+using SchedFactory =
+    std::function<std::unique_ptr<WarpScheduler>(unsigned slots)>;
+
+/** Run the tiny kernel on two cores of type @p CoreT with @p sched's
+ *  schedulers and dump the whole stat registry (stall histograms
+ *  included) and its telemetry series. */
 template <typename CoreT>
 TinyDump
-runTinyDump(const CoreConfig &core_cfg, bool gto = false)
+runTinyDump(const CoreConfig &core_cfg, const SchedFactory &sched,
+            bool revisit)
 {
-    TinyWorkload wl(/*blocks=*/8, /*iters=*/10, /*active_p=*/0.5);
+    TinyWorkload wl(/*blocks=*/8, /*iters=*/10, /*active_p=*/0.5,
+                    revisit);
     std::vector<CoreT *> cores;
     GpuTop gpu(2, MemorySystemConfig{}, wl,
                [&](int id, const LaunchParams &l, AddressSpace &as,
@@ -278,22 +308,70 @@ runTinyDump(const CoreConfig &core_cfg, bool gto = false)
                    EventQueue &e) -> std::unique_ptr<ShaderCore> {
                    auto core = std::make_unique<CoreT>(id, core_cfg, l,
                                                        as, m, e);
-                   if (gto)
-                       core->setScheduler(
-                           std::make_unique<GreedyThenOldest>());
+                   core->setScheduler(sched(core_cfg.numWarpSlots));
                    cores.push_back(core.get());
                    return core;
                });
+    TelemetryConfig tcfg;
+    tcfg.sampleInterval = 97;
+    Telemetry telemetry(tcfg);
+    gpu.setTelemetry(&telemetry);
     TinyDump out;
     out.stats = gpu.run(50'000'000);
     std::ostringstream os;
     gpu.stats().dumpJson(os);
     out.json = os.str();
-    if constexpr (std::is_same_v<CoreT, CountingCore>) {
-        for (const CountingCore *c : cores)
-            out.ticks += c->ticks;
-    }
+    std::ostringstream series;
+    telemetry.writeCsv(series);
+    out.samples = series.str();
+    for (const CountingCore *c : cores)
+        out.ticks += c->ticks;
     return out;
+}
+
+/** The sum of every counter in @p json whose name ends in @p suffix. */
+std::uint64_t
+sumCounters(const std::string &json, const std::string &suffix)
+{
+    const std::string needle = suffix + "\":";
+    std::uint64_t sum = 0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size()))
+        sum += std::strtoull(json.c_str() + pos + needle.size(), nullptr,
+                             10);
+    return sum;
+}
+
+/** memcached under CCWS on eight cores of type @p CoreT at scale
+ *  0.1: the cores' ticks, and the run's stats dumped. */
+template <typename CoreT>
+std::pair<std::uint64_t, std::string>
+runCcwsMemcached()
+{
+    const SystemConfig cfg = presets::ccws(presets::augmentedTlb());
+    WorkloadParams params;
+    params.scale = 0.1;
+    auto workload = makeWorkload(BenchmarkId::Memcached, params);
+    std::vector<CoreT *> cores;
+    GpuTop gpu(8, cfg.mem, *workload,
+               [&](int id, const LaunchParams &l, AddressSpace &as,
+                   MemorySystem &m,
+                   EventQueue &e) -> std::unique_ptr<ShaderCore> {
+                   auto core = std::make_unique<CoreT>(id, cfg.core, l,
+                                                       as, m, e);
+                   core->setScheduler(std::make_unique<Ccws>(
+                       cfg.ccws, cfg.core.numWarpSlots));
+                   cores.push_back(core.get());
+                   return core;
+               },
+               cfg.largePages, cfg.physFrames);
+    std::ostringstream os;
+    dumpRunStatsJson(os, gpu.run(cfg.maxCycles));
+    gpu.stats().dumpJson(os);
+    std::uint64_t ticks = 0;
+    for (const CoreT *c : cores)
+        ticks += c->ticks;
+    return {ticks, os.str()};
 }
 
 } // namespace
@@ -301,31 +379,132 @@ runTinyDump(const CoreConfig &core_cfg, bool gto = false)
 TEST(SimtCore, SleepingChargesEqualTickingEveryCycle)
 {
     // A sleeping core is not ticked; its skipped cycles and its
-    // warps' waits are charged lazily. Ticking every cycle instead
-    // must give the same stats to the last stall cycle, on each MMU
-    // policy: the blocking TLB's gate (charged per cycle while
-    // asleep), the hit-under-miss bounce (walker drain waits) and no
-    // TLB at all. Both pure schedulers (LRR, GTO) may sleep.
+    // warps' waits are charged lazily, and a throttle counts its
+    // throttled cycles lazily. Ticking every cycle instead must give
+    // the same stats to the last stall cycle, and the same telemetry
+    // series, on each MMU policy: the blocking TLB's gate (charged
+    // per cycle while asleep), the hit-under-miss bounce (walker
+    // drain waits) and no TLB at all; and on each scheduler. The
+    // throttles run on a small L1 and TLB and a kernel that revisits
+    // its lines, with settings that make them throttle, so a core
+    // sleeps through held warps and wakes for the throttle's update
+    // boundaries and half-life steps.
     CoreConfig blocking;
     blocking.mmu.hitUnderMiss = false;
     CoreConfig hit_under_miss;
     hit_under_miss.mmu.hitUnderMiss = true;
     CoreConfig no_tlb;
     no_tlb.mmu.enabled = false;
-    for (const bool gto : {false, true}) {
-        for (const CoreConfig &cfg :
-             {blocking, hit_under_miss, no_tlb}) {
-            SCOPED_TRACE(gto ? "GTO" : "LRR");
-            const TinyDump sleeping =
-                runTinyDump<CountingCore>(cfg, gto);
-            const TinyDump awake = runTinyDump<AwakeCore>(cfg, gto);
+
+    ThrottleConfig tight;
+    tight.vtaEntriesPerWarp = 8;
+    tight.vtaWays = 8;
+    tight.vtaHitScore = 64;
+    tight.scoreCap = 256;
+    tight.cutoff = 128;
+    tight.minAllowed = 1;
+    tight.halfLife = 300;
+    tight.updateInterval = 16;
+    CcwsConfig ccws;
+    static_cast<ThrottleConfig &>(ccws) = tight;
+    CcwsConfig ta_ccws = ccws;
+    ta_ccws.tlbMissWeight = 4;
+    TcwsConfig tcws;
+    static_cast<ThrottleConfig &>(tcws) = tight;
+    tcws.lruWeights = {1, 2, 4, 8};
+
+    struct Sched
+    {
+        const char *name;
+        SchedFactory make;
+        bool throttles;
+    };
+    const Sched scheds[] = {
+        {"LRR",
+         [](unsigned n) { return std::make_unique<LooseRoundRobin>(n); },
+         false},
+        {"GTO",
+         [](unsigned) { return std::make_unique<GreedyThenOldest>(); },
+         false},
+        {"CCWS",
+         [&](unsigned n) { return std::make_unique<Ccws>(ccws, n); },
+         true},
+        {"TA-CCWS",
+         [&](unsigned n) { return std::make_unique<Ccws>(ta_ccws, n); },
+         true},
+        {"TCWS",
+         [&](unsigned n) { return std::make_unique<Tcws>(tcws, n); },
+         true},
+    };
+    for (const Sched &sched : scheds) {
+        for (CoreConfig cfg : {blocking, hit_under_miss, no_tlb}) {
+            // TCWS scores TLB events only.
+            if (sched.name == std::string("TCWS") && !cfg.mmu.enabled)
+                continue;
+            SCOPED_TRACE(std::string(sched.name) +
+                         (!cfg.mmu.enabled        ? " no TLB"
+                          : cfg.mmu.hitUnderMiss ? " hit under miss"
+                                                 : " blocking"));
+            if (sched.throttles) {
+                cfg.l1.bytes = 16 * kLineSize;
+                cfg.l1.ways = 4;
+                cfg.mmu.tlb.entries = 2;
+                cfg.mmu.tlb.ways = 2;
+            }
+            const TinyDump sleeping = runTinyDump<CountingCore>(
+                cfg, sched.make, sched.throttles);
+            const TinyDump awake =
+                runTinyDump<AwakeCore>(cfg, sched.make, sched.throttles);
             EXPECT_TRUE(sleeping.stats == awake.stats);
             EXPECT_EQ(sleeping.json, awake.json);
+            EXPECT_EQ(sleeping.samples, awake.samples);
             EXPECT_EQ(awake.stats.cyclesFastForwarded, 0u);
             // ...and the sleeping run really skipped ticks.
             EXPECT_LT(sleeping.ticks, 2 * sleeping.stats.cycles);
+            if (sched.throttles) {
+                EXPECT_GT(sumCounters(sleeping.json,
+                                      ".sched.throttled_cycles"),
+                          0u);
+                EXPECT_GT(sumCounters(sleeping.json, ".sched.vta_hits"),
+                          0u);
+                EXPECT_GT(sumCounters(sleeping.json,
+                                      ".mem_blocked_cycles"),
+                          0u);
+            }
         }
     }
+}
+
+TEST(SimtCore, ThrottledCoreSleepsThroughMostCycles)
+{
+    // memcached under CCWS spends most core-cycles idle with memory
+    // warps held at the throttle's gate. A sleeping core is ticked
+    // for its own completions and the throttle's update boundaries,
+    // not in every cycle it holds warps.
+    const auto [asleep, asleep_json] = runCcwsMemcached<CountingCore>();
+    const auto [awake, awake_json] = runCcwsMemcached<AwakeCore>();
+    EXPECT_EQ(asleep_json, awake_json);
+    EXPECT_GT(sumCounters(asleep_json, ".mem_blocked_cycles"), 0u);
+    EXPECT_GE(awake, 3 * asleep) << asleep << " ticks asleep";
+}
+
+TEST(SimtCore, ZeroUpdateIntervalRecomputesEveryTick)
+{
+    // updateInterval 0 puts the throttle's next tick at or before the
+    // current cycle, so the core never sleeps past one: the run is
+    // the same as with an interval of 1.
+    SystemConfig cfg = presets::ccws(presets::augmentedTlb());
+    cfg.numCores = 2;
+    WorkloadParams params;
+    params.scale = 0.03;
+    cfg.ccws.updateInterval = 1;
+    const RunOutput one = runConfigFull(BenchmarkId::Bfs, cfg, params);
+    cfg.ccws.updateInterval = 0;
+    EXPECT_TRUE(cfg.validate().empty());
+    const RunOutput zero = runConfigFull(BenchmarkId::Bfs, cfg, params);
+    EXPECT_TRUE(one.stats == zero.stats);
+    EXPECT_EQ(one.statsJson, zero.statsJson);
+    EXPECT_GT(sumCounters(zero.statsJson, ".sched.throttled_cycles"), 0u);
 }
 
 TEST(SimtCore, SleepsInTheTickThatEmptiesItsDueSet)

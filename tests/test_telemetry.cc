@@ -100,8 +100,9 @@ TEST(Telemetry, IntervalChargingMatchesPerCycleCharging)
     // every open stall interval after each cycle and caps every jump,
     // so the armed run charges cycle by cycle. The plain run's lazy
     // sleep and interval charging must reproduce it exactly: on the
-    // blocking TLB gate (per-cycle TlbMiss charges), an impure
-    // scheduler (never sleeps), the IOMMU and TBC cores.
+    // blocking TLB gate (per-cycle TlbMiss charges), a throttle
+    // (lazy throttled cycles, wakes at its update boundaries), the
+    // IOMMU and TBC cores.
     TelemetryConfig every_cycle;
     every_cycle.sampleInterval = 1;
     const std::pair<const char *, SystemConfig> configs[] = {
